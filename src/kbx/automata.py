@@ -27,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .canonical import build_canonical, class_generated, derives_assertion
+from .canonical import build_canonical
 from .model import (
     ABox,
     BasicRole,
-    ConceptAssertion,
     Exists,
     KnowledgeBase,
     RoleAssertion,
@@ -39,7 +38,7 @@ from .model import (
     all_basic_roles,
     signature_of,
 )
-from .reasoner import concept_closure, role_closure
+from .reasoner import Reasoner
 
 ROOT_MARK = "mark:r"
 GOOD_MARK = "mark:G"
@@ -355,8 +354,7 @@ def build_acan(kb: KnowledgeBase) -> TreeAutomaton:
     """
     s = _Setup(kb)
     can = build_canonical(s.kb, check_consistency=False)
-    cc = concept_closure(s.kb.tbox)
-    rc = role_closure(s.kb.tbox)
+    ctx = can.reasoner
     syms = s.symbols()
 
     def star(x: str) -> str:
@@ -391,11 +389,11 @@ def build_acan(kb: KnowledgeBase) -> TreeAutomaton:
         for name in s.role_names:
             for u in s.inds:
                 sym = _pair_sym(name, t, u)
-                holds = derives_assertion(s.kb, RoleAssertion(BasicRole(name), t, u))
+                holds = BasicRole(name) in can.individual_roles.get((t, u), ())
                 parts.append(Atom(0, star(sym) if holds else nstar(sym)))
         for b in s.concepts:
             sym = _con_sym(b)
-            holds = derives_assertion(s.kb, ConceptAssertion(b, t))
+            holds = b in can.individual_types[t]
             parts.append(Atom(i, star(sym) if holds else nstar(sym)))
         generated = set(can.gen[t])
         parts += [Atom(i, qex(r)) for r in can.gen[t]]
@@ -433,12 +431,12 @@ def build_acan(kb: KnowledgeBase) -> TreeAutomaton:
         parts = []
         for r2 in s.roles:
             sym = _rol_sym(r2)
-            parts.append(Atom(0, star(sym) if rc.subsumes(r, r2) else nstar(sym)))
+            parts.append(Atom(0, star(sym) if ctx.derives_role(r, r2) else nstar(sym)))
         tail = Exists(r.inverse())
         for b in s.concepts:
             sym = _con_sym(b)
-            parts.append(Atom(0, star(sym) if cc.subsumes(tail, b) else nstar(sym)))
-        generated = set(class_generated(s.kb.tbox, r))
+            parts.append(Atom(0, star(sym) if ctx.derives_concept(tail, b) else nstar(sym)))
+        generated = set(ctx.generated(r))
         for r2 in s.roles:
             parts.append(Atom(0, qex(r2) if r2 in generated else qng(r2)))
         cases.append((qrole(r), Guard("inds_empty"), conj(parts)))
@@ -479,8 +477,9 @@ def build_amod(kb: KnowledgeBase) -> TreeAutomaton:
     existential witnesses.
     """
     s = _Setup(kb)
-    cc = concept_closure(s.kb.tbox)
-    rc = role_closure(s.kb.tbox)
+    ctx = Reasoner(s.kb.tbox)
+    types = ctx.term_types(s.kb.abox)
+    pairs = ctx.pair_roles(s.kb.abox)
     syms = s.symbols()
 
     def q(x: str) -> str:
@@ -497,11 +496,11 @@ def build_amod(kb: KnowledgeBase) -> TreeAutomaton:
     for i, t in enumerate(s.inds, start=1):
         parts.append(Atom(i, q(_ind_sym(t))))
         for b in s.concepts:
-            if derives_assertion(s.kb, ConceptAssertion(b, t)):
+            if b in types[t]:
                 parts.append(Atom(i, q(_con_sym(b))))
         for u in s.inds:
             for name in s.role_names:
-                if derives_assertion(s.kb, RoleAssertion(BasicRole(name), t, u)):
+                if BasicRole(name) in pairs.get((t, u), ()):
                     parts.append(Atom(0, q(_pair_sym(name, t, u))))
     cases.append(("q0", Guard("has", (ROOT_MARK, GOOD_MARK)), conj(parts)))
 
@@ -542,14 +541,14 @@ def build_amod(kb: KnowledgeBase) -> TreeAutomaton:
     # Role label at an anonymous node: implied super-roles hold on the same
     # edge and both endpoints get their existential memberships.
     for r in s.roles:
-        parts = [Atom(0, q(_rol_sym(r2))) for r2 in sorted(rc.sup_roles(r), key=str)]
+        parts = [Atom(0, q(_rol_sym(r2))) for r2 in sorted(ctx.sup_roles(r), key=str)]
         parts.append(Atom(0, q(_con_sym(Exists(r.inverse())))))
         parts.append(Atom(-1, q(_con_sym(Exists(r)))))
         cases.append((q(_rol_sym(r)), Guard("inds_empty"), conj(parts)))
 
     # Concept membership propagates to all implied concepts.
     for b in s.concepts:
-        parts = [Atom(0, q(_con_sym(b2))) for b2 in sorted(cc.sup_concepts(b), key=str)]
+        parts = [Atom(0, q(_con_sym(b2))) for b2 in sorted(ctx.sup_concepts(b), key=str)]
         cases.append((q(_con_sym(b)), ALWAYS, conj(parts)))
 
     # Honest recording: every visited obligation must find its symbol present
@@ -628,7 +627,6 @@ def encode_canonical_tree(kb: KnowledgeBase, depth: int, good: bool = False) -> 
     n = len(inds)
     slot = {r: i + 1 for i, r in enumerate(roles)}
     can = build_canonical(kb, check_consistency=False)
-    rc = role_closure(kb.tbox)
 
     labels: dict = {}
     root = {ROOT_MARK}
@@ -637,7 +635,7 @@ def encode_canonical_tree(kb: KnowledgeBase, depth: int, good: bool = False) -> 
     for name in sorted(sig.roles):
         for t in inds:
             for u in inds:
-                if derives_assertion(kb, RoleAssertion(BasicRole(name), t, u)):
+                if BasicRole(name) in can.individual_roles.get((t, u), ()):
                     root.add(_pair_sym(name, t, u))
     labels[()] = root
 
@@ -647,7 +645,7 @@ def encode_canonical_tree(kb: KnowledgeBase, depth: int, good: bool = False) -> 
         for rep in can.gen[state]:
             child = path + (slot[rep],)
             lab = {_con_sym(b) for b in can.state_type(rep)}
-            lab |= {_rol_sym(r) for r in rc.sup_roles(rep)}
+            lab |= {_rol_sym(r) for r in can.edge_roles(rep)}
             if good:
                 lab.add(GOOD_MARK)
             labels[child] = lab
@@ -655,7 +653,7 @@ def encode_canonical_tree(kb: KnowledgeBase, depth: int, good: bool = False) -> 
 
     for i, t in enumerate(inds, start=1):
         lab = {_ind_sym(t)}
-        lab |= {_con_sym(b) for b in concepts if derives_assertion(kb, ConceptAssertion(b, t))}
+        lab |= {_con_sym(b) for b in concepts if b in can.individual_types[t]}
         if good:
             lab.add(GOOD_MARK)
         labels[(i,)] = lab

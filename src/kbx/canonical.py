@@ -9,12 +9,9 @@ edges and type tables); `materialize` unfolds it to any finite depth.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .model import (
     ABox,
     Atomic,
-    BasicConcept,
     BasicRole,
     ConceptAssertion,
     Constant,
@@ -25,19 +22,10 @@ from .model import (
     Signature,
     TBox,
     Term,
-    all_basic_concepts,
     concept_over,
     role_over,
 )
-from .reasoner import (
-    WitnessClass,
-    asserted_concepts,
-    asserted_roles,
-    concept_closure,
-    kb_consistent,
-    role_closure,
-    witness_class,
-)
+from .reasoner import Reasoner, WitnessClass
 
 
 class InconsistentKB(Exception):
@@ -54,30 +42,6 @@ def combined_tbox(*tboxes: TBox) -> TBox:
     for t in tboxes:
         axioms.update(t)
     return tuple(sorted(axioms, key=str))
-
-
-def class_generated(tbox: TBox, rep: BasicRole) -> tuple[BasicRole, ...]:
-    """Witness classes generated by the class element of `rep`.
-
-    Unlike `CanonicalStructure.gen` this works for any basic role, whether or
-    not its class is reachable from a particular ABox.
-    """
-    cc = concept_closure(tbox)
-    rc = role_closure(tbox)
-
-    def rep_of(role: BasicRole) -> BasicRole:
-        return witness_class(tbox, role).representative
-
-    tail = cc.sup_concepts(Exists(rep.inverse()))
-    back_rep = rep_of(rep.inverse())
-    cands = {c.role for c in tail if isinstance(c, Exists)}
-    reps = {
-        rep_of(r)
-        for r in cands
-        if rep_of(r) != back_rep
-        and all(rep_of(s) == rep_of(r) for s in cands if rc.subsumes(s, r))
-    }
-    return tuple(sorted(reps, key=str))
 
 
 def element_label(e) -> str:
@@ -155,57 +119,36 @@ class CanonicalStructure:
     representatives; `gen` maps each state to the classes it generates.
     """
 
-    def __init__(self, kb: KnowledgeBase):
+    def __init__(self, kb: KnowledgeBase, ctx: Reasoner):
+        """``ctx`` must be the context of ``kb.tbox``; `build_canonical` makes
+        one when its caller has none."""
         self.kb = kb
-        tbox = kb.tbox
-        cc = concept_closure(tbox)
-        rc = role_closure(tbox)
-        aconc = asserted_concepts(kb)
+        self.reasoner = ctx
         self.individuals: tuple[Term, ...] = tuple(kb.abox.all_terms())
-        self.individual_types: dict[Term, frozenset] = {}
-        for t in self.individuals:
-            tp: set = set()
-            for b in aconc.get(t, ()):
-                tp |= cc.sup_concepts(b)
-            self.individual_types[t] = frozenset(tp)
-        self.individual_roles: dict = {}
-        for pair, roles in asserted_roles(kb).items():
-            derived: set = set()
-            for r in roles:
-                derived |= rc.sup_roles(r)
-            self.individual_roles[pair] = frozenset(derived)
+        self.individual_types: dict[Term, frozenset] = ctx.term_types(kb.abox)
+        self.individual_roles: dict = ctx.pair_roles(kb.abox)
         satisfied: dict[Term, set] = {t: set() for t in self.individuals}
         for (t1, _t2), roles in self.individual_roles.items():
             satisfied[t1] |= roles
 
-        def rep_of(role: BasicRole) -> BasicRole:
-            return witness_class(tbox, role).representative
-
-        def minimal(cands: set, r: BasicRole) -> bool:
-            return all(
-                rep_of(s) == rep_of(r) for s in cands if rc.subsumes(s, r)
-            )
-
         self.gen: dict = {}
         for t in self.individuals:
             cands = {c.role for c in self.individual_types[t] if isinstance(c, Exists)}
-            reps = {
-                rep_of(r)
-                for r in cands
-                if r not in satisfied[t] and minimal(cands, r)
-            }
+            reps = {ctx.rep_of(r) for r in ctx.minimal_roles(cands) if r not in satisfied[t]}
             self.gen[t] = tuple(sorted(reps, key=str))
 
         self.classes: dict[BasicRole, WitnessClass] = {}
         self.class_types: dict[BasicRole, frozenset] = {}
+        self.class_edges: dict[BasicRole, frozenset] = {}
         todo = [r for t in self.individuals for r in self.gen[t]]
         while todo:
             rep = todo.pop()
             if rep in self.classes:
                 continue
-            self.classes[rep] = witness_class(tbox, rep)
-            self.class_types[rep] = cc.sup_concepts(Exists(rep.inverse()))
-            self.gen[rep] = class_generated(tbox, rep)
+            self.classes[rep] = ctx.witness_class(rep)
+            self.class_types[rep] = ctx.sup_concepts(Exists(rep.inverse()))
+            self.class_edges[rep] = ctx.sup_roles(rep)
+            self.gen[rep] = ctx.generated(rep)
             todo.extend(self.gen[rep])
 
     def states(self):
@@ -223,29 +166,32 @@ class CanonicalStructure:
 
     def edge_roles(self, child_rep: BasicRole, sigma: Signature | None = None) -> frozenset:
         """All roles holding on a generating edge (parent, child), both orientations."""
-        roles = role_closure(self.kb.tbox).sup_roles(child_rep)
+        roles = self.class_edges.get(child_rep)
+        if roles is None:  # not a class of this structure
+            roles = self.reasoner.sup_roles(child_rep)
         if sigma is None:
             return roles
         return frozenset(r for r in roles if role_over(r, sigma))
 
 
-def build_canonical(kb: KnowledgeBase, check_consistency: bool = True) -> CanonicalStructure:
-    """Construct the regular presentation; raises InconsistentKB on clash."""
-    if check_consistency and not kb_consistent(kb):
+def build_canonical(
+    kb: KnowledgeBase, check_consistency: bool = True, reasoner: Reasoner | None = None
+) -> CanonicalStructure:
+    """Construct the regular presentation; raises InconsistentKB on clash.
+
+    ``reasoner``, when given, must be the context of ``kb.tbox``; otherwise
+    the structure builds its own.
+    """
+    if reasoner is None:
+        reasoner = Reasoner(kb.tbox)
+    if check_consistency and not reasoner.consistent(kb.abox):
         raise InconsistentKB("knowledge base is inconsistent")
-    return CanonicalStructure(kb)
+    return CanonicalStructure(kb, reasoner)
 
 
 def derives_assertion(kb: KnowledgeBase, assertion) -> bool:
-    """Whether the KB entails a single membership assertion."""
-    tbox = kb.tbox
-    if isinstance(assertion, ConceptAssertion):
-        cc = concept_closure(tbox)
-        have = asserted_concepts(kb).get(assertion.term, set())
-        return any(cc.subsumes(b, assertion.concept) for b in have)
-    rc = role_closure(tbox)
-    have = asserted_roles(kb).get((assertion.first, assertion.second), set())
-    return any(rc.subsumes(r, assertion.role) for r in have)
+    """Whether the KB entails a single membership assertion (one-shot, uncached)."""
+    return Reasoner(kb.tbox).entails(kb.abox, assertion)
 
 
 def ttype_at(c: CanonicalStructure, path: tuple, sigma: Signature | None = None) -> frozenset:
@@ -349,20 +295,29 @@ def build_vabox(abox: ABox) -> FiniteInterpretation:
     return FiniteInterpretation(elements, concept_facts, role_facts, constants)
 
 
-def closure_abox(kb1: KnowledgeBase, t12: TBox, sigma2: Signature) -> ABox:
+def closure_abox(
+    kb1: KnowledgeBase, t12: TBox, sigma2: Signature, reasoner: Reasoner | None = None
+) -> ABox:
     """All target-signature facts over the source individuals entailed by the
-    positive part of the combined KB (existential concept facts included)."""
-    pos = positive_part(combined_tbox(kb1.tbox, t12))
-    k = KnowledgeBase(pos, kb1.abox)
-    terms = kb1.abox.all_terms()
-    facts = []
-    for t in terms:
-        for b in all_basic_concepts(sigma2):
-            if derives_assertion(k, ConceptAssertion(b, t)):
-                facts.append(ConceptAssertion(b, t))
-    for t1, t2 in product(terms, terms):
-        for p in sorted(sigma2.roles):
-            fact = RoleAssertion(BasicRole(p), t1, t2)
-            if derives_assertion(k, fact):
-                facts.append(fact)
+    positive part of the combined KB (existential concept facts included).
+
+    One pass: the entailed concepts of each term and the entailed roles of
+    each asserted pair, filtered to the target signature.  ``reasoner``, when
+    given, must be the context of the combined TBox; its negated axioms do
+    not matter, since closures read only the positive ones.
+    """
+    if reasoner is None:
+        reasoner = Reasoner(positive_part(combined_tbox(kb1.tbox, t12)))
+    facts: list = [
+        ConceptAssertion(b, t)
+        for t, types in reasoner.term_types(kb1.abox).items()
+        for b in types
+        if concept_over(b, sigma2)
+    ]
+    facts += [
+        RoleAssertion(r, t1, t2)
+        for (t1, t2), roles in reasoner.pair_roles(kb1.abox).items()
+        for r in roles
+        if not r.inverted and role_over(r, sigma2)
+    ]
     return ABox.make(facts)

@@ -1,9 +1,11 @@
 """Command-line interface: parse inputs, run a decision, report a verdict.
 
-Exit codes: 0 = yes, 1 = no, 2 = unknown, 3 = input error.  Reports carry the
-answer, input digests, any witness or counterexample, and a certificate
-summary; ``--json`` switches to a byte-deterministic JSON report (timing is
-reported as text only, so JSON output depends only on the inputs and seed).
+Exit codes: 0 = yes, 1 = no, 2 = unknown, 3 = error (an input error, a broken
+precondition, or an internal fault, which is never reported as a verdict).
+Reports carry the answer, input digests, any witness or counterexample, and a
+certificate summary; ``--json`` switches to a byte-deterministic JSON report
+(timing is reported as text only, so JSON output depends only on the inputs
+and seed).
 The environment variable ``KBX_DEPTH_CAP`` overrides the default search depth
 cap for the extended-solution command.
 """
@@ -16,6 +18,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from .automata import build_acan, build_afin, build_amod, dump_automaton
 from .canonical import InconsistentKB, build_canonical, element_label, materialize
@@ -145,17 +148,24 @@ def _depth_cap(args) -> int:
     return DEFAULT_DEPTH_CAP
 
 
-def _dispatch(args, inputs: dict) -> dict:
-    """Run the selected command; returns the report fields."""
-    out: dict = {
+def _error_fields(reason: str | None, engine: str = "main") -> dict:
+    """Report fields answering ``error``; a command overwrites them as it goes."""
+    return {
         "answer": "error",
         "witness": None,
         "certificate": None,
         "counterexample": None,
-        "reason": None,
+        "reason": reason,
         "recheck": None,
-        "engine": "oracle" if args.oracle and args.command == "consistency" else "main",
+        "engine": engine,
     }
+
+
+def _dispatch(args, inputs: dict) -> dict:
+    """Run the selected command; returns the report fields."""
+    out = _error_fields(
+        None, "oracle" if args.oracle and args.command == "consistency" else "main"
+    )
 
     if args.command == "consistency":
         kb = _load(args.kb, parse_kb, inputs)
@@ -270,26 +280,11 @@ def run(argv) -> int:
     started = time.perf_counter()
     try:
         fields = _dispatch(args, inputs)
-    except InputError as exc:
-        fields = {
-            "answer": "error",
-            "witness": None,
-            "certificate": None,
-            "counterexample": None,
-            "reason": str(exc),
-            "recheck": None,
-            "engine": "main",
-        }
-    except (InconsistentKB, PreconditionViolated) as exc:
-        fields = {
-            "answer": "error",
-            "witness": None,
-            "certificate": None,
-            "counterexample": None,
-            "reason": str(exc),
-            "recheck": None,
-            "engine": "main",
-        }
+    except (InputError, InconsistentKB, PreconditionViolated) as exc:
+        fields = _error_fields(str(exc))
+    except Exception as exc:  # an internal fault must never read as a verdict
+        traceback.print_exc(file=sys.stderr)
+        fields = _error_fields(f"internal error: {type(exc).__name__}: {exc}")
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
     command = args.command if args.command != "automata" else f"automata {args.action}"

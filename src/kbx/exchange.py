@@ -40,13 +40,7 @@ from .model import (
     Null,
     RoleAssertion,
 )
-from .reasoner import (
-    concept_disjoint_pairs,
-    kb_consistent,
-    role_closure,
-    role_disjoint_pairs,
-    tbox_trivial,
-)
+from .reasoner import Reasoner, tbox_trivial
 
 
 @dataclass(frozen=True)
@@ -67,19 +61,29 @@ class SolutionVerdict:
     counterexample: str | None = None
 
 
-def _combined_canonical(kb1: KnowledgeBase, mapping: Mapping) -> CanonicalStructure:
-    joined = KnowledgeBase(combined_tbox(kb1.tbox, mapping.t12), kb1.abox)
-    return build_canonical(joined, check_consistency=False)
-
-
-def is_sigma2_positive(kb1: KnowledgeBase, mapping: Mapping) -> PositivityResult:
-    """Check that no target-visible element pair activates source disjointness
-    and no mapping disjointness is triggered at all (clauses a-d)."""
-    if not kb_consistent(kb1):
+def _prepare(kb1: KnowledgeBase, mapping: Mapping) -> tuple[Reasoner, CanonicalStructure]:
+    """The reasoning context of the source TBox, once the source KB is known
+    to be consistent, and the canonical structure of source plus mapping."""
+    source = Reasoner(kb1.tbox)
+    if not source.consistent(kb1.abox):
         raise InconsistentKB("source knowledge base is inconsistent")
-    u = _combined_canonical(kb1, mapping)
+    joined = KnowledgeBase(combined_tbox(kb1.tbox, mapping.t12), kb1.abox)
+    return source, build_canonical(joined, check_consistency=False)
+
+
+def is_sigma2_positive(
+    kb1: KnowledgeBase,
+    mapping: Mapping,
+    prepared: tuple[Reasoner, CanonicalStructure] | None = None,
+) -> PositivityResult:
+    """Check that no target-visible element pair activates source disjointness
+    and no mapping disjointness is triggered at all (clauses a-d).
+
+    ``prepared`` is what ``_prepare`` returns, for a decider that has already
+    built it.
+    """
+    source, u = prepared if prepared is not None else _prepare(kb1, mapping)
     sigma2 = mapping.sigma2
-    t1 = kb1.tbox
 
     def in_target(state) -> bool:
         if isinstance(state, Constant):
@@ -98,7 +102,7 @@ def is_sigma2_positive(kb1: KnowledgeBase, mapping: Mapping) -> PositivityResult
         if in_target(rep):
             realized_target |= u.class_types[rep]
 
-    for (b, c) in sorted(concept_disjoint_pairs(t1), key=str):
+    for (b, c) in sorted(source.concept_clashes, key=str):
         if b in realized_target and c in realized_target:
             return PositivityResult(
                 False, "a",
@@ -120,7 +124,7 @@ def is_sigma2_positive(kb1: KnowledgeBase, mapping: Mapping) -> PositivityResult
                 return True
         return False
 
-    role_pairs = sorted(role_disjoint_pairs(t1), key=str)
+    role_pairs = sorted(source.role_clashes, key=str)
     for (r, q) in role_pairs:
         if pair_fully_visible(r) and pair_fully_visible(q):
             return PositivityResult(
@@ -185,12 +189,11 @@ def is_sigma2_positive(kb1: KnowledgeBase, mapping: Mapping) -> PositivityResult
     return PositivityResult(True)
 
 
-def _model_search(kb1: KnowledgeBase, mapping: Mapping, a2: ABox):
+def _model_search(source: Reasoner, kb1: KnowledgeBase, mapping: Mapping, a2: ABox):
     """Search a source model over the ABox individuals plus one extra element
     that satisfies the positive source TBox and keeps every mapped concept
     and role inside what the closure ABox can absorb."""
     t1 = kb1.tbox
-    rc = role_closure(t1)
     u_a2 = build_canonical(KnowledgeBase((), a2), check_consistency=False)
     extra = "*"
     dom = list(kb1.abox.all_terms()) + [extra]
@@ -233,7 +236,7 @@ def _model_search(kb1: KnowledgeBase, mapping: Mapping, a2: ABox):
         return any(f[0] == "r" and f[1] == r.name and f[2] == x for f in facts)
 
     def add_role(facts: set, role: BasicRole, x, y):
-        for s in rc.sup_roles(role):
+        for s in source.sup_roles(role):
             if s.inverted:
                 facts.add(("r", s.name, y, x))
             else:
@@ -323,15 +326,15 @@ def universal_solution_plain(kb1: KnowledgeBase, mapping: Mapping) -> SolutionVe
     solution exactly when some small source model keeps all mapped extensions
     inside it.
     """
-    if not kb_consistent(kb1):
-        raise InconsistentKB("source knowledge base is inconsistent")
-    pos = is_sigma2_positive(kb1, mapping)
+    prepared = _prepare(kb1, mapping)
+    pos = is_sigma2_positive(kb1, mapping, prepared)
     if not pos:
         return SolutionVerdict(
             "no", counterexample=f"positivity clause ({pos.clause}): {pos.detail}"
         )
-    a2 = closure_abox(kb1, mapping.t12, mapping.sigma2)
-    model = _model_search(kb1, mapping, a2)
+    source, u = prepared
+    a2 = closure_abox(kb1, mapping.t12, mapping.sigma2, u.reasoner)
+    model = _model_search(source, kb1, mapping, a2)
     if model is None:
         return SolutionVerdict(
             "no",
@@ -418,14 +421,13 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
     Sound for yes; no only on positivity failure; unknown past the cap (a
     solution may in the worst case be exponentially deep).
     """
-    if not kb_consistent(kb1):
-        raise InconsistentKB("source knowledge base is inconsistent")
-    pos = is_sigma2_positive(kb1, mapping)
+    prepared = _prepare(kb1, mapping)
+    pos = is_sigma2_positive(kb1, mapping, prepared)
     if not pos:
         return SolutionVerdict(
             "no", counterexample=f"positivity clause ({pos.clause}): {pos.detail}"
         )
-    u = _combined_canonical(kb1, mapping)
+    u = prepared[1]
     sigma2 = mapping.sigma2
     for d in range(depth_cap + 1):
         trunc = materialize(u, d)
@@ -447,9 +449,8 @@ def is_universal_solution(kb1: KnowledgeBase, mapping: Mapping,
     candidate ABox must be target-signature homomorphically equivalent to the
     canonical model of source plus mapping.
     """
-    if not kb_consistent(kb1):
-        raise InconsistentKB("source knowledge base is inconsistent")
-    pos = is_sigma2_positive(kb1, mapping)
+    prepared = _prepare(kb1, mapping)
+    pos = is_sigma2_positive(kb1, mapping, prepared)
     if not pos:
         return SolutionVerdict(
             "no", counterexample=f"positivity clause ({pos.clause}): {pos.detail}"
@@ -459,7 +460,7 @@ def is_universal_solution(kb1: KnowledgeBase, mapping: Mapping,
             "no",
             counterexample="candidate TBox is not equivalent to the empty TBox",
         )
-    u = _combined_canonical(kb1, mapping)
+    u = prepared[1]
     sigma2 = mapping.sigma2
     v = build_vabox(kb2.abox)
     table = embeds_regular_into_finite(u, v, sigma2)

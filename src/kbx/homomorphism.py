@@ -208,14 +208,14 @@ def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
             if tp <= ttype(e):
                 alive.add((rep, e))
 
+    need = {rep: c.edge_roles(rep, sigma) for rep in c.classes}
     changed = True
     while changed:
         changed = False
         for (s, e) in list(alive):
             for child in c.gen[s]:
-                need = c.edge_roles(child, sigma)
                 ok = any(
-                    (child, e2) in alive and need <= rtype(e, e2)
+                    (child, e2) in alive and need[child] <= rtype(e, e2)
                     for e2 in pool
                 )
                 if not ok:
@@ -300,13 +300,13 @@ def verify_simulation(c: CanonicalStructure, f: FiniteInterpretation,
                     return False
             elif images[t] != f.constant_elems.get(t):
                 return False
+    need = {rep: c.edge_roles(rep, sigma) for rep in c.classes}
     for (s, e) in pairs:
         if not c.state_type(s, sigma) <= ttype(e):
             return False
         for child in c.gen[s]:
-            need = c.edge_roles(child, sigma)
             if not any(
-                (child, e2) in pairs and need <= rtype(e, e2)
+                (child, e2) in pairs and need[child] <= rtype(e, e2)
                 for e2 in pool
             ):
                 return False

@@ -1,4 +1,4 @@
-"""Structural reasoning over TBoxes: closures, entailment, consistency.
+"""Structural reasoning over DL-Lite_R TBoxes: closures, entailment, consistency.
 
 The positive fragment of a TBox induces a reflexive-transitive subsumption
 closure on roles (closed under inversion) and one on basic concepts (absorbing
@@ -6,19 +6,28 @@ role subsumption into existentials).  Disjointness axioms are normalized into
 symmetric clash pair sets.  Consistency of small KBs reduces to checking each
 co-asserted pair of concepts/roles against the TBox, which in turn reduces to a
 clash scan over the (finitely many) witness classes reachable from the pair.
+
+A `Reasoner` is that compiled form of one TBox: its axioms indexed once,
+both clash pair sets, and memos of each concept's and role's closure, of
+witness classes, generated classes and pair consistency, filled in the first
+time a decision asks for one.  Each decision builds the contexts it needs and
+drops them when it returns, so no cache outlives a call: `CanonicalStructure`
+builds (or is handed) the context of its KB's TBox, `exchange` reuses the
+structure's, and `representability` builds one per TBox it reasons over.  A
+certificate recheck is a decision of its own and builds its own contexts.
+The module-level `derives_concept`, `derives_role` and `kb_consistent` are
+uncached one-shot wrappers kept for library users; no decider calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .model import (
-    Atomic,
+    ABox,
     BasicConcept,
     BasicRole,
     ConceptAssertion,
-    ConceptInclusion,
     Exists,
     KnowledgeBase,
     RoleAssertion,
@@ -26,39 +35,6 @@ from .model import (
     TBox,
     Term,
 )
-
-
-@dataclass(frozen=True)
-class RoleClosure:
-    """Reflexive-transitive role subsumption, closed under inversion."""
-
-    sups: dict
-
-    def sup_roles(self, r: BasicRole) -> frozenset[BasicRole]:
-        got = self.sups.get(r)
-        return got if got is not None else frozenset([r])
-
-    def subsumes(self, sub: BasicRole, sup: BasicRole) -> bool:
-        return sup in self.sup_roles(sub)
-
-
-@dataclass(frozen=True)
-class ConceptClosure:
-    """Reflexive-transitive concept subsumption over the occurring universe."""
-
-    sups: dict
-    roles: RoleClosure
-
-    def sup_concepts(self, c: BasicConcept) -> frozenset[BasicConcept]:
-        got = self.sups.get(c)
-        if got is not None:
-            return got
-        if isinstance(c, Exists):
-            return frozenset(Exists(s) for s in self.roles.sup_roles(c.role))
-        return frozenset([c])
-
-    def subsumes(self, sub: BasicConcept, sup: BasicConcept) -> bool:
-        return sup in self.sup_concepts(sub)
 
 
 @dataclass(frozen=True)
@@ -72,188 +48,220 @@ class WitnessClass:
         return f"w[{self.representative}]"
 
 
-def _transitive_closure(edges: dict) -> dict:
-    closure = {node: set(targets) for node, targets in edges.items()}
-    for node in closure:
-        closure[node].add(node)
-    changed = True
-    while changed:
-        changed = False
-        for node, targets in closure.items():
-            extra = set()
-            for t in targets:
-                extra |= closure.get(t, {t})
-            if not extra <= targets:
-                targets |= extra
-                changed = True
-    return {node: frozenset(targets) for node, targets in closure.items()}
-
-
-def _role_universe(tbox: TBox) -> set[BasicRole]:
-    roles: set[BasicRole] = set()
-    for ax in tbox:
-        if isinstance(ax, RoleInclusion):
-            roles.add(ax.lhs)
-            roles.add(ax.rhs)
-        else:
-            for side in (ax.lhs, ax.rhs):
-                if isinstance(side, Exists):
-                    roles.add(side.role)
-    return roles | {r.inverse() for r in roles}
-
-
-@lru_cache(maxsize=None)
-def role_closure(tbox: TBox) -> RoleClosure:
-    universe = _role_universe(tbox)
-    edges: dict = {r: set() for r in universe}
-    for ax in tbox:
-        if isinstance(ax, RoleInclusion) and not ax.negated_rhs:
-            edges[ax.lhs].add(ax.rhs)
-            edges[ax.lhs.inverse()].add(ax.rhs.inverse())
-    return RoleClosure(_transitive_closure(edges))
-
-
-@lru_cache(maxsize=None)
-def concept_closure(tbox: TBox) -> ConceptClosure:
-    roles = role_closure(tbox)
-    universe: set[BasicConcept] = set()
-    for ax in tbox:
-        if isinstance(ax, ConceptInclusion):
-            universe.add(ax.lhs)
-            universe.add(ax.rhs)
-    universe |= {Exists(r) for r in roles.sups}
-    edges: dict = {c: set() for c in universe}
-    for ax in tbox:
-        if isinstance(ax, ConceptInclusion) and not ax.negated_rhs:
-            edges[ax.lhs].add(ax.rhs)
-    for c in universe:
-        if isinstance(c, Exists):
-            edges[c] |= {Exists(s) for s in roles.sup_roles(c.role)}
-    return ConceptClosure(_transitive_closure(edges), roles)
-
-
-def derives_concept(tbox: TBox, sub: BasicConcept, sup: BasicConcept) -> bool:
-    """Positive concept subsumption: sub is below sup in the closure."""
-    return concept_closure(tbox).subsumes(sub, sup)
-
-
-def derives_role(tbox: TBox, sub: BasicRole, sup: BasicRole) -> bool:
-    """Positive role subsumption, closed under inversion."""
-    return role_closure(tbox).subsumes(sub, sup)
-
-
-@lru_cache(maxsize=None)
-def concept_disjoint_pairs(tbox: TBox) -> frozenset:
-    """Normalized concept clash pairs, closed under swapping."""
-    pairs: set[tuple[BasicConcept, BasicConcept]] = set()
-    for ax in tbox:
-        if isinstance(ax, ConceptInclusion) and ax.negated_rhs:
-            pairs.add((ax.lhs, ax.rhs))
-            pairs.add((ax.rhs, ax.lhs))
-    return frozenset(pairs)
-
-
-@lru_cache(maxsize=None)
-def role_disjoint_pairs(tbox: TBox) -> frozenset:
-    """Normalized role clash pairs, closed under swapping and joint inversion."""
-    pairs: set[tuple[BasicRole, BasicRole]] = set()
-    for ax in tbox:
-        if isinstance(ax, RoleInclusion) and ax.negated_rhs:
-            for a, b in ((ax.lhs, ax.rhs), (ax.lhs.inverse(), ax.rhs.inverse())):
-                pairs.add((a, b))
-                pairs.add((b, a))
-    return frozenset(pairs)
-
-
-@lru_cache(maxsize=None)
-def witness_class(tbox: TBox, role: BasicRole) -> WitnessClass:
-    rc = role_closure(tbox)
-    members = frozenset(s for s in rc.sup_roles(role) if rc.subsumes(s, role))
-    return WitnessClass(min(members, key=str), members)
-
-
-def class_subsumed(tbox: TBox, lower: WitnessClass, upper: WitnessClass) -> bool:
-    """Order on witness classes induced by role subsumption."""
-    return derives_role(tbox, lower.representative, upper.representative)
-
-
-def _type_clash(tbox: TBox, concepts: frozenset) -> bool:
-    pairs = concept_disjoint_pairs(tbox)
-    return any(a in concepts and b in concepts for a, b in pairs)
-
-
-def _edge_clash(tbox: TBox, roles: frozenset) -> bool:
-    pairs = role_disjoint_pairs(tbox)
-    return any(a in roles and b in roles for a, b in pairs)
-
-
-def _reachable_tail_reps(tbox: TBox, root_type: frozenset) -> set[BasicRole]:
-    """Witness-class representatives reachable by chasing existentials.
-
-    Deliberately ignores the satisfaction/minimality side conditions of the
-    generating relation: extra classes never fabricate clashes because their
-    types are subsumed by the types of the elements that actually absorb them.
-    """
-    cc = concept_closure(tbox)
-    todo = [witness_class(tbox, c.role).representative for c in root_type if isinstance(c, Exists)]
-    seen: set[BasicRole] = set()
+def _reachable(start, successors) -> frozenset:
+    """``start`` and every node reachable from it along ``successors``."""
+    seen = {start}
+    todo = [start]
     while todo:
-        rep = todo.pop()
-        if rep in seen:
-            continue
-        seen.add(rep)
-        tail = cc.sup_concepts(Exists(rep.inverse()))
-        for c in tail:
-            if isinstance(c, Exists):
-                nxt = witness_class(tbox, c.role).representative
-                if nxt not in seen:
-                    todo.append(nxt)
-    return seen
+        for nxt in successors(todo.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return frozenset(seen)
 
 
-def _chase_consistent(tbox: TBox, root_types: list, root_edges: list) -> bool:
-    rc = role_closure(tbox)
-    cc = concept_closure(tbox)
-    for t in root_types:
-        if _type_clash(tbox, t):
+class Reasoner:
+    """The compiled positive closure and clash pairs of one TBox.
+
+    Immutable in what it answers.  The closure of a concept or role is
+    computed the first time it is asked for; that and the other memos only
+    save recomputation and live exactly as long as the context.
+    """
+
+    def __init__(self, tbox: TBox):
+        self.tbox = tbox
+        self._role_edges: dict = {}
+        self._concept_edges: dict = {}
+        concept_clashes: set = set()
+        role_clashes: set = set()
+        for ax in tbox:
+            if isinstance(ax, RoleInclusion):
+                pairs = ((ax.lhs, ax.rhs), (ax.lhs.inverse(), ax.rhs.inverse()))
+                for sub, sup in pairs:
+                    if ax.negated_rhs:
+                        role_clashes.update(((sub, sup), (sup, sub)))
+                    else:
+                        self._role_edges.setdefault(sub, set()).add(sup)
+            elif ax.negated_rhs:
+                concept_clashes.update(((ax.lhs, ax.rhs), (ax.rhs, ax.lhs)))
+            else:
+                self._concept_edges.setdefault(ax.lhs, set()).add(ax.rhs)
+        self.concept_clashes: frozenset = frozenset(concept_clashes)
+        self.role_clashes: frozenset = frozenset(role_clashes)
+        self._sup_roles: dict = {}
+        self._sup_concepts: dict = {}
+        self._classes: dict = {}
+        self._generated: dict = {}
+        self._pair_concepts: dict = {}
+        self._pair_roles: dict = {}
+
+    # -- closures --------------------------------------------------------------
+
+    def sup_roles(self, r: BasicRole) -> frozenset[BasicRole]:
+        """Every basic role the positive axioms derive from ``r``, itself included."""
+        got = self._sup_roles.get(r)
+        if got is None:
+            got = self._sup_roles[r] = _reachable(r, lambda x: self._role_edges.get(x, ()))
+        return got
+
+    def sup_concepts(self, c: BasicConcept) -> frozenset[BasicConcept]:
+        """Every basic concept the positive axioms derive from ``c``, itself
+        included; ``exists R`` also reaches ``exists S`` for each super-role S."""
+        got = self._sup_concepts.get(c)
+        if got is None:
+            got = self._sup_concepts[c] = _reachable(c, self._concept_successors)
+        return got
+
+    def _concept_successors(self, c: BasicConcept):
+        out = self._concept_edges.get(c, ())
+        if isinstance(c, Exists):
+            out = {*out, *(Exists(s) for s in self.sup_roles(c.role))}
+        return out
+
+    def derives_concept(self, sub: BasicConcept, sup: BasicConcept) -> bool:
+        """Positive concept subsumption: sub is below sup in the closure."""
+        return sup in self.sup_concepts(sub)
+
+    def derives_role(self, sub: BasicRole, sup: BasicRole) -> bool:
+        """Positive role subsumption, closed under inversion."""
+        return sup in self.sup_roles(sub)
+
+    # -- witness classes -------------------------------------------------------
+
+    def witness_class(self, role: BasicRole) -> WitnessClass:
+        got = self._classes.get(role)
+        if got is None:
+            members = frozenset(s for s in self.sup_roles(role) if self.derives_role(s, role))
+            got = self._classes[role] = WitnessClass(min(members, key=str), members)
+        return got
+
+    def rep_of(self, role: BasicRole) -> BasicRole:
+        return self.witness_class(role).representative
+
+    def minimal_roles(self, cands) -> list[BasicRole]:
+        """The roles of ``cands`` with no strictly smaller role among ``cands``."""
+        return [
+            r for r in cands
+            if all(self.rep_of(s) == self.rep_of(r) for s in cands if self.derives_role(s, r))
+        ]
+
+    def generated(self, rep: BasicRole) -> tuple[BasicRole, ...]:
+        """Witness classes generated by the class element of ``rep``, for any
+        basic role, whether or not its class is reachable from some ABox."""
+        got = self._generated.get(rep)
+        if got is None:
+            tail = self.sup_concepts(Exists(rep.inverse()))
+            back_rep = self.rep_of(rep.inverse())
+            cands = {c.role for c in tail if isinstance(c, Exists)}
+            reps = {self.rep_of(r) for r in self.minimal_roles(cands)} - {back_rep}
+            got = self._generated[rep] = tuple(sorted(reps, key=str))
+        return got
+
+    # -- consistency -----------------------------------------------------------
+
+    def _type_clash(self, concepts: frozenset) -> bool:
+        return any(a in concepts and b in concepts for a, b in self.concept_clashes)
+
+    def _edge_clash(self, roles: frozenset) -> bool:
+        return any(a in roles and b in roles for a, b in self.role_clashes)
+
+    def _reachable_tail_reps(self, root_type: frozenset) -> set[BasicRole]:
+        """Witness-class representatives reachable by chasing existentials.
+
+        Deliberately ignores the satisfaction/minimality side conditions of the
+        generating relation: extra classes never fabricate clashes because their
+        types are subsumed by the types of the elements that actually absorb them.
+        """
+        todo = [self.rep_of(c.role) for c in root_type if isinstance(c, Exists)]
+        seen: set[BasicRole] = set()
+        while todo:
+            rep = todo.pop()
+            if rep in seen:
+                continue
+            seen.add(rep)
+            for c in self.sup_concepts(Exists(rep.inverse())):
+                if isinstance(c, Exists):
+                    nxt = self.rep_of(c.role)
+                    if nxt not in seen:
+                        todo.append(nxt)
+        return seen
+
+    def _chase_consistent(self, root_types: list, root_edges: list) -> bool:
+        if any(self._type_clash(t) for t in root_types):
             return False
-    for e in root_edges:
-        if _edge_clash(tbox, e):
+        if any(self._edge_clash(e) for e in root_edges):
             return False
-    reachable: set[BasicRole] = set()
-    for t in root_types:
-        reachable |= _reachable_tail_reps(tbox, t)
-    for rep in reachable:
-        if _type_clash(tbox, cc.sup_concepts(Exists(rep.inverse()))):
-            return False
-        if _edge_clash(tbox, rc.sup_roles(rep)):
-            return False
-    return True
+        reachable: set[BasicRole] = set()
+        for t in root_types:
+            reachable |= self._reachable_tail_reps(t)
+        for rep in reachable:
+            if self._type_clash(self.sup_concepts(Exists(rep.inverse()))):
+                return False
+            if self._edge_clash(self.sup_roles(rep)):
+                return False
+        return True
+
+    def pair_consistent_concepts(self, b: BasicConcept, c: BasicConcept) -> bool:
+        """Whether asserting both concepts of one fresh individual is consistent."""
+        got = self._pair_concepts.get((b, c))
+        if got is None:
+            root = self.sup_concepts(b) | self.sup_concepts(c)
+            got = self._pair_concepts[(b, c)] = self._chase_consistent([root], [])
+        return got
+
+    def pair_consistent_roles(self, r: BasicRole, q: BasicRole) -> bool:
+        """Whether asserting both roles of one fresh individual pair is consistent."""
+        got = self._pair_roles.get((r, q))
+        if got is None:
+            edge = self.sup_roles(r) | self.sup_roles(q)
+            t1 = self.sup_concepts(Exists(r)) | self.sup_concepts(Exists(q))
+            t2 = self.sup_concepts(Exists(r.inverse())) | self.sup_concepts(Exists(q.inverse()))
+            got = self._pair_roles[(r, q)] = self._chase_consistent([t1, t2], [edge])
+        return got
+
+    def consistent(self, abox: ABox) -> bool:
+        """Consistency of the ABox under this TBox, via pairwise checks of
+        co-asserted concepts and roles."""
+        for concepts in _asserted_concepts(abox).values():
+            cs = sorted(concepts, key=str)
+            for i, b in enumerate(cs):
+                if not all(self.pair_consistent_concepts(b, c) for c in cs[i:]):
+                    return False
+        for roles in _asserted_roles(abox).values():
+            rs = sorted(roles, key=str)
+            for i, r in enumerate(rs):
+                if not all(self.pair_consistent_roles(r, q) for q in rs[i:]):
+                    return False
+        return True
+
+    # -- entailed facts of an ABox ---------------------------------------------
+
+    def term_types(self, abox: ABox) -> dict:
+        """Every basic concept entailed of each term of the ABox."""
+        return {
+            t: frozenset().union(*(self.sup_concepts(b) for b in concepts))
+            for t, concepts in _asserted_concepts(abox).items()
+        }
+
+    def pair_roles(self, abox: ABox) -> dict:
+        """Every basic role entailed of each asserted term pair, both orientations."""
+        return {
+            pair: frozenset().union(*(self.sup_roles(r) for r in roles))
+            for pair, roles in _asserted_roles(abox).items()
+        }
+
+    def entails(self, abox: ABox, assertion) -> bool:
+        """Whether the ABox under this TBox entails one membership assertion."""
+        if isinstance(assertion, ConceptAssertion):
+            return assertion.concept in self.term_types(abox).get(assertion.term, ())
+        pair = (assertion.first, assertion.second)
+        return assertion.role in self.pair_roles(abox).get(pair, ())
 
 
-@lru_cache(maxsize=None)
-def pair_consistent_concepts(tbox: TBox, b: BasicConcept, c: BasicConcept) -> bool:
-    """Whether asserting both concepts of one fresh individual is consistent."""
-    cc = concept_closure(tbox)
-    root = cc.sup_concepts(b) | cc.sup_concepts(c)
-    return _chase_consistent(tbox, [root], [])
-
-
-@lru_cache(maxsize=None)
-def pair_consistent_roles(tbox: TBox, r: BasicRole, q: BasicRole) -> bool:
-    """Whether asserting both roles of one fresh individual pair is consistent."""
-    rc = role_closure(tbox)
-    cc = concept_closure(tbox)
-    edge = rc.sup_roles(r) | rc.sup_roles(q)
-    t1 = cc.sup_concepts(Exists(r)) | cc.sup_concepts(Exists(q))
-    t2 = cc.sup_concepts(Exists(r.inverse())) | cc.sup_concepts(Exists(q.inverse()))
-    return _chase_consistent(tbox, [t1, t2], [edge])
-
-
-def asserted_concepts(kb: KnowledgeBase) -> dict:
+def _asserted_concepts(abox: ABox) -> dict:
     """Basic concepts directly asserted of each term (role facts included)."""
     out: dict[Term, set[BasicConcept]] = {}
-    for a in kb.abox.assertions:
+    for a in abox.assertions:
         if isinstance(a, ConceptAssertion):
             out.setdefault(a.term, set()).add(a.concept)
         else:
@@ -262,32 +270,29 @@ def asserted_concepts(kb: KnowledgeBase) -> dict:
     return out
 
 
-def asserted_roles(kb: KnowledgeBase) -> dict:
+def _asserted_roles(abox: ABox) -> dict:
     """Basic roles directly asserted of each ordered term pair, both orientations."""
     out: dict[tuple[Term, Term], set[BasicRole]] = {}
-    for a in kb.abox.assertions:
+    for a in abox.assertions:
         if isinstance(a, RoleAssertion):
             out.setdefault((a.first, a.second), set()).add(a.role)
             out.setdefault((a.second, a.first), set()).add(a.role.inverse())
     return out
 
 
+def derives_concept(tbox: TBox, sub: BasicConcept, sup: BasicConcept) -> bool:
+    """Positive concept subsumption under ``tbox`` (one-shot, uncached)."""
+    return Reasoner(tbox).derives_concept(sub, sup)
+
+
+def derives_role(tbox: TBox, sub: BasicRole, sup: BasicRole) -> bool:
+    """Positive role subsumption under ``tbox`` (one-shot, uncached)."""
+    return Reasoner(tbox).derives_role(sub, sup)
+
+
 def kb_consistent(kb: KnowledgeBase) -> bool:
-    """Consistency via pairwise checks of co-asserted concepts and roles."""
-    tbox = kb.tbox
-    for _term, concepts in asserted_concepts(kb).items():
-        cs = sorted(concepts, key=str)
-        for i, b in enumerate(cs):
-            for c in cs[i:]:
-                if not pair_consistent_concepts(tbox, b, c):
-                    return False
-    for _pair, roles in asserted_roles(kb).items():
-        rs = sorted(roles, key=str)
-        for i, r in enumerate(rs):
-            for q in rs[i:]:
-                if not pair_consistent_roles(tbox, r, q):
-                    return False
-    return True
+    """Consistency of a knowledge base (one-shot, uncached)."""
+    return Reasoner(kb.tbox).consistent(kb.abox)
 
 
 def tbox_trivial(tbox: TBox) -> bool:

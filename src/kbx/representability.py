@@ -13,7 +13,6 @@ set and a target query on which the two sides disagree.
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Optional
 
@@ -39,13 +38,7 @@ from .model import (
     signature_of,
     validate_mapping,
 )
-from .reasoner import (
-    derives_concept,
-    derives_role,
-    pair_consistent_concepts,
-    pair_consistent_roles,
-    witness_class,
-)
+from .reasoner import Reasoner
 
 
 class PreconditionViolated(Exception):
@@ -147,13 +140,6 @@ _FRESH1 = Constant("c1")
 _Y = Variable("y")
 
 
-@lru_cache(maxsize=None)
-def _probe_canonical(tbox: TBox, concept: BasicConcept) -> CanonicalStructure:
-    """Canonical structure of ``tbox`` over the single fact ``concept(o)``."""
-    kb = KnowledgeBase(tbox, ABox.make([ConceptAssertion(concept, _PROBE)]))
-    return build_canonical(kb, check_consistency=False)
-
-
 def _source_signature(mapping: Mapping, t1: TBox) -> Signature:
     return mapping.sigma1.union(signature_of(t1))
 
@@ -173,6 +159,47 @@ def _require_valid(mapping: Mapping, t1: TBox, t2: Optional[TBox]) -> None:
         raise PreconditionViolated("; ".join(problems))
 
 
+class _Decision:
+    """Everything one representability decision reasons with: a context for
+    each TBox involved, compiled once, the canonical probes built from them,
+    and the safety verdicts found so far.  It lives for one decision only.
+    """
+
+    def __init__(self, mapping: Mapping, t1: TBox, t2: Optional[TBox] = None):
+        t12 = mapping.t12
+        self.mapping = mapping
+        self.src_sig = _source_signature(mapping, t1)
+        self.t1 = Reasoner(t1)
+        self.t12 = Reasoner(t12)
+        self.comb = Reasoner(combined_tbox(t1, t12))
+        if t2 is not None:
+            self.tgt_derive = Reasoner(combined_tbox(t2, t12))
+            # Negated mapping axioms only constrain source-side facts, so they
+            # can never fire on translated data; satisfiability on the target
+            # side is therefore measured against t2 plus the positive mapping
+            # axioms.
+            self.tgt_consist = Reasoner(combined_tbox(t2, positive_part(t12)))
+        self._probes: dict = {}
+        self._safe: dict = {}
+
+    def probe(self, ctx: Reasoner, concept: BasicConcept) -> CanonicalStructure:
+        """Canonical structure of ``ctx``'s TBox over the single fact ``concept(o)``."""
+        key = (ctx, concept)
+        got = self._probes.get(key)
+        if got is None:
+            kb = KnowledgeBase(ctx.tbox, ABox.make([ConceptAssertion(concept, _PROBE)]))
+            got = self._probes[key] = build_canonical(kb, check_consistency=False, reasoner=ctx)
+        return got
+
+    def safe(self, check, lhs, rhs) -> bool:
+        """``check(self, lhs, rhs)``, one of the safety checks below, memoized."""
+        key = (check, lhs, rhs)
+        got = self._safe.get(key)
+        if got is None:
+            got = self._safe[key] = check(self, lhs, rhs)
+        return got
+
+
 # ---------------------------------------------------------------------------
 # Safety of a single target axiom over all translated source data.
 #
@@ -183,29 +210,26 @@ def _require_valid(mapping: Mapping, t1: TBox, t2: Optional[TBox]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _inclusion_safe_concepts(
-    t1: TBox, t12: TBox, src_sig: Signature, lhs: BasicConcept, rhs: BasicConcept
-) -> bool:
+def _inclusion_safe_concepts(d: _Decision, lhs: BasicConcept, rhs: BasicConcept) -> bool:
     if lhs == rhs:
         return True
-    comb = combined_tbox(t1, t12)
-    universe = all_basic_concepts(src_sig)
+    comb = d.comb
+    universe = all_basic_concepts(d.src_sig)
     for b in universe:
-        if not pair_consistent_concepts(t1, b, b):
+        if not d.t1.pair_consistent_concepts(b, b):
             continue
-        if derives_concept(comb, b, lhs) and not derives_concept(comb, b, rhs):
+        if comb.derives_concept(b, lhs) and not comb.derives_concept(b, rhs):
             return False
     if isinstance(lhs, Exists):
         # The lhs can also fire at a fresh witness created for an incoming
         # edge of its role; that witness must then already carry the rhs.
         back = Exists(lhs.role.inverse())
         for b in universe:
-            if not pair_consistent_concepts(comb, b, b):
+            if not comb.pair_consistent_concepts(b, b):
                 continue
-            if not derives_concept(comb, b, back):
+            if not comb.derives_concept(b, back):
                 continue
-            probe = _probe_canonical(comb, b)
+            probe = d.probe(comb, b)
             ok = False
             for rep in probe.gen[_PROBE]:
                 if lhs.role.inverse() in probe.edge_roles(rep) and rhs in probe.state_type(rep):
@@ -216,38 +240,31 @@ def _inclusion_safe_concepts(
     return True
 
 
-@lru_cache(maxsize=None)
-def _inclusion_safe_roles(
-    t1: TBox, t12: TBox, src_sig: Signature, lhs: BasicRole, rhs: BasicRole
-) -> bool:
+def _inclusion_safe_roles(d: _Decision, lhs: BasicRole, rhs: BasicRole) -> bool:
     if lhs == rhs:
         return True
-    comb = combined_tbox(t1, t12)
-    for r in all_basic_roles(src_sig):
-        if not pair_consistent_roles(t1, r, r):
+    for r in all_basic_roles(d.src_sig):
+        if not d.t1.pair_consistent_roles(r, r):
             continue
-        if derives_role(comb, r, lhs) and not derives_role(comb, r, rhs):
+        if d.comb.derives_role(r, lhs) and not d.comb.derives_role(r, rhs):
             return False
-    return _inclusion_safe_concepts(
-        t1, t12, src_sig, Exists(lhs), Exists(rhs)
-    ) and _inclusion_safe_concepts(t1, t12, src_sig, Exists(lhs.inverse()), Exists(rhs.inverse()))
+    return d.safe(_inclusion_safe_concepts, Exists(lhs), Exists(rhs)) and d.safe(
+        _inclusion_safe_concepts, Exists(lhs.inverse()), Exists(rhs.inverse())
+    )
 
 
-@lru_cache(maxsize=None)
-def _disjointness_safe_concepts(
-    t1: TBox, t12: TBox, src_sig: Signature, lhs: BasicConcept, rhs: BasicConcept
-) -> bool:
-    comb = combined_tbox(t1, t12)
-    universe = all_basic_concepts(src_sig)
+def _disjointness_safe_concepts(d: _Decision, lhs: BasicConcept, rhs: BasicConcept) -> bool:
+    comb = d.comb
+    universe = all_basic_concepts(d.src_sig)
     for b, c in product(universe, repeat=2):
-        if not (derives_concept(comb, b, lhs) and derives_concept(comb, c, rhs)):
+        if not (comb.derives_concept(b, lhs) and comb.derives_concept(c, rhs)):
             continue
-        if pair_consistent_concepts(comb, b, c):
+        if comb.pair_consistent_concepts(b, c):
             return False
     for b in universe:
-        if not pair_consistent_concepts(comb, b, b):
+        if not comb.pair_consistent_concepts(b, b):
             continue
-        probe = _probe_canonical(comb, b)
+        probe = d.probe(comb, b)
         for rep in probe.gen[_PROBE]:
             tp = probe.state_type(rep)
             if lhs in tp and rhs in tp:
@@ -255,20 +272,17 @@ def _disjointness_safe_concepts(
     return True
 
 
-@lru_cache(maxsize=None)
-def _disjointness_safe_roles(
-    t1: TBox, t12: TBox, src_sig: Signature, lhs: BasicRole, rhs: BasicRole
-) -> bool:
-    comb = combined_tbox(t1, t12)
-    for r, q in product(all_basic_roles(src_sig), repeat=2):
-        if not (derives_role(comb, r, lhs) and derives_role(comb, q, rhs)):
+def _disjointness_safe_roles(d: _Decision, lhs: BasicRole, rhs: BasicRole) -> bool:
+    comb = d.comb
+    for r, q in product(all_basic_roles(d.src_sig), repeat=2):
+        if not (comb.derives_role(r, lhs) and comb.derives_role(q, rhs)):
             continue
-        if pair_consistent_roles(comb, r, q):
+        if comb.pair_consistent_roles(r, q):
             return False
-    for b in all_basic_concepts(src_sig):
-        if not pair_consistent_concepts(comb, b, b):
+    for b in all_basic_concepts(d.src_sig):
+        if not comb.pair_consistent_concepts(b, b):
             continue
-        probe = _probe_canonical(comb, b)
+        probe = d.probe(comb, b)
         for rep in probe.gen[_PROBE]:
             rt = probe.edge_roles(rep)
             if (lhs in rt and rhs in rt) or (lhs.inverse() in rt and rhs.inverse() in rt):
@@ -321,31 +335,25 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
     guaranteed by one side but not the other.
     """
     _require_valid(mapping, t1, t2)
-    t12 = mapping.t12
-    comb = combined_tbox(t1, t12)
-    tgt_derive = combined_tbox(t2, t12)
-    # Negated mapping axioms only constrain source-side facts, so they can
-    # never fire on translated data; satisfiability on the target side is
-    # therefore measured against t2 plus the positive mapping axioms.
-    tgt_consist = combined_tbox(t2, positive_part(t12))
-    src_sig = _source_signature(mapping, t1)
+    d = _Decision(mapping, t1, t2)
+    comb, tgt_derive, tgt_consist = d.comb, d.tgt_derive, d.tgt_consist
     tgt_sig = mapping.sigma2.union(signature_of(t2))
-    src_concepts = all_basic_concepts(src_sig)
-    src_roles = all_basic_roles(src_sig)
+    src_concepts = all_basic_concepts(d.src_sig)
+    src_roles = all_basic_roles(d.src_sig)
     tgt_concepts = all_basic_concepts(tgt_sig)
     tgt_roles = all_basic_roles(tgt_sig)
 
     # Contradictory source data must translate to contradictory target data,
     # and satisfiable source data to satisfiable target data.
     for bc, cc in combinations_with_replacement(src_concepts, 2):
-        if not pair_consistent_concepts(t1, bc, cc):
+        if not d.t1.pair_consistent_concepts(bc, cc):
             continue
-        if not pair_consistent_concepts(t12, bc, cc):
+        if not d.t12.pair_consistent_concepts(bc, cc):
             # The mapping itself rules this pair out: it admits no
             # translation at all, so there is nothing to compare.
             continue
-        src_ok = pair_consistent_concepts(comb, bc, cc)
-        tgt_ok = pair_consistent_concepts(tgt_consist, bc, cc)
+        src_ok = comb.pair_consistent_concepts(bc, cc)
+        tgt_ok = tgt_consist.pair_consistent_concepts(bc, cc)
         if src_ok == tgt_ok:
             continue
         abox = ABox.make(_realize(bc, _A, _W0) + _realize(cc, _A, _W1))
@@ -364,12 +372,12 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
         )
 
     for rr, qq in combinations_with_replacement(src_roles, 2):
-        if not pair_consistent_roles(t1, rr, qq):
+        if not d.t1.pair_consistent_roles(rr, qq):
             continue
-        if not pair_consistent_roles(t12, rr, qq):
+        if not d.t12.pair_consistent_roles(rr, qq):
             continue
-        src_ok = pair_consistent_roles(comb, rr, qq)
-        tgt_ok = pair_consistent_roles(tgt_consist, rr, qq)
+        src_ok = comb.pair_consistent_roles(rr, qq)
+        tgt_ok = tgt_consist.pair_consistent_roles(rr, qq)
         if src_ok == tgt_ok:
             continue
         abox = ABox.make([RoleAssertion(rr, _A, _B), RoleAssertion(qq, _A, _B)])
@@ -384,11 +392,11 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
 
     # Both sides must entail the same target memberships...
     for bc in src_concepts:
-        if not pair_consistent_concepts(comb, bc, bc):
+        if not comb.pair_consistent_concepts(bc, bc):
             continue
         for bp in tgt_concepts:
-            src_d = derives_concept(comb, bc, bp)
-            tgt_d = derives_concept(tgt_derive, bc, bp)
+            src_d = comb.derives_concept(bc, bp)
+            tgt_d = tgt_derive.derives_concept(bc, bp)
             if src_d == tgt_d:
                 continue
             abox = ABox.make(_realize(bc, _A, _W0))
@@ -400,11 +408,11 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
 
     # ...and the same target role memberships.
     for rr in src_roles:
-        if not pair_consistent_roles(comb, rr, rr):
+        if not comb.pair_consistent_roles(rr, rr):
             continue
         for rp in tgt_roles:
-            src_d = derives_role(comb, rr, rp)
-            tgt_d = derives_role(tgt_derive, rr, rp)
+            src_d = comb.derives_role(rr, rp)
+            tgt_d = tgt_derive.derives_role(rr, rp)
             if src_d == tgt_d:
                 continue
             abox = ABox.make([RoleAssertion(rr, _A, _B)])
@@ -415,10 +423,10 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
 
     # Every generated neighbor on one side must be matched on the other.
     for bc in src_concepts:
-        if not pair_consistent_concepts(comb, bc, bc):
+        if not comb.pair_consistent_concepts(bc, bc):
             continue
-        probe_src = _probe_canonical(comb, bc)
-        probe_tgt = _probe_canonical(tgt_derive, bc)
+        probe_src = d.probe(comb, bc)
+        probe_tgt = d.probe(tgt_derive, bc)
         for rep in probe_src.gen[_PROBE]:
             need_t = probe_src.state_type(rep, tgt_sig)
             need_r = probe_src.edge_roles(rep, tgt_sig)
@@ -497,28 +505,23 @@ def find_generating_pass(
     ``concept(o)`` must actually generate a neighbor for ``role``.
     """
     _require_valid(mapping, t1, None)
-    comb = combined_tbox(t1, mapping.t12)
-    if not pair_consistent_concepts(comb, concept, concept):
+    d = _Decision(mapping, t1)
+    if not d.comb.pair_consistent_concepts(concept, concept):
         raise PreconditionViolated(
             f"{concept} is contradictory with the source TBox and mapping"
         )
-    probe = _probe_canonical(comb, concept)
-    rep = witness_class(comb, role).representative
+    probe = d.probe(d.comb, concept)
+    rep = d.comb.rep_of(role)
     if rep not in probe.gen[_PROBE]:
         raise PreconditionViolated(
             f"data satisfying {concept} generates no neighbor through {role}"
         )
-    return _conform_pass(mapping, t1, concept, rep)
+    return _conform_pass(d, concept, rep)
 
 
-def _conform_pass(
-    mapping: Mapping, t1: TBox, bc: BasicConcept, rep: BasicRole
-) -> Optional[GeneratingPass]:
-    t12 = mapping.t12
-    comb = combined_tbox(t1, t12)
-    src_sig = _source_signature(mapping, t1)
-    tgt_sig = mapping.sigma2
-    probe = _probe_canonical(comb, bc)
+def _conform_pass(d: _Decision, bc: BasicConcept, rep: BasicRole) -> Optional[GeneratingPass]:
+    tgt_sig = d.mapping.sigma2
+    probe = d.probe(d.comb, bc)
     need_t = frozenset(probe.state_type(rep, tgt_sig))
     need_r = frozenset(probe.edge_roles(rep, tgt_sig))
     tgt_concepts = all_basic_concepts(tgt_sig)
@@ -526,14 +529,13 @@ def _conform_pass(
 
     def conc_ok(node: BasicConcept, bp: BasicConcept) -> bool:
         return any(
-            derives_concept(t12, node, cp)
-            and _inclusion_safe_concepts(t1, t12, src_sig, cp, bp)
+            d.t12.derives_concept(node, cp) and d.safe(_inclusion_safe_concepts, cp, bp)
             for cp in tgt_concepts
         )
 
     def role_ok(link: BasicRole, rp: BasicRole) -> bool:
         return any(
-            derives_role(t12, link, qp) and _inclusion_safe_roles(t1, t12, src_sig, qp, rp)
+            d.t12.derives_role(link, qp) and d.safe(_inclusion_safe_roles, qp, rp)
             for qp in tgt_roles
         )
 
@@ -599,38 +601,33 @@ def _synthesis(mapping: Mapping, t1: TBox):
     forced behavior cannot be captured by any target axiom.
     """
     _require_valid(mapping, t1, None)
-    t12 = mapping.t12
-    comb = combined_tbox(t1, t12)
-    src_sig = _source_signature(mapping, t1)
+    d = _Decision(mapping, t1)
+    comb = d.comb
     tgt_sig = mapping.sigma2
-    src_concepts = all_basic_concepts(src_sig)
-    src_roles = all_basic_roles(src_sig)
+    src_concepts = all_basic_concepts(d.src_sig)
+    src_roles = all_basic_roles(d.src_sig)
     tgt_concepts = all_basic_concepts(tgt_sig)
     tgt_roles = all_basic_roles(tgt_sig)
     axioms: list = []
 
     def incl_witness_concept(sub: BasicConcept, bp: BasicConcept):
         for cp in tgt_concepts:
-            if derives_concept(t12, sub, cp) and _inclusion_safe_concepts(
-                t1, t12, src_sig, cp, bp
-            ):
+            if d.t12.derives_concept(sub, cp) and d.safe(_inclusion_safe_concepts, cp, bp):
                 return cp
         return None
 
     def incl_witness_role(sub: BasicRole, rp: BasicRole):
         for qp in tgt_roles:
-            if derives_role(t12, sub, qp) and _inclusion_safe_roles(
-                t1, t12, src_sig, qp, rp
-            ):
+            if d.t12.derives_role(sub, qp) and d.safe(_inclusion_safe_roles, qp, rp):
                 return qp
         return None
 
     # Entailed target memberships need a safe target-side rewriting.
     for bc in src_concepts:
-        if not pair_consistent_concepts(comb, bc, bc):
+        if not comb.pair_consistent_concepts(bc, bc):
             continue
         for bp in tgt_concepts:
-            if not derives_concept(comb, bc, bp):
+            if not comb.derives_concept(bc, bp):
                 continue
             cp = incl_witness_concept(bc, bp)
             if cp is None:
@@ -638,10 +635,10 @@ def _synthesis(mapping: Mapping, t1: TBox):
             if cp != bp:
                 axioms.append(ConceptInclusion(cp, bp))
     for rr in src_roles:
-        if not pair_consistent_roles(comb, rr, rr):
+        if not comb.pair_consistent_roles(rr, rr):
             continue
         for rp in tgt_roles:
-            if not derives_role(comb, rr, rp):
+            if not comb.derives_role(rr, rp):
                 continue
             qp = incl_witness_role(rr, rp)
             if qp is None:
@@ -651,11 +648,11 @@ def _synthesis(mapping: Mapping, t1: TBox):
 
     # Generated neighbors need a chain of target axioms reproducing them.
     for bc in src_concepts:
-        if not pair_consistent_concepts(comb, bc, bc):
+        if not comb.pair_consistent_concepts(bc, bc):
             continue
-        probe = _probe_canonical(comb, bc)
+        probe = d.probe(comb, bc)
         for rep in probe.gen[_PROBE]:
-            gp = _conform_pass(mapping, t1, bc, rep)
+            gp = _conform_pass(d, bc, rep)
             if gp is None:
                 return None, (
                     f"the neighbor that {bc} generates through {rep} "
@@ -675,11 +672,11 @@ def _synthesis(mapping: Mapping, t1: TBox):
 
     # Source-side contradictions need a target-side contradiction.
     for b1, b2 in combinations_with_replacement(src_concepts, 2):
-        if not pair_consistent_concepts(t1, b1, b2):
+        if not d.t1.pair_consistent_concepts(b1, b2):
             continue
-        if pair_consistent_concepts(comb, b1, b2):
+        if comb.pair_consistent_concepts(b1, b2):
             continue
-        got = _cover_concept_clash(mapping, t1, src_sig, tgt_concepts, tgt_roles, b1, b2)
+        got = _cover_concept_clash(d, tgt_concepts, tgt_roles, b1, b2)
         if got is None:
             return None, (
                 f"the contradiction between {b1} and {b2} "
@@ -687,11 +684,11 @@ def _synthesis(mapping: Mapping, t1: TBox):
             )
         axioms.extend(got)
     for r1, r2 in combinations_with_replacement(src_roles, 2):
-        if not pair_consistent_roles(t1, r1, r2):
+        if not d.t1.pair_consistent_roles(r1, r2):
             continue
-        if pair_consistent_roles(comb, r1, r2):
+        if comb.pair_consistent_roles(r1, r2):
             continue
-        got = _cover_role_clash(mapping, t1, src_sig, tgt_concepts, tgt_roles, r1, r2)
+        got = _cover_role_clash(d, tgt_concepts, tgt_roles, r1, r2)
         if got is None:
             return None, (
                 f"the contradiction between {r1} and {r2} "
@@ -724,34 +721,30 @@ def _negated_role_rhs(t12: TBox, lhs: BasicRole) -> list:
 
 
 def _cover_concept_clash(
-    mapping: Mapping,
-    t1: TBox,
-    src_sig: Signature,
+    d: _Decision,
     tgt_concepts: list,
     tgt_roles: list,
     b1: BasicConcept,
     b2: BasicConcept,
 ):
     """Target axioms making the translation of {b1, b2} contradictory."""
-    t12 = mapping.t12
+    t12 = d.t12
     members = [b1] if b1 == b2 else [b1, b2]
     # A target disjointness between translations of the two concepts.
     for x, y in product(members, repeat=2):
         for bp in tgt_concepts:
-            if not derives_concept(t12, x, bp):
+            if not t12.derives_concept(x, bp):
                 continue
             for cp in tgt_concepts:
-                if derives_concept(t12, y, cp) and _disjointness_safe_concepts(
-                    t1, t12, src_sig, bp, cp
-                ):
+                if t12.derives_concept(y, cp) and d.safe(_disjointness_safe_concepts, bp, cp):
                     return [ConceptInclusion(bp, cp, negated_rhs=True)]
     # A target inclusion feeding a disjointness the mapping already states.
     for x, y in product(members, repeat=2):
         for bp in tgt_concepts:
-            if not derives_concept(t12, x, bp):
+            if not t12.derives_concept(x, bp):
                 continue
-            for cp in _negated_concept_rhs(t12, y):
-                if _inclusion_safe_concepts(t1, t12, src_sig, bp, cp):
+            for cp in _negated_concept_rhs(t12.tbox, y):
+                if d.safe(_inclusion_safe_concepts, bp, cp):
                     return [] if bp == cp else [ConceptInclusion(bp, cp)]
     # The same two options through the far end of an existential member.
     for x in members:
@@ -759,82 +752,72 @@ def _cover_concept_clash(
             continue
         back = Exists(x.role.inverse())
         for bp in tgt_concepts:
-            if not derives_concept(t12, back, bp):
+            if not t12.derives_concept(back, bp):
                 continue
             for cp in tgt_concepts:
-                if derives_concept(t12, back, cp) and _disjointness_safe_concepts(
-                    t1, t12, src_sig, bp, cp
-                ):
+                if t12.derives_concept(back, cp) and d.safe(_disjointness_safe_concepts, bp, cp):
                     return [ConceptInclusion(bp, cp, negated_rhs=True)]
         for bp in tgt_concepts:
-            if not derives_concept(t12, back, bp):
+            if not t12.derives_concept(back, bp):
                 continue
-            for cp in _negated_concept_rhs(t12, back):
-                if _inclusion_safe_concepts(t1, t12, src_sig, bp, cp):
+            for cp in _negated_concept_rhs(t12.tbox, back):
+                if d.safe(_inclusion_safe_concepts, bp, cp):
                     return [] if bp == cp else [ConceptInclusion(bp, cp)]
         # Or through the role itself.
         for rp in tgt_roles:
-            if not derives_role(t12, x.role, rp):
+            if not t12.derives_role(x.role, rp):
                 continue
             for qp in tgt_roles:
-                if derives_role(t12, x.role, qp) and _disjointness_safe_roles(
-                    t1, t12, src_sig, rp, qp
-                ):
+                if t12.derives_role(x.role, qp) and d.safe(_disjointness_safe_roles, rp, qp):
                     return [RoleInclusion(rp, qp, negated_rhs=True)]
         for rp in tgt_roles:
-            if not derives_role(t12, x.role, rp):
+            if not t12.derives_role(x.role, rp):
                 continue
-            for qp in _negated_role_rhs(t12, x.role):
-                if _inclusion_safe_roles(t1, t12, src_sig, rp, qp):
+            for qp in _negated_role_rhs(t12.tbox, x.role):
+                if d.safe(_inclusion_safe_roles, rp, qp):
                     return [] if rp == qp else [RoleInclusion(rp, qp)]
     return None
 
 
 def _cover_role_clash(
-    mapping: Mapping,
-    t1: TBox,
-    src_sig: Signature,
+    d: _Decision,
     tgt_concepts: list,
     tgt_roles: list,
     r1: BasicRole,
     r2: BasicRole,
 ):
     """Target axioms making the translation of {r1, r2} contradictory."""
-    t12 = mapping.t12
+    t12 = d.t12
     members = [r1] if r1 == r2 else [r1, r2]
     for x, y in product(members, repeat=2):
         for rp in tgt_roles:
-            if not derives_role(t12, x, rp):
+            if not t12.derives_role(x, rp):
                 continue
             for qp in tgt_roles:
-                if derives_role(t12, y, qp) and _disjointness_safe_roles(
-                    t1, t12, src_sig, rp, qp
-                ):
+                if t12.derives_role(y, qp) and d.safe(_disjointness_safe_roles, rp, qp):
                     return [RoleInclusion(rp, qp, negated_rhs=True)]
     for x, y in product(members, repeat=2):
         for rp in tgt_roles:
-            if not derives_role(t12, x, rp):
+            if not t12.derives_role(x, rp):
                 continue
-            for qp in _negated_role_rhs(t12, y):
-                if _inclusion_safe_roles(t1, t12, src_sig, rp, qp):
+            for qp in _negated_role_rhs(t12.tbox, y):
+                if d.safe(_inclusion_safe_roles, rp, qp):
                     return [] if rp == qp else [RoleInclusion(rp, qp)]
     # Or through the concepts at either end of the two roles.
     for ends in ((Exists(r1), Exists(r2)), (Exists(r1.inverse()), Exists(r2.inverse()))):
         emembers = [ends[0]] if ends[0] == ends[1] else list(ends)
         for x, y in product(emembers, repeat=2):
             for bp in tgt_concepts:
-                if not derives_concept(t12, x, bp):
+                if not t12.derives_concept(x, bp):
                     continue
                 for cp in tgt_concepts:
-                    if derives_concept(t12, y, cp) and _disjointness_safe_concepts(
-                        t1, t12, src_sig, bp, cp
-                    ):
+                    if t12.derives_concept(y, cp) and d.safe(_disjointness_safe_concepts, bp, cp):
                         return [ConceptInclusion(bp, cp, negated_rhs=True)]
         for x, y in product(emembers, repeat=2):
             for bp in tgt_concepts:
-                if not derives_concept(t12, x, bp):
+                if not t12.derives_concept(x, bp):
                     continue
-                for cp in _negated_concept_rhs(t12, y):
-                    if _inclusion_safe_concepts(t1, t12, src_sig, bp, cp):
+                for cp in _negated_concept_rhs(t12.tbox, y):
+                    if d.safe(_inclusion_safe_concepts, bp, cp):
                         return [] if bp == cp else [ConceptInclusion(bp, cp)]
     return None

@@ -186,3 +186,19 @@ def test_automata_dump_is_byte_stable(capsys):
     assert first and first == second
     report = json.loads(first)
     assert "canonical-acceptor" in report["witness"]
+
+
+def test_internal_fault_is_an_error_not_a_verdict(capsys, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "is_universal_solution", broken)
+    code, report = run_json(
+        capsys, "usol-check", "--kb", path("ex1_kb"), "--mapping", path("ex1_map"),
+        "--candidate", path("ex1_cand"),
+    )
+    assert code == 3
+    assert set(report) == REPORT_KEYS
+    assert report["answer"] == "error"
+    assert "RuntimeError" in report["reason"]
+    assert report["witness"] is None and report["recheck"] is None
