@@ -31,6 +31,37 @@ CASES = {
     "rep-exists-yes": ("rep-exists", {"--kb": "ex5_kb", "--mapping": "ex10_map"}),
     "rep-exists-no-ex8": ("rep-exists", {"--kb": "ex8_kb", "--mapping": "ex8_map"}),
     "rep-synth": ("rep-synth", {"--kb": "ex5_kb", "--mapping": "ex10_map"}),
+    # Source contradictions covered in each way the clash-cover search knows:
+    # disjointness or a stated negation, at the members, at the far end of an
+    # existential member, through its role, or at the ends of a clashing role.
+    "rep-synth-clash-far-disj": (
+        "rep-synth", {"--kb": "clash_kb", "--mapping": "clash_far_disj_map"},
+    ),
+    "rep-synth-clash-far-neg": (
+        "rep-synth", {"--kb": "clash_far_neg_kb", "--mapping": "clash_far_neg_map"},
+    ),
+    "rep-synth-clash-far-neg-same": (
+        "rep-synth", {"--kb": "clash_kb", "--mapping": "clash_far_neg_same_map"},
+    ),
+    "rep-synth-clash-role-disj": (
+        "rep-synth", {"--kb": "clash_kb", "--mapping": "clash_role_disj_map"},
+    ),
+    "rep-synth-clash-role-via-concept": (
+        "rep-synth",
+        {"--kb": "clash_role_via_concept_kb", "--mapping": "clash_role_via_concept_map"},
+    ),
+    "rep-synth-clash-role-neg": (
+        "rep-synth", {"--kb": "clash_role_neg_kb", "--mapping": "clash_role_neg_map"},
+    ),
+    "rep-synth-clash-role-neg-same": (
+        "rep-synth", {"--kb": "clash_kb", "--mapping": "clash_role_neg_same_map"},
+    ),
+    "rep-exists-clash-none-concept": (
+        "rep-exists", {"--kb": "clash_none_concept_kb", "--mapping": "clash_none_concept_map"},
+    ),
+    "rep-exists-clash-none-role": (
+        "rep-exists", {"--kb": "clash_none_role_kb", "--mapping": "clash_none_role_map"},
+    ),
 }
 
 
