@@ -28,7 +28,6 @@ from .exchange import (
     universal_solution_plain,
 )
 from .model import EMPTY_ABOX, KnowledgeBase
-from .oracle import chase_inconsistent
 from .reasoner import kb_consistent
 from .representability import (
     PreconditionViolated,
@@ -99,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--mapping", required=True, metavar="FILE", help="mapping file")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument("--seed", type=int, default=None, help="echoed into the report")
-        sp.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
 
     sp = sub.add_parser("consistency", help="decide knowledge-base consistency")
     common(sp)
@@ -148,7 +146,7 @@ def _depth_cap(args) -> int:
     return DEFAULT_DEPTH_CAP
 
 
-def _error_fields(reason: str | None, engine: str = "main") -> dict:
+def _error_fields(reason: str | None) -> dict:
     """Report fields answering ``error``; a command overwrites them as it goes."""
     return {
         "answer": "error",
@@ -157,22 +155,17 @@ def _error_fields(reason: str | None, engine: str = "main") -> dict:
         "counterexample": None,
         "reason": reason,
         "recheck": None,
-        "engine": engine,
+        "engine": "main",
     }
 
 
 def _dispatch(args, inputs: dict) -> dict:
     """Run the selected command; returns the report fields."""
-    out = _error_fields(
-        None, "oracle" if args.oracle and args.command == "consistency" else "main"
-    )
+    out = _error_fields(None)
 
     if args.command == "consistency":
         kb = _load(args.kb, parse_kb, inputs)
-        if args.oracle:
-            out["answer"] = "no" if chase_inconsistent(kb) else "yes"
-        else:
-            out["answer"] = "yes" if kb_consistent(kb) else "no"
+        out["answer"] = "yes" if kb_consistent(kb) else "no"
         return out
 
     if args.command == "canonical":
@@ -206,20 +199,13 @@ def _dispatch(args, inputs: dict) -> dict:
     mapping = _load(args.mapping, parse_mapping, inputs)
     kb1 = _load(args.kb, parse_kb, inputs)
 
-    if args.command == "usol-exists":
-        verdict = universal_solution_plain(kb1, mapping)
+    if args.command in ("usol-exists", "usol-exists-ext"):
+        if args.command == "usol-exists":
+            verdict = universal_solution_plain(kb1, mapping)
+        else:
+            verdict = universal_solution_extended(kb1, mapping, depth_cap=_depth_cap(args))
         out["answer"] = verdict.answer
-        out["counterexample"] = verdict.counterexample
-        out["certificate"] = _cert_summary(verdict.certificate)
-        if verdict.answer == "yes":
-            out["witness"] = serialize(verdict.witness)
-            check = is_universal_solution(kb1, mapping, KnowledgeBase((), verdict.witness))
-            out["recheck"] = "passed" if check.answer == "yes" else "failed"
-        return out
-
-    if args.command == "usol-exists-ext":
-        verdict = universal_solution_extended(kb1, mapping, depth_cap=_depth_cap(args))
-        out["answer"] = verdict.answer
+        out["reason"] = verdict.reason
         out["counterexample"] = verdict.counterexample
         out["certificate"] = _cert_summary(verdict.certificate)
         if verdict.answer == "yes":

@@ -59,6 +59,7 @@ class SolutionVerdict:
     witness: ABox | None = None
     certificate: object = None
     counterexample: str | None = None
+    reason: str | None = None  # on "unknown": the cap that was hit
 
 
 def _prepare(kb1: KnowledgeBase, mapping: Mapping) -> tuple[Reasoner, CanonicalStructure]:
@@ -429,7 +430,9 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
         )
     u = prepared[1]
     sigma2 = mapping.sigma2
+    last = "none"
     for d in range(depth_cap + 1):
+        last = d
         trunc = materialize(u, d)
         candidate = _interpretation_to_abox(trunc, sigma2)
         cert = _both_embeddings(u, candidate, sigma2)
@@ -437,7 +440,10 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
             witness = _minimize_witness(u, candidate, sigma2)
             final = _both_embeddings(u, witness, sigma2)
             return SolutionVerdict("yes", witness=witness, certificate=final)
-    return SolutionVerdict("unknown")
+    return SolutionVerdict(
+        "unknown",
+        reason=f"depth cap {depth_cap} reached; last depth tried: {last}",
+    )
 
 
 def is_universal_solution(kb1: KnowledgeBase, mapping: Mapping,

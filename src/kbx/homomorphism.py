@@ -1,12 +1,14 @@
-"""Homomorphism and simulation checks between finite and regular structures.
+"""Homomorphism checks between a canonical model and a finite interpretation.
 
-Three shapes of problem show up in exchange and representability decisions:
-finite-to-finite (a CSP), regular-to-finite (a greatest-fixpoint simulation
-over canonical states, exact because path types depend only on the final
-witness class), and finite-to-regular (complete via an anchored search: a
+Universal-solution decisions need both directions.  Regular-to-finite
+(``embeds_regular_into_finite``, re-checked by ``verify_simulation``) is a
+greatest-fixpoint simulation over canonical states, exact because path types
+depend only on the final witness class.  Finite-to-regular
+(``embeds_finite_into_regular``, re-checked by
+``verify_embedding_into_regular``) is complete via an anchored search: a
 connected image in a forest-shaped model sits below a unique shallowest node,
 so it suffices to try every element as the anchor and every state as its
-image).  Regular-to-regular is only semi-decided and reports a third value.
+image.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from .canonical import (
     CanonicalStructure,
     FiniteInterpretation,
     element_label,
-    materialize,
     rtype_edge,
     ttype_at,
 )
@@ -40,120 +41,6 @@ def _role_requirements(f: FiniteInterpretation, sigma: Signature | None) -> list
         if sigma is None or n in sigma.roles
         for (e1, e2) in sorted(ext, key=lambda p: (element_label(p[0]), element_label(p[1])))
     ]
-
-
-def find_homomorphism(src: FiniteInterpretation, tgt: FiniteInterpretation,
-                      sigma: Signature | None = None) -> dict | None:
-    """Backtracking search with forward checking; constants are pinned.
-
-    Returns an element map preserving all (signature-filtered) facts, or None.
-    A source constant missing from the target leaves nothing to pin it to, so
-    the answer is immediately None.
-    """
-    creq = _concept_requirements(src, sigma)
-    rfacts = _role_requirements(src, sigma)
-    pinned = {}
-    for c, e in src.constant_elems.items():
-        if c not in tgt.constant_elems:
-            return None
-        pinned[e] = tgt.constant_elems[c]
-
-    def has_all(x, names) -> bool:
-        return all(x in tgt.concept_ext.get(n, frozenset()) for n in names)
-
-    domains: dict = {}
-    for e in src.elements:
-        if e in pinned:
-            cand = {pinned[e]} if has_all(pinned[e], creq[e]) else set()
-        else:
-            cand = {x for x in tgt.elements if has_all(x, creq[e])}
-        if not cand:
-            return None
-        domains[e] = cand
-
-    neighbors: dict = {e: [] for e in src.elements}
-    for (n, e1, e2) in rfacts:
-        neighbors[e1].append((n, e2, True))
-        if e1 != e2:
-            neighbors[e2].append((n, e1, False))
-
-    pairs = tgt.role_ext
-
-    def edge_ok(n, x, y) -> bool:
-        return (x, y) in pairs.get(n, frozenset())
-
-    assignment: dict = {}
-
-    def prune_for(e, x):
-        """Forward-check unassigned neighbors of e; returns removals or None."""
-        trail = []
-        for (n, other, fwd) in neighbors[e]:
-            if other == e:
-                if not edge_ok(n, x, x):
-                    _restore(trail)
-                    return None
-                continue
-            if other in assignment:
-                y = assignment[other]
-                ok = edge_ok(n, x, y) if fwd else edge_ok(n, y, x)
-                if not ok:
-                    _restore(trail)
-                    return None
-            else:
-                dom = domains[other]
-                bad = {
-                    y for y in dom
-                    if not (edge_ok(n, x, y) if fwd else edge_ok(n, y, x))
-                }
-                if bad:
-                    if bad == dom:
-                        _restore(trail)
-                        return None
-                    domains[other] = dom - bad
-                    trail.append((other, dom))
-        return trail
-
-    def _restore(trail):
-        for other, dom in reversed(trail):
-            domains[other] = dom
-
-    def solve() -> bool:
-        todo = [e for e in src.elements if e not in assignment]
-        if not todo:
-            return True
-        e = min(todo, key=lambda q: (len(domains[q]), element_label(q)))
-        for x in sorted(domains[e], key=element_label):
-            assignment[e] = x
-            trail = prune_for(e, x)
-            if trail is not None:
-                if solve():
-                    return True
-                _restore(trail)
-            del assignment[e]
-        return False
-
-    return dict(assignment) if solve() else None
-
-
-def verify_homomorphism(src: FiniteInterpretation, tgt: FiniteInterpretation,
-                        h: dict, sigma: Signature | None = None) -> bool:
-    """Independent re-check of a claimed homomorphism certificate."""
-    if any(e not in h for e in src.elements):
-        return False
-    for c, e in src.constant_elems.items():
-        if c not in tgt.constant_elems or h[e] != tgt.constant_elems[c]:
-            return False
-    for n, ext in src.concept_ext.items():
-        if sigma is not None and n not in sigma.concepts:
-            continue
-        if any(h[e] not in tgt.concept_ext.get(n, frozenset()) for e in ext):
-            return False
-    for n, ext in src.role_ext.items():
-        if sigma is not None and n not in sigma.roles:
-            continue
-        if any((h[e1], h[e2]) not in tgt.role_ext.get(n, frozenset()) for (e1, e2) in ext):
-            return False
-    return True
 
 
 def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
@@ -224,38 +111,44 @@ def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
                     break
 
     # Null-named individuals are unpinned; choose one image per individual
-    # so that the finite core (with its role facts) maps consistently.
-    role_reqs = []
+    # so that the finite core (with its role facts) maps consistently.  The
+    # search is a loop over individuals with the next image to try at each
+    # level; a role requirement is checked once both its ends are chosen.
+    inds = list(c.individuals)
+    level = {t: i for i, t in enumerate(inds)}
+    reqs_at: list = [[] for _ in inds]
     for (t1, t2), roles in c.individual_roles.items():
         need = frozenset(
             r for r in roles if sigma is None or _role_in(r, sigma)
         )
         if need:
-            role_reqs.append((t1, t2, need))
-    inds = list(c.individuals)
+            reqs_at[max(level[t1], level[t2])].append((t1, t2, need))
+    by_state: dict = {}
+    for (s, e) in alive:
+        by_state.setdefault(s, []).append(e)
+    images: list = []  # sorted images per level, built on the first visit
+    nxt: list = []  # index of the next image to try per level
     choice: dict = {}
-
-    def assign(i: int) -> bool:
-        if i == len(inds):
-            return True
+    i = 0
+    while 0 <= i < len(inds):
+        if i == len(images):
+            images.append(sorted(
+                by_state.get(inds[i], ()),
+                key=lambda e: (e is None, element_label(e) if e is not None else ""),
+            ))
+            nxt.append(0)
         t = inds[i]
-        images = sorted(
-            (e for (s, e) in alive if s == t),
-            key=lambda e: (e is None, element_label(e) if e is not None else ""),
-        )
-        for e in images:
-            choice[t] = e
-            if all(
-                t1 not in choice or t2 not in choice
-                or need <= rtype(choice[t1], choice[t2])
-                for (t1, t2, need) in role_reqs
-            ):
-                if assign(i + 1):
-                    return True
-            del choice[t]
-        return False
-
-    if not assign(0):
+        while nxt[i] < len(images[i]):
+            choice[t] = images[i][nxt[i]]
+            nxt[i] += 1
+            if all(need <= rtype(choice[t1], choice[t2]) for (t1, t2, need) in reqs_at[i]):
+                i += 1
+                break
+        else:
+            choice.pop(t, None)
+            nxt[i] = 0
+            i -= 1
+    if i < 0:
         return None
     table = {(t, choice[t]) for t in inds}
     table |= {(s, e) for (s, e) in alive if isinstance(s, BasicRole)}
@@ -491,77 +384,3 @@ def verify_embedding_into_regular(f: FiniteInterpretation, c: CanonicalStructure
             if BasicRole(n) not in rtype_edge(c, h[e1], h[e2]):
                 return False
     return True
-
-
-def embeds_regular_into_regular_bounded(c1: CanonicalStructure, c2: CanonicalStructure,
-                                        sigma: Signature | None = None,
-                                        depth_cap: int = 6):
-    """Semi-decision for a homomorphism between two canonical models.
-
-    Returns ("yes", table) when a forward state simulation exists (sound: it
-    maps children to children, which some homomorphisms do not); ("no", d)
-    when the depth-d truncation of the first model already fails to embed
-    (definitive, as truncations only restrict); ("unknown", None) otherwise.
-    """
-    table = _state_simulation(c1, c2, sigma)
-    if table is not None:
-        return ("yes", table)
-    for d in range(depth_cap + 1):
-        trunc = materialize(c1, d)
-        if embeds_finite_into_regular(_reduct(trunc, sigma), c2, sigma) is None:
-            return ("no", d)
-    return ("unknown", None)
-
-
-def _reduct(f: FiniteInterpretation, sigma: Signature | None) -> FiniteInterpretation:
-    if sigma is None:
-        return f
-    cf = [(n, e) for (n, e) in f.concept_facts() if n in sigma.concepts]
-    rf = [(n, a, b) for (n, a, b) in f.role_facts() if n in sigma.roles]
-    return FiniteInterpretation(f.elements, cf, rf, f.constant_elems)
-
-
-def _state_simulation(c1: CanonicalStructure, c2: CanonicalStructure,
-                      sigma: Signature | None):
-    pairs: set = set()
-    pin = {}
-    for t in c1.individuals:
-        if t not in c2.individuals:
-            return None
-        pin[t] = t
-        if c1.state_type(t, sigma) <= c2.state_type(t, sigma):
-            pairs.add((t, t))
-    for (t1, t2), roles in c1.individual_roles.items():
-        have = c2.individual_roles.get((t1, t2), frozenset())
-        for r in roles:
-            if sigma is None or _role_in(r, sigma):
-                if r not in have:
-                    return None
-    states2 = list(c2.individuals) + sorted(c2.classes, key=str)
-    for rep in c1.classes:
-        tp = c1.state_type(rep, sigma)
-        for s2 in states2:
-            if tp <= c2.state_type(s2, sigma):
-                pairs.add((rep, s2))
-
-    def child_edge(c, child, sigma_):
-        return c.edge_roles(child, sigma_)
-
-    changed = True
-    while changed:
-        changed = False
-        for (s1, s2) in list(pairs):
-            for child1 in c1.gen[s1]:
-                need = child_edge(c1, child1, sigma)
-                ok = any(
-                    (child1, child2) in pairs and need <= child_edge(c2, child2, sigma)
-                    for child2 in c2.gen[s2]
-                )
-                if not ok:
-                    pairs.discard((s1, s2))
-                    changed = True
-                    break
-    for t in c1.individuals:
-        if (t, t) not in pairs:
-            return None
-    return SimulationTable(pairs)

@@ -45,11 +45,6 @@ class BasicRole:
         return self.name + ("-" if self.inverted else "")
 
 
-def inverse(role: BasicRole) -> BasicRole:
-    """Flip the orientation of a basic role; an involution."""
-    return role.inverse()
-
-
 @dataclass(frozen=True, order=True)
 class Atomic:
     """A concept name used as a basic concept."""
@@ -223,13 +218,6 @@ class Mapping:
     sigma1: Signature
     sigma2: Signature
     t12: TBox
-
-
-def concept_names_of(c: BasicConcept) -> tuple[frozenset[str], frozenset[str]]:
-    """Concept and role names occurring in a basic concept."""
-    if isinstance(c, Atomic):
-        return frozenset([c.name]), frozenset()
-    return frozenset(), frozenset([c.role.name])
 
 
 def concept_over(c: BasicConcept, sig: Signature) -> bool:

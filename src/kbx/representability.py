@@ -14,7 +14,7 @@ set and a target query on which the two sides disagree.
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Optional
+from typing import Callable, Optional
 
 from .canonical import CanonicalStructure, build_canonical, combined_tbox, positive_part
 from .model import (
@@ -159,6 +159,18 @@ def _require_valid(mapping: Mapping, t1: TBox, t2: Optional[TBox]) -> None:
         raise PreconditionViolated("; ".join(problems))
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """Basic target concepts or basic target roles, with what synthesis needs
+    to reason about an axiom between two of them."""
+
+    names: list  # every basic term of this kind over the target signature
+    derives: Callable  # the mapping's derivation between two terms of this kind
+    inclusion_safe: Callable
+    disjointness_safe: Callable
+    axiom: type  # ConceptInclusion or RoleInclusion
+
+
 class _Decision:
     """Everything one representability decision reasons with: a context for
     each TBox involved, compiled once, the canonical probes built from them,
@@ -181,6 +193,14 @@ class _Decision:
             self.tgt_consist = Reasoner(combined_tbox(t2, positive_part(t12)))
         self._probes: dict = {}
         self._safe: dict = {}
+        self.concepts = _Kind(
+            all_basic_concepts(mapping.sigma2), self.t12.derives_concept,
+            _inclusion_safe_concepts, _disjointness_safe_concepts, ConceptInclusion,
+        )
+        self.roles = _Kind(
+            all_basic_roles(mapping.sigma2), self.t12.derives_role,
+            _inclusion_safe_roles, _disjointness_safe_roles, RoleInclusion,
+        )
 
     def probe(self, ctx: Reasoner, concept: BasicConcept) -> CanonicalStructure:
         """Canonical structure of ``ctx``'s TBox over the single fact ``concept(o)``."""
@@ -524,23 +544,11 @@ def _conform_pass(d: _Decision, bc: BasicConcept, rep: BasicRole) -> Optional[Ge
     probe = d.probe(d.comb, bc)
     need_t = frozenset(probe.state_type(rep, tgt_sig))
     need_r = frozenset(probe.edge_roles(rep, tgt_sig))
-    tgt_concepts = all_basic_concepts(tgt_sig)
-    tgt_roles = all_basic_roles(tgt_sig)
-
-    def conc_ok(node: BasicConcept, bp: BasicConcept) -> bool:
-        return any(
-            d.t12.derives_concept(node, cp) and d.safe(_inclusion_safe_concepts, cp, bp)
-            for cp in tgt_concepts
-        )
-
-    def role_ok(link: BasicRole, rp: BasicRole) -> bool:
-        return any(
-            d.t12.derives_role(link, qp) and d.safe(_inclusion_safe_roles, qp, rp)
-            for qp in tgt_roles
-        )
 
     def accepts(node: BasicConcept) -> bool:
-        return all(conc_ok(node, bp) for bp in sorted(need_t, key=str))
+        return all(
+            _included_via(d, d.concepts, node, bp) is not None for bp in sorted(need_t, key=str)
+        )
 
     # Zero hops: the starting object itself absorbs all required facts.
     if not need_r and accepts(bc):
@@ -548,10 +556,10 @@ def _conform_pass(d: _Decision, bc: BasicConcept, rep: BasicRole) -> Optional[Ge
 
     # Later chain nodes live on the target side: each hop is a target role
     # whose witness the synthesized axioms will force into existence.
-    links = tgt_roles
+    links = d.roles.names
 
     def can_link(node: BasicConcept, q: BasicRole) -> bool:
-        return node == Exists(q) or conc_ok(node, Exists(q))
+        return node == Exists(q) or _included_via(d, d.concepts, node, Exists(q)) is not None
 
     def first_label(node: BasicConcept, q: BasicRole) -> frozenset:
         return frozenset() if node == Exists(q) else frozenset([Exists(q)])
@@ -561,7 +569,9 @@ def _conform_pass(d: _Decision, bc: BasicConcept, rep: BasicRole) -> Optional[Ge
         nxt = Exists(q.inverse())
         if not can_link(bc, q):
             continue
-        if all(role_ok(q, rp) for rp in sorted(need_r, key=str)) and accepts(nxt):
+        if all(
+            _included_via(d, d.roles, q, rp) is not None for rp in sorted(need_r, key=str)
+        ) and accepts(nxt):
             return GeneratingPass((bc, nxt), (first_label(bc, q), need_t), (need_r,))
     if need_r:
         return None
@@ -603,33 +613,18 @@ def _synthesis(mapping: Mapping, t1: TBox):
     _require_valid(mapping, t1, None)
     d = _Decision(mapping, t1)
     comb = d.comb
-    tgt_sig = mapping.sigma2
     src_concepts = all_basic_concepts(d.src_sig)
     src_roles = all_basic_roles(d.src_sig)
-    tgt_concepts = all_basic_concepts(tgt_sig)
-    tgt_roles = all_basic_roles(tgt_sig)
     axioms: list = []
-
-    def incl_witness_concept(sub: BasicConcept, bp: BasicConcept):
-        for cp in tgt_concepts:
-            if d.t12.derives_concept(sub, cp) and d.safe(_inclusion_safe_concepts, cp, bp):
-                return cp
-        return None
-
-    def incl_witness_role(sub: BasicRole, rp: BasicRole):
-        for qp in tgt_roles:
-            if d.t12.derives_role(sub, qp) and d.safe(_inclusion_safe_roles, qp, rp):
-                return qp
-        return None
 
     # Entailed target memberships need a safe target-side rewriting.
     for bc in src_concepts:
         if not comb.pair_consistent_concepts(bc, bc):
             continue
-        for bp in tgt_concepts:
+        for bp in d.concepts.names:
             if not comb.derives_concept(bc, bp):
                 continue
-            cp = incl_witness_concept(bc, bp)
+            cp = _included_via(d, d.concepts, bc, bp)
             if cp is None:
                 return None, f"no target axiom can capture that {bc} entails {bp}"
             if cp != bp:
@@ -637,10 +632,10 @@ def _synthesis(mapping: Mapping, t1: TBox):
     for rr in src_roles:
         if not comb.pair_consistent_roles(rr, rr):
             continue
-        for rp in tgt_roles:
+        for rp in d.roles.names:
             if not comb.derives_role(rr, rp):
                 continue
-            qp = incl_witness_role(rr, rp)
+            qp = _included_via(d, d.roles, rr, rp)
             if qp is None:
                 return None, f"no target axiom can capture that {rr} entails {rp}"
             if qp != rp:
@@ -660,13 +655,13 @@ def _synthesis(mapping: Mapping, t1: TBox):
                 )
             for i, node in enumerate(gp.chain):
                 for bp in sorted(gp.node_labels[i], key=str):
-                    cp = incl_witness_concept(node, bp)
+                    cp = _included_via(d, d.concepts, node, bp)
                     if cp is not None and cp != bp:
                         axioms.append(ConceptInclusion(cp, bp))
                 if i < len(gp.edge_labels):
                     link = gp.chain[i + 1].role.inverse()
                     for rp in sorted(gp.edge_labels[i], key=str):
-                        qp = incl_witness_role(link, rp)
+                        qp = _included_via(d, d.roles, link, rp)
                         if qp is not None and qp != rp:
                             axioms.append(RoleInclusion(qp, rp))
 
@@ -676,7 +671,7 @@ def _synthesis(mapping: Mapping, t1: TBox):
             continue
         if comb.pair_consistent_concepts(b1, b2):
             continue
-        got = _cover_concept_clash(d, tgt_concepts, tgt_roles, b1, b2)
+        got = _cover_clash(d, d.concepts, b1, b2)
         if got is None:
             return None, (
                 f"the contradiction between {b1} and {b2} "
@@ -688,7 +683,7 @@ def _synthesis(mapping: Mapping, t1: TBox):
             continue
         if comb.pair_consistent_roles(r1, r2):
             continue
-        got = _cover_role_clash(d, tgt_concepts, tgt_roles, r1, r2)
+        got = _cover_clash(d, d.roles, r1, r2)
         if got is None:
             return None, (
                 f"the contradiction between {r1} and {r2} "
@@ -704,120 +699,61 @@ def _synthesis(mapping: Mapping, t1: TBox):
     return tuple(out), None
 
 
-def _negated_concept_rhs(t12: TBox, lhs: BasicConcept) -> list:
-    return [
-        ax.rhs
-        for ax in t12
-        if isinstance(ax, ConceptInclusion) and ax.negated_rhs and ax.lhs == lhs
-    ]
-
-
-def _negated_role_rhs(t12: TBox, lhs: BasicRole) -> list:
-    return [
-        ax.rhs
-        for ax in t12
-        if isinstance(ax, RoleInclusion) and ax.negated_rhs and ax.lhs == lhs
-    ]
-
-
-def _cover_concept_clash(
-    d: _Decision,
-    tgt_concepts: list,
-    tgt_roles: list,
-    b1: BasicConcept,
-    b2: BasicConcept,
-):
-    """Target axioms making the translation of {b1, b2} contradictory."""
-    t12 = d.t12
-    members = [b1] if b1 == b2 else [b1, b2]
-    # A target disjointness between translations of the two concepts.
-    for x, y in product(members, repeat=2):
-        for bp in tgt_concepts:
-            if not t12.derives_concept(x, bp):
-                continue
-            for cp in tgt_concepts:
-                if t12.derives_concept(y, cp) and d.safe(_disjointness_safe_concepts, bp, cp):
-                    return [ConceptInclusion(bp, cp, negated_rhs=True)]
-    # A target inclusion feeding a disjointness the mapping already states.
-    for x, y in product(members, repeat=2):
-        for bp in tgt_concepts:
-            if not t12.derives_concept(x, bp):
-                continue
-            for cp in _negated_concept_rhs(t12.tbox, y):
-                if d.safe(_inclusion_safe_concepts, bp, cp):
-                    return [] if bp == cp else [ConceptInclusion(bp, cp)]
-    # The same two options through the far end of an existential member.
-    for x in members:
-        if not isinstance(x, Exists):
-            continue
-        back = Exists(x.role.inverse())
-        for bp in tgt_concepts:
-            if not t12.derives_concept(back, bp):
-                continue
-            for cp in tgt_concepts:
-                if t12.derives_concept(back, cp) and d.safe(_disjointness_safe_concepts, bp, cp):
-                    return [ConceptInclusion(bp, cp, negated_rhs=True)]
-        for bp in tgt_concepts:
-            if not t12.derives_concept(back, bp):
-                continue
-            for cp in _negated_concept_rhs(t12.tbox, back):
-                if d.safe(_inclusion_safe_concepts, bp, cp):
-                    return [] if bp == cp else [ConceptInclusion(bp, cp)]
-        # Or through the role itself.
-        for rp in tgt_roles:
-            if not t12.derives_role(x.role, rp):
-                continue
-            for qp in tgt_roles:
-                if t12.derives_role(x.role, qp) and d.safe(_disjointness_safe_roles, rp, qp):
-                    return [RoleInclusion(rp, qp, negated_rhs=True)]
-        for rp in tgt_roles:
-            if not t12.derives_role(x.role, rp):
-                continue
-            for qp in _negated_role_rhs(t12.tbox, x.role):
-                if d.safe(_inclusion_safe_roles, rp, qp):
-                    return [] if rp == qp else [RoleInclusion(rp, qp)]
+def _included_via(d: _Decision, kind: _Kind, sub, target):
+    """The first target term that the mapping derives from ``sub`` and that
+    is safely included in ``target``, or ``None``."""
+    for name in kind.names:
+        if kind.derives(sub, name) and d.safe(kind.inclusion_safe, name, target):
+            return name
     return None
 
 
-def _cover_role_clash(
-    d: _Decision,
-    tgt_concepts: list,
-    tgt_roles: list,
-    r1: BasicRole,
-    r2: BasicRole,
-):
-    """Target axioms making the translation of {r1, r2} contradictory."""
-    t12 = d.t12
-    members = [r1] if r1 == r2 else [r1, r2]
+def _distinct(x, y) -> list:
+    return [x] if x == y else [x, y]
+
+
+def _cover_clash(d: _Decision, kind: _Kind, m1, m2):
+    """Target axioms making the translation of the clashing pair {m1, m2}
+    contradictory, or ``None``.
+
+    The two members are tried first.  A concept clash is then tried at the far
+    end of each existential member and through its role, a role clash at the
+    concepts on either end of the two roles.
+    """
+    attempts = [(kind, _distinct(m1, m2))]
+    if kind is d.concepts:
+        for x in _distinct(m1, m2):
+            if isinstance(x, Exists):
+                attempts.append((d.concepts, [Exists(x.role.inverse())]))
+                attempts.append((d.roles, [x.role]))
+    else:
+        for r1, r2 in ((m1, m2), (m1.inverse(), m2.inverse())):
+            attempts.append((d.concepts, _distinct(Exists(r1), Exists(r2))))
+    for k, members in attempts:
+        got = _cover_members(d, k, members)
+        if got is not None:
+            return got
+    return None
+
+
+def _cover_members(d: _Decision, kind: _Kind, members: list):
+    """Target axioms making any two of ``members`` contradictory together."""
+    # A target disjointness between translations of two members.
     for x, y in product(members, repeat=2):
-        for rp in tgt_roles:
-            if not t12.derives_role(x, rp):
+        for bp in kind.names:
+            if not kind.derives(x, bp):
                 continue
-            for qp in tgt_roles:
-                if t12.derives_role(y, qp) and d.safe(_disjointness_safe_roles, rp, qp):
-                    return [RoleInclusion(rp, qp, negated_rhs=True)]
+            for cp in kind.names:
+                if kind.derives(y, cp) and d.safe(kind.disjointness_safe, bp, cp):
+                    return [kind.axiom(bp, cp, negated_rhs=True)]
+    # A target inclusion feeding a disjointness the mapping already states.
     for x, y in product(members, repeat=2):
-        for rp in tgt_roles:
-            if not t12.derives_role(x, rp):
+        for bp in kind.names:
+            if not kind.derives(x, bp):
                 continue
-            for qp in _negated_role_rhs(t12.tbox, y):
-                if d.safe(_inclusion_safe_roles, rp, qp):
-                    return [] if rp == qp else [RoleInclusion(rp, qp)]
-    # Or through the concepts at either end of the two roles.
-    for ends in ((Exists(r1), Exists(r2)), (Exists(r1.inverse()), Exists(r2.inverse()))):
-        emembers = [ends[0]] if ends[0] == ends[1] else list(ends)
-        for x, y in product(emembers, repeat=2):
-            for bp in tgt_concepts:
-                if not t12.derives_concept(x, bp):
+            for ax in d.t12.tbox:
+                if not (isinstance(ax, kind.axiom) and ax.negated_rhs and ax.lhs == y):
                     continue
-                for cp in tgt_concepts:
-                    if t12.derives_concept(y, cp) and d.safe(_disjointness_safe_concepts, bp, cp):
-                        return [ConceptInclusion(bp, cp, negated_rhs=True)]
-        for x, y in product(emembers, repeat=2):
-            for bp in tgt_concepts:
-                if not t12.derives_concept(x, bp):
-                    continue
-                for cp in _negated_concept_rhs(t12.tbox, y):
-                    if d.safe(_inclusion_safe_concepts, bp, cp):
-                        return [] if bp == cp else [ConceptInclusion(bp, cp)]
+                if d.safe(kind.inclusion_safe, bp, ax.rhs):
+                    return [] if bp == ax.rhs else [kind.axiom(bp, ax.rhs)]
     return None

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .model import (
+from kbx.model import (
     ABox,
     Atomic,
     BasicRole,
@@ -28,17 +28,6 @@ from .model import (
     concept_over,
     role_over,
 )
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    depth_limit: int = 6
-    domain_limit: int = 6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.depth_limit <= 0 or self.domain_limit <= 0:
-            raise ValueError("oracle limits must be positive")
 
 
 @dataclass(frozen=True)
@@ -250,54 +239,6 @@ def chase_inconsistent(kb: KnowledgeBase, depth: int | None = None) -> bool:
                 if s.holds(ax.lhs, e) and s.holds(ax.rhs, e):
                     return True
     return False
-
-
-def axiom_tautology(axiom) -> bool:
-    """Exhaustive two-element countermodel search; two elements suffice to
-    refute any non-tautological inclusion in this logic."""
-    names = []
-    for side in (axiom.lhs, axiom.rhs):
-        if isinstance(side, BasicRole):
-            names.append(("role", side.name))
-        elif isinstance(side, Exists):
-            names.append(("role", side.role.name))
-        else:
-            names.append(("concept", side.name))
-    names = sorted(set(names))
-    domain = (0, 1)
-    spaces = []
-    for kind, _n in names:
-        if kind == "concept":
-            spaces.append([frozenset(c) for c in _subsets(domain)])
-        else:
-            spaces.append([frozenset(c) for c in _subsets(tuple(product(domain, domain)))])
-    for combo in product(*spaces):
-        ext = {n: e for (_k, n), e in zip(names, combo)}
-
-        def members(side):
-            if isinstance(side, Atomic):
-                return {e for e in domain if e in ext[side.name]}
-            role = side if isinstance(side, BasicRole) else side.role
-            pairs = ext[role.name]
-            if role.inverted:
-                pairs = {(b, a) for (a, b) in pairs}
-            if isinstance(side, Exists):
-                return {a for (a, _b) in pairs}
-            return pairs
-
-        lhs = members(axiom.lhs)
-        rhs = members(axiom.rhs)
-        ok = lhs.isdisjoint(rhs) if axiom.negated_rhs else lhs <= rhs
-        if not ok:
-            return False
-    return True
-
-
-def _subsets(items):
-    out = [frozenset()]
-    for it in items:
-        out += [s | {it} for s in out]
-    return out
 
 
 def brute_homomorphism(src, tgt, sigma: Signature | None = None):

@@ -38,7 +38,7 @@ from kbx.model import (
     KnowledgeBase,
     Null,
 )
-from kbx.oracle import (
+from oracle import (
     brute_homomorphism,
     certain_answer,
     chase_inconsistent,

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through ``cli.run``."""
 
+import importlib.util
 import json
 
 import pytest
@@ -43,12 +44,6 @@ def test_consistency_yes(capsys):
     code, out = run(capsys, "consistency", "--kb", path("ex1_kb"))
     assert code == 0
     assert "answer: yes" in out
-
-
-def test_consistency_oracle_engine(capsys):
-    code, report = run_json(capsys, "consistency", "--kb", path("ex1_kb"), "--oracle")
-    assert code == 0
-    assert report["engine"] == "oracle"
 
 
 def test_json_report_schema_and_determinism(capsys):
@@ -202,3 +197,47 @@ def test_internal_fault_is_an_error_not_a_verdict(capsys, monkeypatch):
     assert report["answer"] == "error"
     assert "RuntimeError" in report["reason"]
     assert report["witness"] is None and report["recheck"] is None
+
+
+def test_oracle_is_not_shipped_and_its_flag_is_gone(capsys):
+    assert importlib.util.find_spec("kbx.oracle") is None
+    assert cli.run(["consistency", "--kb", path("ex1_kb"), "--oracle"]) == 3
+    capsys.readouterr()
+
+
+def test_unknown_names_the_depth_cap(capsys):
+    code, report = run_json(
+        capsys, "usol-exists-ext", "--kb", path("ex3_kb"), "--mapping", path("ex3_map"),
+        "--depth-cap", "0",
+    )
+    assert code == 2
+    assert report["answer"] == "unknown"
+    assert "depth cap 0" in report["reason"]
+
+
+def test_usol_check_on_a_long_chain(capsys, tmp_path):
+    n = 1200
+    pairs = [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]
+    kb = tmp_path / "kb.kbx"
+    kb.write_text(
+        "kb { roles { R } tbox { } abox { "
+        + " ".join(f"R({u}, {v});" for u, v in pairs) + " } }"
+    )
+    mapping = tmp_path / "map.kbx"
+    mapping.write_text(
+        "mapping { source { role R } target { role Rp } tbox { R [= Rp; } }"
+    )
+
+    def candidate(facts):
+        out = tmp_path / "cand.kbx"
+        out.write_text(
+            "kb { roles { Rp } tbox { } abox { "
+            + " ".join(f"Rp({u}, {v});" for u, v in facts) + " } }"
+        )
+        return str(out)
+
+    argv = ["usol-check", "--kb", str(kb), "--mapping", str(mapping), "--candidate"]
+    code, out = run(capsys, *argv, candidate(pairs))
+    assert code == 0, out
+    code, out = run(capsys, *argv, candidate(pairs[: n // 2] + pairs[n // 2 + 1:]))
+    assert code == 1, out

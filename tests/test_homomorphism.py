@@ -1,13 +1,10 @@
-"""Homomorphism search between finite structures and embeddings into regular ones."""
+"""Embeddings of canonical models into finite structures and back."""
 
 from kbx.canonical import build_canonical, build_vabox
 from kbx.homomorphism import (
     embeds_finite_into_regular,
     embeds_regular_into_finite,
-    embeds_regular_into_regular_bounded,
-    find_homomorphism,
     verify_embedding_into_regular,
-    verify_homomorphism,
     verify_simulation,
 )
 from kbx.model import (
@@ -20,56 +17,6 @@ from kbx.model import (
     RoleAssertion,
 )
 from kbx.syntax import parse_kb
-
-E = BasicRole("E")
-
-
-def edge_abox(pairs, make_term):
-    """Both orientations of every edge, as an ABox over role E."""
-    facts = []
-    for u, v in pairs:
-        facts.append(RoleAssertion(E, make_term(u), make_term(v)))
-        facts.append(RoleAssertion(E, make_term(v), make_term(u)))
-    return ABox.make(facts)
-
-
-def graph_vabox(pairs, make_term):
-    return build_vabox(edge_abox(pairs, make_term))
-
-
-TRIANGLE = graph_vabox([(0, 1), (1, 2), (2, 0)], lambda i: Constant("rgb"[i]))
-
-
-def test_constants_are_rigid_nulls_are_not():
-    at_a = build_vabox(ABox.make([ConceptAssertion(Atomic("F"), Constant("a"))]))
-    at_b = build_vabox(ABox.make([ConceptAssertion(Atomic("F"), Constant("b"))]))
-    assert find_homomorphism(at_a, at_b) is None
-    anon = build_vabox(ABox.make([ConceptAssertion(Atomic("F"), Null("n"))]))
-    assert find_homomorphism(anon, at_a) == {Null("n"): Constant("a")}
-
-
-def test_odd_cycle_maps_onto_triangle_but_k4_does_not():
-    c5 = graph_vabox([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], lambda i: Null(f"v{i}"))
-    h = find_homomorphism(c5, TRIANGLE)
-    assert h is not None
-    assert verify_homomorphism(c5, TRIANGLE, h)
-
-    k4 = graph_vabox(
-        [(i, j) for i in range(4) for j in range(i + 1, 4)], lambda i: Null(f"v{i}")
-    )
-    assert find_homomorphism(k4, TRIANGLE) is None
-
-
-def test_verify_homomorphism_rejects_a_bad_map():
-    c4 = graph_vabox([(0, 1), (1, 2), (2, 3), (3, 0)], lambda i: Null(f"v{i}"))
-    h = find_homomorphism(c4, TRIANGLE)
-    assert verify_homomorphism(c4, TRIANGLE, h)
-    # collapsing adjacent vertices onto the same triangle corner breaks the edge
-    elems = {e: h[e] for e in h}
-    first = Null("v0")
-    bad = dict(elems)
-    bad[Null("v1")] = bad[first]
-    assert not verify_homomorphism(c4, TRIANGLE, bad)
 
 
 def test_infinite_chain_folds_onto_finite_loop():
@@ -105,14 +52,3 @@ def test_finite_embeds_into_regular_with_verified_witness():
     assert h is not None
     assert verify_embedding_into_regular(anon, target, h)
 
-
-def test_bounded_regular_comparison():
-    kb = parse_kb(
-        "kb { roles { S } tbox { F [= exists S; exists S- [= F; } abox { F(a); } }"
-    )
-    c = build_canonical(kb)
-    answer, cert = embeds_regular_into_regular_bounded(c, c, depth_cap=4)
-    assert answer == "yes" and cert
-    plain = build_canonical(parse_kb("kb { roles { S } tbox { } abox { F(a); } }"))
-    answer, _ = embeds_regular_into_regular_bounded(c, plain, depth_cap=4)
-    assert answer == "no"

@@ -14,7 +14,7 @@ from kbx.model import (
     RoleAssertion,
     RoleInclusion,
 )
-from kbx.oracle import (
+from oracle import (
     brute_homomorphism,
     certain_answer,
     chase_inconsistent,
