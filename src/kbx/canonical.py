@@ -66,20 +66,24 @@ class FiniteInterpretation:
         for name, e in concept_facts:
             cext.setdefault(name, set()).add(e)
         rext: dict[str, set] = {}
-        self._pair_roles: dict = {}
+        # element -> neighbour -> roles from the element to the neighbour
+        self._links: dict = {}
         for name, e1, e2 in role_facts:
             rext.setdefault(name, set()).add((e1, e2))
-            self._pair_roles.setdefault((e1, e2), set()).add(BasicRole(name))
-            self._pair_roles.setdefault((e2, e1), set()).add(BasicRole(name, inverted=True))
+            self._links.setdefault(e1, {}).setdefault(e2, set()).add(BasicRole(name))
+            self._links.setdefault(e2, {}).setdefault(e1, set()).add(
+                BasicRole(name, inverted=True)
+            )
         self.concept_ext = {n: frozenset(s) for n, s in cext.items()}
         self.role_ext = {n: frozenset(s) for n, s in rext.items()}
         self._types: dict = {e: set() for e in self.elements}
         for name, ext in self.concept_ext.items():
             for e in ext:
                 self._types[e].add(Atomic(name))
-        for (e1, _e2), roles in self._pair_roles.items():
-            for r in roles:
-                self._types[e1].add(Exists(r))
+        for e1, links in self._links.items():
+            for roles in links.values():
+                for r in roles:
+                    self._types[e1].add(Exists(r))
         self._types = {e: frozenset(t) for e, t in self._types.items()}
 
     def ttype(self, e, sigma: Signature | None = None) -> frozenset:
@@ -89,10 +93,14 @@ class FiniteInterpretation:
         return frozenset(c for c in t if concept_over(c, sigma))
 
     def rtype(self, e1, e2, sigma: Signature | None = None) -> frozenset:
-        roles = self._pair_roles.get((e1, e2), frozenset())
+        roles = self._links.get(e1, {}).get(e2, frozenset())
         if sigma is None:
             return frozenset(roles)
         return frozenset(r for r in roles if role_over(r, sigma))
+
+    def neighbours(self, e):
+        """The elements that share a role fact with ``e``."""
+        return self._links.get(e, {}).keys()
 
     def concept_facts(self):
         for name in sorted(self.concept_ext):

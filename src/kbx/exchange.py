@@ -135,12 +135,13 @@ def is_sigma2_positive(
             )
 
     # Outgoing roles with a target-visible other end, per possible center.
+    towards_target: dict = {}
+    for (t1_, t2_), roles in u.individual_roles.items():
+        if in_target(t2_):
+            towards_target.setdefault(t1_, set()).update(roles)
     centers: list = []
     for t in u.individuals:
-        out: set = set()
-        for (t1_, t2_), roles in u.individual_roles.items():
-            if t1_ == t and in_target(t2_):
-                out |= roles
+        out: set = set(towards_target.get(t, ()))
         for rep in u.gen[t]:
             if in_target(rep):
                 out |= u.edge_roles(rep)
@@ -401,16 +402,18 @@ def _both_embeddings(u: CanonicalStructure, abox: ABox, sigma):
 
 
 def _minimize_witness(u: CanonicalStructure, abox: ABox, sigma) -> ABox:
-    """Greedily drop assertions while both embedding directions survive."""
+    """Greedily drop assertions while the canonical model still maps in.
+
+    Dropping facts keeps the way back into the canonical model (a restriction
+    of a homomorphism is one), so only regular-to-finite needs a check.  That
+    direction is monotone in the facts, so a fact kept once stays needed and
+    one pass reaches what repeating passes would.
+    """
     current = list(abox.assertions)
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(current, key=str, reverse=True):
-            trial = [x for x in current if x != a]
-            if _both_embeddings(u, ABox.make(trial), sigma) is not None:
-                current = trial
-                changed = True
+    for a in sorted(current, key=str, reverse=True):
+        trial = [x for x in current if x != a]
+        if embeds_regular_into_finite(u, build_vabox(ABox.make(trial)), sigma) is not None:
+            current = trial
     return ABox.make(current)
 
 
@@ -439,6 +442,8 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
         if cert is not None:
             witness = _minimize_witness(u, candidate, sigma2)
             final = _both_embeddings(u, witness, sigma2)
+            if final is None:
+                raise RuntimeError("the minimised witness fails its embedding check")
             return SolutionVerdict("yes", witness=witness, certificate=final)
     return SolutionVerdict(
         "unknown",

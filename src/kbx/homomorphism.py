@@ -3,12 +3,14 @@
 Universal-solution decisions need both directions.  Regular-to-finite
 (``embeds_regular_into_finite``, re-checked by ``verify_simulation``) is a
 greatest-fixpoint simulation over canonical states, exact because path types
-depend only on the final witness class.  Finite-to-regular
+depend only on the final witness class; a worklist refines it, looking for a
+pair's support among the element's neighbours only.  Finite-to-regular
 (``embeds_finite_into_regular``, re-checked by
 ``verify_embedding_into_regular``) is complete via an anchored search: a
 connected image in a forest-shaped model sits below a unique shallowest node,
 so it suffices to try every element as the anchor and every state as its
-image.
+image, and to place each further element next to the image of a neighbour
+placed before it.
 """
 
 from __future__ import annotations
@@ -66,49 +68,36 @@ def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
                 return None
 
     pool = list(f.elements) + [None]
+    types: dict = {None: frozenset()}  # sigma-filtered types for the pool scans
 
     def ttype(e) -> frozenset:
-        return f.ttype(e, sigma) if e is not None else frozenset()
+        tp = types.get(e)
+        if tp is None:
+            tp = types[e] = f.ttype(e, sigma)
+        return tp
 
     def rtype(e1, e2) -> frozenset:
         if e1 is None or e2 is None:
             return frozenset()
         return f.rtype(e1, e2, sigma)
 
-    alive: set = set()
+    images: dict = {s: set() for s in c.gen}  # live images per state
     for t in c.individuals:
+        tp = c.state_type(t, sigma)
         if t in pin:
-            cand = [pin[t]]
+            if tp <= f.ttype(pin[t], sigma):
+                images[t].add(pin[t])
         elif isinstance(t, Constant):
             # A constant the witness does not interpret must stay invisible;
             # it takes the sink rather than borrowing a real element.
-            cand = [None]
+            images[t].add(None)
         else:
-            cand = pool
-        tp = c.state_type(t, sigma)
-        for e in cand:
-            if tp <= ttype(e):
-                alive.add((t, e))
+            images[t].update(e for e in pool if tp <= ttype(e))
     for rep in c.classes:
         tp = c.state_type(rep, sigma)
-        for e in pool:
-            if tp <= ttype(e):
-                alive.add((rep, e))
-
-    need = {rep: c.edge_roles(rep, sigma) for rep in c.classes}
-    changed = True
-    while changed:
-        changed = False
-        for (s, e) in list(alive):
-            for child in c.gen[s]:
-                ok = any(
-                    (child, e2) in alive and need[child] <= rtype(e, e2)
-                    for e2 in pool
-                )
-                if not ok:
-                    alive.discard((s, e))
-                    changed = True
-                    break
+        images[rep].update(e for e in pool if tp <= ttype(e))
+    if c.classes:
+        _refine(c, f, sigma, images)
 
     # Null-named individuals are unpinned; choose one image per individual
     # so that the finite core (with its role facts) maps consistently.  The
@@ -123,23 +112,20 @@ def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
         )
         if need:
             reqs_at[max(level[t1], level[t2])].append((t1, t2, need))
-    by_state: dict = {}
-    for (s, e) in alive:
-        by_state.setdefault(s, []).append(e)
-    images: list = []  # sorted images per level, built on the first visit
+    order: list = []  # sorted images per level, built on the first visit
     nxt: list = []  # index of the next image to try per level
     choice: dict = {}
     i = 0
     while 0 <= i < len(inds):
-        if i == len(images):
-            images.append(sorted(
-                by_state.get(inds[i], ()),
+        if i == len(order):
+            order.append(sorted(
+                images[inds[i]],
                 key=lambda e: (e is None, element_label(e) if e is not None else ""),
             ))
             nxt.append(0)
         t = inds[i]
-        while nxt[i] < len(images[i]):
-            choice[t] = images[i][nxt[i]]
+        while nxt[i] < len(order[i]):
+            choice[t] = order[i][nxt[i]]
             nxt[i] += 1
             if all(need <= rtype(choice[t1], choice[t2]) for (t1, t2, need) in reqs_at[i]):
                 i += 1
@@ -151,8 +137,59 @@ def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
     if i < 0:
         return None
     table = {(t, choice[t]) for t in inds}
-    table |= {(s, e) for (s, e) in alive if isinstance(s, BasicRole)}
+    table |= {(rep, e) for rep in c.classes for e in images[rep]}
     return SimulationTable(table)
+
+
+def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | None,
+            images: dict) -> None:
+    """Shrink ``images`` (state -> live images) to the greatest simulation.
+
+    A pair (state, element) lives while every child class of the state has a
+    live image that the element reaches over the child's edge roles: among
+    the element's neighbours, or anywhere (the sink included) when the edge
+    shows no role over the signature.  A worklist re-checks only the pairs
+    whose support a dead pair may have been; the greatest fixpoint does not
+    depend on the order.  Neighbour roles are read once per visited element.
+    """
+    need = {rep: c.edge_roles(rep, sigma) for rep in c.classes}
+    parents: dict = {}
+    for s, children in c.gen.items():
+        for child in children:
+            parents.setdefault(child, []).append(s)
+    links: dict = {None: ()}  # element -> (neighbour, sigma-filtered roles)
+
+    def linked(e) -> list:
+        got = links.get(e)
+        if got is None:
+            got = links[e] = [
+                (e2, roles) for e2 in f.neighbours(e) if (roles := f.rtype(e, e2, sigma))
+            ]
+        return got
+
+    def supported(s, e) -> bool:
+        for child in c.gen[s]:
+            if need[child]:
+                live = images[child]
+                if not any(need[child] <= roles and e2 in live for e2, roles in linked(e)):
+                    return False
+            elif not images[child]:
+                return False
+        return True
+
+    queue = [(s, e) for s, es in images.items() if c.gen[s] for e in es]
+    while queue:
+        s, e = queue.pop()
+        if e not in images[s] or supported(s, e):
+            continue
+        images[s].discard(e)
+        if s not in parents:
+            continue  # an individual: no pair relies on it
+        if need[s]:
+            # Only a parent pair at a neighbour of ``e`` could reach it.
+            queue += [(p, e1) for p in parents[s] for e1, _ in linked(e) if e1 in images[p]]
+        elif not images[s]:
+            queue += [(p, e1) for p in parents[s] for e1 in images[p]]
 
 
 def _role_in(r: BasicRole, sigma: Signature) -> bool:
@@ -261,6 +298,13 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
             facts_at[e2].append((n, e1, e2))
 
     const_roots = [(t,) for t in c.individuals]
+    # Individuals that share a role with each individual, in individual order.
+    rank = {t: i for i, t in enumerate(c.individuals)}
+    linked: dict = {}
+    for (t1, t2) in c.individual_roles:
+        linked.setdefault(t1, []).append(t2)
+    for ts in linked.values():
+        ts.sort(key=rank.__getitem__)
 
     def node_ok(e, path) -> bool:
         tp = ttype_at(c, path)
@@ -276,34 +320,51 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
                 return False
         return True
 
-    def candidates(path):
+    def candidates(path) -> list:
+        """Every path that can share a role with ``path``: its children, its
+        parent, and for an individual the individuals it has a role with."""
         state = path[-1] if len(path) > 1 else path[0]
         out = [path + (rep,) for rep in c.gen[state]]
         if len(path) > 1:
             out.append(path[:-1])
-        elif not isinstance(path[0], BasicRole):
-            out.extend(const_roots)
-        out.append(path)
+        else:
+            out.extend((t,) for t in linked.get(path[0], ()))
         return out
 
-    def grow(order, assignment, idx) -> bool:
-        if idx == len(order):
-            return True
-        e = order[idx]
-        cands: list = []
-        seen: set = set()
-        for base in list(assignment.values()):
-            for p in candidates(base):
-                if p not in seen:
-                    seen.add(p)
-                    cands.append(p)
-        for p in cands:
-            if node_ok(e, p) and edges_ok(e, p, assignment):
-                assignment[e] = p
-                if grow(order, assignment, idx + 1):
-                    return True
-                del assignment[e]
-        return False
+    def grow(order, assignment) -> bool:
+        """Extend ``assignment`` to every element of ``order``.
+
+        Each element shares a role fact with an element placed before it (the
+        order is breadth-first), so its image is among the candidates around
+        that element's image.  A loop with the candidates and the next one to
+        try per level.
+        """
+        placed = set(assignment)
+        bases = []
+        for e in order:
+            bases.append(next(
+                x for (_n, e1, e2) in facts_at[e] for x in (e1, e2) if x != e and x in placed
+            ))
+            placed.add(e)
+        cands: list = [()] * len(order)
+        nxt = [0] * len(order)
+        i, entered = 0, True
+        while 0 <= i < len(order):
+            e = order[i]
+            if entered:
+                cands[i] = candidates(assignment[bases[i]])
+                nxt[i] = 0
+            while nxt[i] < len(cands[i]):
+                p = cands[i][nxt[i]]
+                nxt[i] += 1
+                if node_ok(e, p) and edges_ok(e, p, assignment):
+                    assignment[e] = p
+                    i, entered = i + 1, True
+                    break
+            else:
+                assignment.pop(e, None)
+                i, entered = i - 1, False
+        return i == len(order)
 
     total: dict = {}
     for comp, adj in _components(f, sigma):
@@ -315,7 +376,7 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
                 if not (node_ok(e, pin[e]) and edges_ok(e, pin[e], assignment)):
                     return None
             rest = [e for e in order if e not in pin]
-            if not grow(rest, assignment, 0):
+            if not grow(rest, assignment):
                 return None
             total.update(assignment)
         else:
@@ -327,7 +388,7 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
                     assignment = {anchor: root}
                     if not (node_ok(anchor, root) and edges_ok(anchor, root, assignment)):
                         continue
-                    if grow(rest, assignment, 0):
+                    if grow(rest, assignment):
                         total.update(assignment)
                         done = True
                         break

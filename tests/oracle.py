@@ -18,6 +18,7 @@ from kbx.model import (
     BasicRole,
     ConceptAssertion,
     ConceptInclusion,
+    Constant,
     Exists,
     KnowledgeBase,
     RoleAssertion,
@@ -358,3 +359,80 @@ def certain_answer(kb: KnowledgeBase, concept_atoms, role_atoms, depth: int | No
         ):
             return True
     return False
+
+
+def naive_simulation(c, f, sigma: Signature | None = None):
+    """Regular-to-finite embedding of a canonical structure ``c`` into a finite
+    interpretation ``f`` by the textbook greatest fixpoint.
+
+    Starts from every type-compatible (state, element) pair (``None`` is the
+    fact-free sink; a constant is pinned to its element, or to the sink when
+    ``f`` lacks it and the constant shows nothing over ``sigma``), rescans the
+    whole pool for each child's support until a pass changes nothing, and then
+    tries every choice of one live image per individual against the role
+    facts between individuals.  Returns the surviving (witness class,
+    element) pairs, or None when no choice works.
+    """
+
+    def ttype(e):
+        return f.ttype(e, sigma) if e is not None else frozenset()
+
+    def rtype(e1, e2):
+        if e1 is None or e2 is None:
+            return frozenset()
+        return f.rtype(e1, e2, sigma)
+
+    pool = list(f.elements) + [None]
+    alive = set()
+    for t in c.individuals:
+        if t in f.constant_elems:
+            cand = [f.constant_elems[t]]
+        elif isinstance(t, Constant):
+            if c.state_type(t, sigma):
+                return None
+            cand = [None]
+        else:
+            cand = pool
+        alive |= {(t, e) for e in cand if c.state_type(t, sigma) <= ttype(e)}
+    for rep in c.classes:
+        alive |= {(rep, e) for e in pool if c.state_type(rep, sigma) <= ttype(e)}
+
+    changed = True
+    while changed:
+        changed = False
+        for (s, e) in list(alive):
+            for child in c.gen[s]:
+                need = c.edge_roles(child, sigma)
+                if not any((child, e2) in alive and need <= rtype(e, e2) for e2 in pool):
+                    alive.discard((s, e))
+                    changed = True
+                    break
+
+    inds = list(c.individuals)
+    options = [[e for (s, e) in alive if s == t] for t in inds]
+    for combo in product(*options):
+        choice = dict(zip(inds, combo))
+        if all(
+            r in rtype(choice[t1], choice[t2])
+            for (t1, t2), roles in c.individual_roles.items()
+            for r in roles
+            if sigma is None or r.name in sigma.roles
+        ):
+            return {(s, e) for (s, e) in alive if s in c.classes}
+    return None
+
+
+def naive_minimize_witness(abox: ABox, embeds) -> ABox:
+    """Drop assertions greedily, in reverse ``str`` order, while ``embeds``
+    (an ABox -> bool check of both embedding directions) holds, repeating
+    whole passes until one drops nothing."""
+    current = list(abox.assertions)
+    changed = True
+    while changed:
+        changed = False
+        for a in sorted(current, key=str, reverse=True):
+            trial = [x for x in current if x != a]
+            if embeds(ABox.make(trial)):
+                current = trial
+                changed = True
+    return ABox.make(current)

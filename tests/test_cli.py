@@ -7,7 +7,8 @@ import pytest
 
 from conftest import CORPUS
 
-from kbx import cli
+from kbx import cli, exchange
+from kbx.model import EMPTY_ABOX
 
 
 def path(name):
@@ -241,3 +242,32 @@ def test_usol_check_on_a_long_chain(capsys, tmp_path):
     assert code == 0, out
     code, out = run(capsys, *argv, candidate(pairs[: n // 2] + pairs[n // 2 + 1:]))
     assert code == 1, out
+
+
+def test_usol_exists_on_a_long_chain(capsys, tmp_path):
+    # The recheck embeds a null per chain end and per inner individual (two
+    # existential facts each) back into the canonical model.
+    n = 1200
+    kb = tmp_path / "kb.kbx"
+    kb.write_text(
+        "kb { roles { R } tbox { } abox { "
+        + " ".join(f"R(c{i}, c{i + 1});" for i in range(n - 1)) + " } }"
+    )
+    mapping = tmp_path / "map.kbx"
+    mapping.write_text(
+        "mapping { source { role R } target { role Rp } tbox { R [= Rp; } }"
+    )
+    code, report = run_json(capsys, "usol-exists", "--kb", str(kb), "--mapping", str(mapping))
+    assert code == 0, report
+    assert report["recheck"] == "passed"
+
+
+def test_a_witness_failing_its_final_check_is_an_error(capsys, monkeypatch):
+    monkeypatch.setattr(exchange, "_minimize_witness", lambda *_args: EMPTY_ABOX)
+    code, report = run_json(
+        capsys, "usol-exists-ext", "--kb", path("ex3_kb"), "--mapping", path("ex3_map"),
+    )
+    assert code == 3
+    assert report["answer"] == "error"
+    assert "RuntimeError" in report["reason"]
+    assert report["witness"] is None and report["certificate"] is None

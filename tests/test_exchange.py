@@ -1,15 +1,24 @@
 """Universal-solution checking and construction on the worked examples."""
 
 from conftest import load_kb, load_mapping
+from oracle import naive_minimize_witness, naive_simulation
 
-from kbx.canonical import build_canonical, build_vabox, combined_tbox
+from kbx.canonical import build_canonical, build_vabox, combined_tbox, materialize
 from kbx.exchange import (
+    _both_embeddings,
+    _interpretation_to_abox,
+    _minimize_witness,
+    _prepare,
     is_sigma2_positive,
     is_universal_solution,
     universal_solution_extended,
     universal_solution_plain,
 )
-from kbx.homomorphism import verify_embedding_into_regular, verify_simulation
+from kbx.homomorphism import (
+    embeds_finite_into_regular,
+    verify_embedding_into_regular,
+    verify_simulation,
+)
 from kbx.model import ABox, Atomic, ConceptAssertion, Constant, KnowledgeBase, Null
 from kbx.syntax import serialize
 
@@ -88,3 +97,26 @@ def test_witness_serializes_to_parseable_text():
     verdict = universal_solution_extended(load_kb("ex3_kb"), load_mapping("ex3_map"))
     text = serialize(KnowledgeBase((), verdict.witness))
     assert "Gp(_n1)" in text
+
+
+def test_one_pass_minimisation_matches_the_repeated_passes():
+    for i in range(3):
+        kb, mapping = load_kb(f"qbf/valid{i}_kb"), load_mapping(f"qbf/valid{i}_map")
+        sigma = mapping.sigma2
+        u = _prepare(kb, mapping)[1]
+        candidate = next(
+            cand
+            for cand in (_interpretation_to_abox(materialize(u, d), sigma) for d in range(7))
+            if _both_embeddings(u, cand, sigma) is not None
+        )
+
+        def both(abox):
+            v = build_vabox(abox)
+            return (
+                naive_simulation(u, v, sigma) is not None
+                and embeds_finite_into_regular(v, u, sigma) is not None
+            )
+
+        want = naive_minimize_witness(candidate, both)
+        assert _minimize_witness(u, candidate, sigma) == want
+        assert universal_solution_extended(kb, mapping).witness == want

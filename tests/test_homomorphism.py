@@ -1,6 +1,10 @@
 """Embeddings of canonical models into finite structures and back."""
 
-from kbx.canonical import build_canonical, build_vabox
+import random
+
+from oracle import naive_simulation
+
+from kbx.canonical import FiniteInterpretation, build_canonical, build_vabox
 from kbx.homomorphism import (
     embeds_finite_into_regular,
     embeds_regular_into_finite,
@@ -15,6 +19,7 @@ from kbx.model import (
     Constant,
     Null,
     RoleAssertion,
+    Signature,
 )
 from kbx.syntax import parse_kb
 
@@ -52,3 +57,99 @@ def test_finite_embeds_into_regular_with_verified_witness():
     assert h is not None
     assert verify_embedding_into_regular(anon, target, h)
 
+
+_AXIOMS = (
+    "A [= exists P", "exists P- [= B", "B [= exists S", "exists S- [= A",
+    "exists S- [= exists P-", "P [= S", "B [= exists P-", "exists P [= A", "S [= P-",
+    "exists P- [= exists S", "exists S- [= exists P", "exists S- [= exists S",
+    "exists P- [= exists P",
+)
+_FACTS = ("A(a)", "B(b)", "P(a, b)", "S(b, a)", "B(_x)", "P(_x, a)", "S(b, _y)")
+
+
+def _random_pair(rng):
+    """A small canonical structure, a finite interpretation over at most
+    seven elements (interpreting some of the constants), and a signature."""
+    kb = parse_kb(
+        "kb { roles { P, S } tbox { "
+        + " ".join(f"{ax};" for ax in rng.sample(_AXIOMS, rng.randint(2, 6)))
+        + " } abox { "
+        + " ".join(f"{a};" for a in rng.sample(_FACTS, rng.randint(1, 3)))
+        + " } }"
+    )
+    consts = [Constant(n) for n in "ab" if rng.random() < 0.8]
+    elems = consts + [f"e{i}" for i in range(rng.randint(1, 5))]
+    density = rng.choice((0.3, 0.5, 0.7))
+    concepts = [(n, e) for n in "AB" for e in elems if rng.random() < density]
+    roles = [(n, e1, e2) for n in "PS" for e1 in elems for e2 in elems if rng.random() < density / 2]
+    f = FiniteInterpretation(elems, concepts, roles, {t: t for t in consts})
+    sigma = rng.choice((
+        None,
+        Signature.make(["A", "B"], ["P", "S"]),
+        Signature.make(["B"], ["P"]),
+        Signature.make(["A"], ["S"]),
+        Signature.make(["A", "B"], ["P"]),
+        Signature.make([], ["P", "S"]),
+    ))
+    return build_canonical(kb), f, sigma
+
+
+def test_worklist_refinement_matches_the_naive_fixpoint():
+    rng = random.Random(4)
+    found = 0
+    with_classes = 0
+    for _ in range(400):
+        c, f, sigma = _random_pair(rng)
+        table = embeds_regular_into_finite(c, f, sigma)
+        want = naive_simulation(c, f, sigma)
+        assert (table is None) == (want is None)
+        if table is not None:
+            found += 1
+            with_classes += bool(c.classes)
+            assert {(s, e) for (s, e) in table if isinstance(s, BasicRole)} == want
+            assert verify_simulation(c, f, table, sigma)
+    assert 40 <= found <= 360 and with_classes >= 20, (found, with_classes)
+
+
+def _fold(tbox: str, elements, concepts, roles, sigma):
+    """The canonical structure of ``A(a)`` under ``tbox`` against a finite
+    interpretation over ``a`` and the given integer elements."""
+    a = Constant("a")
+    kb = parse_kb(f"kb {{ roles {{ P, Q, S }} tbox {{ {tbox} }} abox {{ A(a); }} }}")
+    f = FiniteInterpretation(
+        [a, *elements],
+        concepts,
+        [(n, a if x == "a" else x, a if y == "a" else y) for (n, x, y) in roles],
+        {a: a},
+    )
+    return build_canonical(kb), f, sigma
+
+
+def test_dead_pairs_refute_the_pairs_that_relied_on_them():
+    # An endless P-chain against a finite P-path, numbered both ways: every
+    # path element dies once the one past it has, so nothing maps.
+    path_up = [("P", "a", 1)] + [("P", i, i + 1) for i in range(1, 6)]
+    path_down = [("P", "a", 6)] + [("P", i + 1, i) for i in range(1, 6)]
+    # P needs a C-labelled Q-successor and an S-child whose class shows only
+    # D and an outgoing P; with S invisible, S lives wherever some image does.
+    # The element x fails the Q test, which kills S's only image, and then
+    # y, which had passed, must die too.
+    cascade = (
+        "A [= exists P; exists P- [= exists S; exists S- [= exists P; exists P- [= B; "
+        "exists P- [= exists Q; exists Q- [= C; exists S- [= D;"
+    )
+    cases = [
+        _fold("A [= exists P; exists P- [= exists P;", range(1, 7), [], roles, None)
+        for roles in (path_up, path_down)
+    ]
+    for x, y in ((2, 5), (5, 2)):
+        cases.append(_fold(
+            cascade,
+            [1, x, y, 3, 7],
+            [("B", x), ("B", y), ("C", 7), ("D", 1)],
+            [("P", "a", y), ("Q", y, 7), ("P", 1, x), ("Q", x, 3)],
+            Signature.make(["B", "C", "D"], ["P", "Q"]),
+        ))
+    for c, f, sigma in cases:
+        assert naive_simulation(c, f, sigma) is None
+        assert embeds_regular_into_finite(c, f, sigma) is None

@@ -62,6 +62,23 @@ CASES = {
     "rep-exists-clash-none-role": (
         "rep-exists", {"--kb": "clash_none_role_kb", "--mapping": "clash_none_role_map"},
     ),
+    # The QBF reduction: three valid formulas whose minimised null witnesses
+    # pin the deepening, the minimisation and both embedding searches, and
+    # one invalid member of the three-variable family (forall-forall-forall
+    # over (x1), (x2 or not x3)) that reaches the default depth cap.  They sit
+    # in ``qbf/``, outside the corpus root whose KBs the automata test walks.
+    "usol-exists-ext-qbf-valid0": (
+        "usol-exists-ext", {"--kb": "qbf/valid0_kb", "--mapping": "qbf/valid0_map"},
+    ),
+    "usol-exists-ext-qbf-valid1": (
+        "usol-exists-ext", {"--kb": "qbf/valid1_kb", "--mapping": "qbf/valid1_map"},
+    ),
+    "usol-exists-ext-qbf-valid2": (
+        "usol-exists-ext", {"--kb": "qbf/valid2_kb", "--mapping": "qbf/valid2_map"},
+    ),
+    "usol-exists-ext-qbf-invalid": (
+        "usol-exists-ext", {"--kb": "qbf/invalid_kb", "--mapping": "qbf/invalid_map"},
+    ),
 }
 
 
