@@ -9,6 +9,8 @@ edges and type tables); `materialize` unfolds it to any finite depth.
 
 from __future__ import annotations
 
+import copy
+
 from .model import (
     ABox,
     Atomic,
@@ -102,6 +104,35 @@ class FiniteInterpretation:
         """The elements that share a role fact with ``e``."""
         return self._links.get(e, {}).keys()
 
+    def without(self, fact) -> FiniteInterpretation:
+        """The structure minus one concept fact ``(name, e)`` or role fact
+        ``(name, e1, e2)``, over the same elements and constants.
+
+        Every table the fact does not touch is shared with ``self``: the
+        per-name extensions, and the types and neighbour roles of elements
+        other than the fact's ends.  An element that loses its last fact
+        stays, fact-free.
+        """
+        out = copy.copy(self)
+        name, *ends = fact
+        if len(ends) == 1:
+            (e,) = ends
+            out.concept_ext = _minus(self.concept_ext, name, e)
+            out._types = {**self._types, e: self._types[e] - {Atomic(name)}}
+            return out
+        e1, e2 = ends
+        out.role_ext = _minus(self.role_ext, name, (e1, e2))
+        out._links = dict(self._links)
+        out._types = dict(self._types)
+        for x, y, r in ((e1, e2, BasicRole(name)), (e2, e1, BasicRole(name, inverted=True))):
+            links = out._links[x] = dict(out._links[x])
+            links[y] = links[y] - {r}
+            if not links[y]:
+                del links[y]
+            if not any(r in roles for roles in links.values()):
+                out._types[x] = out._types[x] - {Exists(r)}
+        return out
+
     def concept_facts(self):
         for name in sorted(self.concept_ext):
             for e in sorted(self.concept_ext[name], key=element_label):
@@ -118,6 +149,18 @@ class FiniteInterpretation:
         return sum(len(v) for v in self.concept_ext.values()) + sum(
             len(v) for v in self.role_ext.values()
         )
+
+
+def _minus(ext: dict, name: str, item) -> dict:
+    """A copy of a name -> extension table with ``item`` taken out of
+    ``name``'s extension, and the name dropped once its extension is empty."""
+    out = dict(ext)
+    rest = ext[name] - {item}
+    if rest:
+        out[name] = rest
+    else:
+        del out[name]
+    return out
 
 
 class CanonicalStructure:

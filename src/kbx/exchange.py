@@ -23,8 +23,11 @@ from .canonical import (
     materialize,
 )
 from .homomorphism import (
+    choose_images,
     embeds_finite_into_regular,
     embeds_regular_into_finite,
+    live_images,
+    shrink_images,
 )
 from .model import (
     ABox,
@@ -205,11 +208,6 @@ def _model_search(source: Reasoner, kb1: KnowledgeBase, mapping: Mapping, a2: AB
             return frozenset()
         return u_a2.individual_types.get(x, frozenset())
 
-    def abox_roles(x, y) -> frozenset:
-        if isinstance(x, str) or isinstance(y, str):
-            return frozenset()
-        return u_a2.individual_roles.get((x, y), frozenset())
-
     concept_bounds = []
     role_bounds = []
     for ax in mapping.t12:
@@ -220,7 +218,7 @@ def _model_search(source: Reasoner, kb1: KnowledgeBase, mapping: Mapping, a2: AB
             concept_bounds.append((ax.lhs, allowed))
         else:
             allowed = frozenset(
-                (x, y) for x in dom for y in dom if ax.rhs in abox_roles(x, y)
+                pair for pair, roles in u_a2.individual_roles.items() if ax.rhs in roles
             )
             role_bounds.append((ax.lhs, allowed))
 
@@ -407,13 +405,27 @@ def _minimize_witness(u: CanonicalStructure, abox: ABox, sigma) -> ABox:
     Dropping facts keeps the way back into the canonical model (a restriction
     of a homomorphism is one), so only regular-to-finite needs a check.  That
     direction is monotone in the facts, so a fact kept once stays needed and
-    one pass reaches what repeating passes would.
+    one pass reaches what repeating passes would.  The Herbrand structure and
+    its live images are built once; a trial drops one fact from both,
+    shrinking the images around the fact's ends, and is kept when the
+    individuals still find images.  The assertions are atomic concept and
+    role facts, as ``_interpretation_to_abox`` writes them.
     """
-    current = list(abox.assertions)
+    v = build_vabox(abox)
+    images = live_images(u, v, sigma)
+    if images is None:  # nothing maps in, so no smaller ABox does either
+        return abox
+    current = set(abox.assertions)
     for a in sorted(current, key=str, reverse=True):
-        trial = [x for x in current if x != a]
-        if embeds_regular_into_finite(u, build_vabox(ABox.make(trial)), sigma) is not None:
-            current = trial
+        if isinstance(a, ConceptAssertion):
+            fact = (a.concept.name, a.term)
+        else:
+            fact = (a.role.name, a.first, a.second)
+        trial = v.without(fact)
+        shrunk = shrink_images(u, trial, images, fact[1:], sigma)
+        if choose_images(u, trial, shrunk, sigma) is not None:
+            v, images = trial, shrunk
+            current.discard(a)
     return ABox.make(current)
 
 

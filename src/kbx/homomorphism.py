@@ -4,7 +4,8 @@ Universal-solution decisions need both directions.  Regular-to-finite
 (``embeds_regular_into_finite``, re-checked by ``verify_simulation``) is a
 greatest-fixpoint simulation over canonical states, exact because path types
 depend only on the final witness class; a worklist refines it, looking for a
-pair's support among the element's neighbours only.  Finite-to-regular
+pair's support among the element's neighbours only, and after one fact is
+dropped re-refines it from the pairs at the fact's ends.  Finite-to-regular
 (``embeds_finite_into_regular``, re-checked by
 ``verify_embedding_into_regular``) is complete via an anchored search: a
 connected image in a forest-shaped model sits below a unique shallowest node,
@@ -50,9 +51,28 @@ def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
     """Simulation witnessing a homomorphism from the full (possibly infinite)
     canonical model into a finite interpretation.
 
+    The live images of every state (``live_images``) with one image chosen
+    per individual (``choose_images``).  Returns the table of the chosen
+    individual pairs and every live witness-class pair, or None.
+    """
+    images = live_images(c, f, sigma)
+    choice = None if images is None else choose_images(c, f, images, sigma)
+    if choice is None:
+        return None
+    table = {(t, choice[t]) for t in c.individuals}
+    table |= {(rep, e) for rep in c.classes for e in images[rep]}
+    return SimulationTable(table)
+
+
+def live_images(c: CanonicalStructure, f: FiniteInterpretation,
+                sigma: Signature | None = None) -> dict | None:
+    """The greatest simulation of the canonical states in ``f``, as a map from
+    each state to its live images; None when a signature-visible constant
+    is missing from ``f``.
+
     Greatest fixpoint over (state, element) pairs; exact because the type of a
     path depends only on its last witness class and generating edges connect
-    adjacent paths only.  Returns the surviving table, or None.
+    adjacent paths only.
 
     Elements that carry no fact over the signature contribute no answers, so
     they may map to a fact-free sink (recorded as ``None``) instead of a real
@@ -67,42 +87,61 @@ def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
                 # A signature-visible constant must map to itself.
                 return None
 
-    pool = list(f.elements) + [None]
-    types: dict = {None: frozenset()}  # sigma-filtered types for the pool scans
-
-    def ttype(e) -> frozenset:
-        tp = types.get(e)
-        if tp is None:
-            tp = types[e] = f.ttype(e, sigma)
-        return tp
-
-    def rtype(e1, e2) -> frozenset:
-        if e1 is None or e2 is None:
-            return frozenset()
-        return f.rtype(e1, e2, sigma)
-
+    # State types are over the signature, so an element's full type covers
+    # one exactly when its filtered type does.
+    pool = [(e, f.ttype(e)) for e in f.elements] + [(None, frozenset())]
     images: dict = {s: set() for s in c.gen}  # live images per state
     for t in c.individuals:
         tp = c.state_type(t, sigma)
         if t in pin:
-            if tp <= f.ttype(pin[t], sigma):
+            if tp <= f.ttype(pin[t]):
                 images[t].add(pin[t])
         elif isinstance(t, Constant):
             # A constant the witness does not interpret must stay invisible;
             # it takes the sink rather than borrowing a real element.
             images[t].add(None)
         else:
-            images[t].update(e for e in pool if tp <= ttype(e))
+            images[t].update(e for e, have in pool if tp <= have)
     for rep in c.classes:
         tp = c.state_type(rep, sigma)
-        images[rep].update(e for e in pool if tp <= ttype(e))
+        images[rep].update(e for e, have in pool if tp <= have)
     if c.classes:
-        _refine(c, f, sigma, images)
+        # The scans have checked every type, so only a pair that needs
+        # children can die.
+        _refine(c, f, sigma, images, [(s, e) for s, es in images.items() if c.gen[s] for e in es])
+    return images
 
-    # Null-named individuals are unpinned; choose one image per individual
-    # so that the finite core (with its role facts) maps consistently.  The
-    # search is a loop over individuals with the next image to try at each
-    # level; a role requirement is checked once both its ends are chosen.
+
+def shrink_images(c: CanonicalStructure, f: FiniteInterpretation, images: dict,
+                  ends, sigma: Signature | None = None) -> dict:
+    """The live images in ``f``, given ``images``: those in a structure that
+    has one fact more than ``f``, at the elements ``ends``.
+
+    The simulation only shrinks when a fact goes, and a pair away from the
+    fact keeps its type and its neighbour roles, so only the pairs at its
+    ends are checked first.  ``images`` is left as it was.
+    """
+    out = {s: set(es) for s, es in images.items()}
+    _refine(c, f, sigma, out, [(s, e) for s, es in out.items() for e in ends if e in es])
+    return out
+
+
+def choose_images(c: CanonicalStructure, f: FiniteInterpretation, images: dict,
+                  sigma: Signature | None = None) -> dict | None:
+    """One live image per individual such that the role facts between
+    individuals map onto role facts of ``f``, or None.
+
+    Null-named individuals are unpinned, so the finite core (with its role
+    facts) must map consistently.  The search is a loop over individuals
+    with the next image to try at each level; a role requirement is checked
+    once both its ends are chosen.
+    """
+
+    def rtype(e1, e2) -> frozenset:
+        if e1 is None or e2 is None:
+            return frozenset()
+        return f.rtype(e1, e2, sigma)
+
     inds = list(c.individuals)
     level = {t: i for i, t in enumerate(inds)}
     reqs_at: list = [[] for _ in inds]
@@ -134,29 +173,29 @@ def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
             choice.pop(t, None)
             nxt[i] = 0
             i -= 1
-    if i < 0:
-        return None
-    table = {(t, choice[t]) for t in inds}
-    table |= {(rep, e) for rep in c.classes for e in images[rep]}
-    return SimulationTable(table)
+    return None if i < 0 else choice
 
 
 def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | None,
-            images: dict) -> None:
-    """Shrink ``images`` (state -> live images) to the greatest simulation.
+            images: dict, queue: list) -> None:
+    """Shrink ``images`` (state -> live images) to the greatest simulation
+    below it.
 
-    A pair (state, element) lives while every child class of the state has a
-    live image that the element reaches over the child's edge roles: among
-    the element's neighbours, or anywhere (the sink included) when the edge
-    shows no role over the signature.  A worklist re-checks only the pairs
-    whose support a dead pair may have been; the greatest fixpoint does not
-    depend on the order.  Neighbour roles are read once per visited element.
+    A pair (state, element) lives while the element's type covers the
+    state's and every child class of the state has a live image that the
+    element reaches over the child's edge roles: among the element's
+    neighbours, or anywhere (the sink included) when the edge shows no role
+    over the signature.  ``queue`` holds the pairs to check first; when a
+    pair dies, only the pairs whose support it may have been are re-checked.
+    The greatest fixpoint does not depend on the order.  State types and
+    neighbour roles are read once per visited state or element.
     """
     need = {rep: c.edge_roles(rep, sigma) for rep in c.classes}
     parents: dict = {}
     for s, children in c.gen.items():
         for child in children:
             parents.setdefault(child, []).append(s)
+    state_types: dict = {}
     links: dict = {None: ()}  # element -> (neighbour, sigma-filtered roles)
 
     def linked(e) -> list:
@@ -166,6 +205,12 @@ def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | N
                 (e2, roles) for e2 in f.neighbours(e) if (roles := f.rtype(e, e2, sigma))
             ]
         return got
+
+    def typed(s, e) -> bool:
+        tp = state_types.get(s)
+        if tp is None:
+            tp = state_types[s] = c.state_type(s, sigma)
+        return tp <= f.ttype(e) if e is not None else not tp
 
     def supported(s, e) -> bool:
         for child in c.gen[s]:
@@ -177,10 +222,9 @@ def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | N
                 return False
         return True
 
-    queue = [(s, e) for s, es in images.items() if c.gen[s] for e in es]
     while queue:
         s, e = queue.pop()
-        if e not in images[s] or supported(s, e):
+        if e not in images[s] or (typed(s, e) and supported(s, e)):
             continue
         images[s].discard(e)
         if s not in parents:

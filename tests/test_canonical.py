@@ -1,6 +1,10 @@
 """Canonical-structure construction, materialization, and ABox closure."""
 
+import random
+
 import pytest
+
+from conftest import load_kb, load_mapping
 
 from kbx.canonical import (
     InconsistentKB,
@@ -13,14 +17,17 @@ from kbx.canonical import (
     materialize,
     positive_part,
 )
+from kbx.exchange import _both_embeddings, _interpretation_to_abox, _prepare
 from kbx.model import (
     ABox,
     Atomic,
+    BasicRole,
     ConceptAssertion,
     ConceptInclusion,
     Constant,
     KnowledgeBase,
     Null,
+    RoleAssertion,
 )
 from kbx.syntax import parse_kb, parse_mapping
 
@@ -105,3 +112,76 @@ def test_build_vabox_maps_nulls_to_plain_elements():
     fi = build_vabox(abox)
     assert len(fi.elements) == 2
     assert Constant("a") in fi.constant_elems
+
+
+def _fact(a):
+    """The Herbrand-structure fact of an atomic concept or role assertion."""
+    if isinstance(a, ConceptAssertion):
+        return (a.concept.name, a.term)
+    return (a.role.name, a.first, a.second)
+
+
+def _assert_same_structure(got, want):
+    """``got`` keeps every element; one that is not in ``want`` (it lost its
+    last fact) must be fact-free there."""
+    assert got.concept_ext == want.concept_ext
+    assert got.role_ext == want.role_ext
+    assert got.fact_count() == want.fact_count()
+    assert want.constant_elems.items() <= got.constant_elems.items()
+    for e in got.elements:
+        if e not in want.elements:
+            assert not got.ttype(e) and not got.neighbours(e), e
+            continue
+        assert got.ttype(e) == want.ttype(e), e
+        assert set(got.neighbours(e)) == set(want.neighbours(e)), e
+        for e2 in got.neighbours(e):
+            assert got.rtype(e, e2) == want.rtype(e, e2), (e, e2)
+
+
+def _check_without(abox):
+    """Each fact dropped alone, then every fact dropped one after another,
+    against the Herbrand structure of the smaller ABox."""
+    full = build_vabox(abox)
+    for a in abox.assertions:
+        rest = ABox.make(x for x in abox.assertions if x != a)
+        _assert_same_structure(full.without(_fact(a)), build_vabox(rest))
+    _assert_same_structure(full, build_vabox(abox))  # left as it was
+    current, remaining = full, list(abox.assertions)
+    for a in sorted(abox.assertions, key=str, reverse=True):
+        current = current.without(_fact(a))
+        remaining.remove(a)
+        _assert_same_structure(current, build_vabox(ABox.make(remaining)))
+
+
+def test_without_matches_the_smaller_qbf_candidates():
+    for i in range(3):
+        kb, mapping = load_kb(f"qbf/valid{i}_kb"), load_mapping(f"qbf/valid{i}_map")
+        sigma = mapping.sigma2
+        u = _prepare(kb, mapping)[1]
+        candidate = next(
+            cand
+            for cand in (_interpretation_to_abox(materialize(u, d), sigma) for d in range(7))
+            if _both_embeddings(u, cand, sigma) is not None
+        )
+        _check_without(candidate)
+
+
+def test_without_matches_the_smaller_random_aboxes():
+    rng = random.Random(7)
+    terms = [Constant("a"), Constant("b"), Null("x"), Null("y")]
+    lone = Constant("d")  # in exactly one fact, so dropping it empties ``d``
+    for _ in range(200):
+        facts = [
+            ConceptAssertion(Atomic(n), t) for n in "AB" for t in terms if rng.random() < 0.4
+        ]
+        facts += [
+            RoleAssertion(BasicRole(n), t1, t2)  # self-loops included
+            for n in "PS" for t1 in terms for t2 in terms if rng.random() < 0.2
+        ]
+        facts.append(rng.choice((
+            ConceptAssertion(Atomic("A"), lone),
+            RoleAssertion(BasicRole("P"), lone, rng.choice(terms)),
+            RoleAssertion(BasicRole("S"), rng.choice(terms), lone),
+            RoleAssertion(BasicRole("P"), lone, lone),
+        )))
+        _check_without(ABox.make(facts))

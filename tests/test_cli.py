@@ -217,13 +217,6 @@ def test_unknown_names_the_depth_cap(capsys):
 
 
 def test_usol_check_on_a_long_chain(capsys, tmp_path):
-    n = 1200
-    pairs = [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]
-    kb = tmp_path / "kb.kbx"
-    kb.write_text(
-        "kb { roles { R } tbox { } abox { "
-        + " ".join(f"R({u}, {v});" for u, v in pairs) + " } }"
-    )
     mapping = tmp_path / "map.kbx"
     mapping.write_text(
         "mapping { source { role R } target { role Rp } tbox { R [= Rp; } }"
@@ -237,29 +230,38 @@ def test_usol_check_on_a_long_chain(capsys, tmp_path):
         )
         return str(out)
 
-    argv = ["usol-check", "--kb", str(kb), "--mapping", str(mapping), "--candidate"]
-    code, out = run(capsys, *argv, candidate(pairs))
-    assert code == 0, out
-    code, out = run(capsys, *argv, candidate(pairs[: n // 2] + pairs[n // 2 + 1:]))
-    assert code == 1, out
+    for n in (1200, 5000):
+        pairs = [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]
+        kb = tmp_path / "kb.kbx"
+        kb.write_text(
+            "kb { roles { R } tbox { } abox { "
+            + " ".join(f"R({u}, {v});" for u, v in pairs) + " } }"
+        )
+        argv = ["usol-check", "--kb", str(kb), "--mapping", str(mapping), "--candidate"]
+        code, out = run(capsys, *argv, candidate(pairs))
+        assert code == 0, (n, out)
+        code, out = run(capsys, *argv, candidate(pairs[: n // 2] + pairs[n // 2 + 1:]))
+        assert code == 1, (n, out)
 
 
 def test_usol_exists_on_a_long_chain(capsys, tmp_path):
     # The recheck embeds a null per chain end and per inner individual (two
     # existential facts each) back into the canonical model.
-    n = 1200
-    kb = tmp_path / "kb.kbx"
-    kb.write_text(
-        "kb { roles { R } tbox { } abox { "
-        + " ".join(f"R(c{i}, c{i + 1});" for i in range(n - 1)) + " } }"
-    )
     mapping = tmp_path / "map.kbx"
     mapping.write_text(
         "mapping { source { role R } target { role Rp } tbox { R [= Rp; } }"
     )
-    code, report = run_json(capsys, "usol-exists", "--kb", str(kb), "--mapping", str(mapping))
-    assert code == 0, report
-    assert report["recheck"] == "passed"
+    for n in (1200, 5000):
+        kb = tmp_path / "kb.kbx"
+        kb.write_text(
+            "kb { roles { R } tbox { } abox { "
+            + " ".join(f"R(c{i}, c{i + 1});" for i in range(n - 1)) + " } }"
+        )
+        code, report = run_json(
+            capsys, "usol-exists", "--kb", str(kb), "--mapping", str(mapping)
+        )
+        assert code == 0, (n, report)
+        assert report["recheck"] == "passed", n
 
 
 def test_a_witness_failing_its_final_check_is_an_error(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Universal-solution checking and construction on the worked examples."""
 
+import random
+
 from conftest import load_kb, load_mapping
 from oracle import naive_minimize_witness, naive_simulation
 
@@ -19,8 +21,16 @@ from kbx.homomorphism import (
     verify_embedding_into_regular,
     verify_simulation,
 )
-from kbx.model import ABox, Atomic, ConceptAssertion, Constant, KnowledgeBase, Null
-from kbx.syntax import serialize
+from kbx.model import (
+    ABox,
+    Atomic,
+    ConceptAssertion,
+    Constant,
+    KnowledgeBase,
+    Null,
+    RoleAssertion,
+)
+from kbx.syntax import parse_kb, parse_mapping, serialize
 
 
 def test_plain_candidate_is_universal_solution():
@@ -120,3 +130,69 @@ def test_one_pass_minimisation_matches_the_repeated_passes():
         want = naive_minimize_witness(candidate, both)
         assert _minimize_witness(u, candidate, sigma) == want
         assert universal_solution_extended(kb, mapping).witness == want
+
+
+_SOURCE_AXIOMS = (
+    "A [= exists P", "exists P- [= B", "B [= exists S", "exists S- [= A", "P [= S",
+    "exists P- [= exists P", "exists S- [= exists P-", "B [= A", "exists P [= B",
+)
+_SOURCE_FACTS = ("A(a)", "B(b)", "P(a, b)", "S(b, a)", "A(_x)", "P(_x, a)", "S(b, _y)")
+_MAPPING_AXIOMS = ("A [= Ap", "B [= Bp", "P [= Pp", "S [= Pp", "S [= Sp", "exists P- [= Ap")
+
+
+def _random_instance(rng):
+    kb = parse_kb(
+        "kb { roles { P, S } tbox { "
+        + " ".join(f"{ax};" for ax in rng.sample(_SOURCE_AXIOMS, rng.randint(1, 4)))
+        + " } abox { "
+        + " ".join(f"{a};" for a in rng.sample(_SOURCE_FACTS, rng.randint(1, 3)))
+        + " } }"
+    )
+    mapping = parse_mapping(
+        "mapping { source { A, B, role P, role S } target { Ap, Bp, role Pp, role Sp } "
+        "tbox { "
+        + " ".join(f"{ax};" for ax in rng.sample(_MAPPING_AXIOMS, rng.randint(2, 5)))
+        + " } }"
+    )
+    return kb, mapping
+
+
+def _doubled(abox: ABox) -> ABox:
+    """The ABox together with a copy of it in which every null is renamed, so
+    that each fact at a null has a twin that can stand in for it."""
+    def twin(t):
+        return Null(f"{t.name}c") if isinstance(t, Null) else t
+
+    copies = [
+        ConceptAssertion(a.concept, twin(a.term)) if isinstance(a, ConceptAssertion)
+        else RoleAssertion(a.role, twin(a.first), twin(a.second))
+        for a in abox.assertions
+    ]
+    return ABox.make([*abox.assertions, *copies])
+
+
+def test_minimisation_matches_the_repeated_passes_on_random_candidates():
+    rng = random.Random(12)
+    candidates = shrunk = 0
+    for _ in range(100):
+        kb, mapping = _random_instance(rng)
+        sigma = mapping.sigma2
+        u = _prepare(kb, mapping)[1]
+
+        def both(abox):
+            v = build_vabox(abox)
+            return (
+                naive_simulation(u, v, sigma) is not None
+                and embeds_finite_into_regular(v, u, sigma) is not None
+            )
+
+        for d in range(3):
+            truncation = _interpretation_to_abox(materialize(u, d), sigma)
+            if _both_embeddings(u, truncation, sigma) is None:
+                continue
+            for candidate in (truncation, _doubled(truncation)):
+                want = naive_minimize_witness(candidate, both)
+                assert _minimize_witness(u, candidate, sigma) == want, (kb, mapping, d)
+                candidates += 1
+                shrunk += want != candidate
+    assert candidates >= 200 and shrunk >= 100, (candidates, shrunk)

@@ -6,8 +6,11 @@ from oracle import naive_simulation
 
 from kbx.canonical import FiniteInterpretation, build_canonical, build_vabox
 from kbx.homomorphism import (
+    choose_images,
     embeds_finite_into_regular,
     embeds_regular_into_finite,
+    live_images,
+    shrink_images,
     verify_embedding_into_regular,
     verify_simulation,
 )
@@ -94,10 +97,31 @@ def _random_pair(rng):
     return build_canonical(kb), f, sigma
 
 
+def _check_shrinking(c, f, sigma) -> tuple:
+    """Drop each fact of ``f`` in turn: the live images shrunk around its ends
+    must be the naive fixpoint of the smaller structure, and the from-scratch
+    images too.  Returns the number of trials and of those that still map."""
+    images = live_images(c, f, sigma)
+    trials = kept = 0
+    for fact in [*f.concept_facts(), *f.role_facts()]:
+        smaller = f.without(fact)
+        shrunk = shrink_images(c, smaller, images, fact[1:], sigma)
+        assert shrunk == live_images(c, smaller, sigma), fact
+        choice = choose_images(c, smaller, shrunk, sigma)
+        want = naive_simulation(c, smaller, sigma)
+        assert (choice is None) == (want is None), fact
+        trials += 1
+        if choice is not None:
+            kept += 1
+            assert {(rep, e) for rep in c.classes for e in shrunk[rep]} == want, fact
+    return trials, kept
+
+
 def test_worklist_refinement_matches_the_naive_fixpoint():
     rng = random.Random(4)
     found = 0
     with_classes = 0
+    trials = kept = 0
     for _ in range(400):
         c, f, sigma = _random_pair(rng)
         table = embeds_regular_into_finite(c, f, sigma)
@@ -108,7 +132,10 @@ def test_worklist_refinement_matches_the_naive_fixpoint():
             with_classes += bool(c.classes)
             assert {(s, e) for (s, e) in table if isinstance(s, BasicRole)} == want
             assert verify_simulation(c, f, table, sigma)
+            t, k = _check_shrinking(c, f, sigma)
+            trials, kept = trials + t, kept + k
     assert 40 <= found <= 360 and with_classes >= 20, (found, with_classes)
+    assert kept >= 50 and trials - kept >= 50, (trials, kept)
 
 
 def _fold(tbox: str, elements, concepts, roles, sigma):

@@ -14,7 +14,7 @@ from kbx import cli
 
 GOLDEN = CORPUS / "golden"
 
-# name -> (command, flag -> corpus file)
+# name -> (command, flag -> corpus file, further arguments...)
 CASES = {
     "usol-exists-ex1": ("usol-exists", {"--kb": "ex1_kb", "--mapping": "ex1_map"}),
     "usol-exists-ex4": ("usol-exists", {"--kb": "ex4_kb", "--mapping": "ex4_map"}),
@@ -79,13 +79,19 @@ CASES = {
     "usol-exists-ext-qbf-invalid": (
         "usol-exists-ext", {"--kb": "qbf/invalid_kb", "--mapping": "qbf/invalid_map"},
     ),
+    # The paper's formula, exists-forall-exists over (x1), (x2 or not x3),
+    # whose witness first appears at depth 7.
+    "usol-exists-ext-qbf-phi": (
+        "usol-exists-ext", {"--kb": "qbf/phi_kb", "--mapping": "qbf/phi_map"},
+        "--depth-cap", "10",
+    ),
 }
 
 
 def report_text(name: str) -> str:
     """The case's JSON report without ``inputs``, in the CLI's own layout."""
-    command, files = CASES[name]
-    argv = [command]
+    command, files, *args = CASES[name]
+    argv = [command, *args]
     for flag, stem in files.items():
         argv += [flag, str(CORPUS / f"{stem}.kbx")]
     buf = io.StringIO()
