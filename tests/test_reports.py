@@ -62,6 +62,47 @@ CASES = {
     "rep-exists-clash-none-role": (
         "rep-exists", {"--kb": "clash_none_role_kb", "--mapping": "clash_none_role_map"},
     ),
+    # Each counterexample of the membership check and each capture failure of
+    # the existence check, plus syntheses from a one-hop generating chain that
+    # requires a connecting role and from a two-hop chain.  They sit in
+    # ``rep/``, outside the corpus root whose KBs the automata test walks.
+    "rep-check-role-clash": (
+        "rep-check",
+        {"--kb": "rep/role_clash_kb", "--mapping": "rep/role_clash_map", "--t2": "rep/empty_t2"},
+    ),
+    "rep-check-concept-clash-candidate": (
+        "rep-check", {"--kb": "ex5_kb", "--mapping": "ex5_map", "--t2": "rep/concept_clash_t2"},
+    ),
+    "rep-check-role-transfer": (
+        "rep-check",
+        {"--kb": "rep/transfer_kb", "--mapping": "rep/transfer_map", "--t2": "rep/transfer_t2"},
+    ),
+    "rep-check-neighbor-source": (
+        "rep-check",
+        {
+            "--kb": "rep/neighbor_src_kb", "--mapping": "rep/neighbor_src_map",
+            "--t2": "rep/empty_t2",
+        },
+    ),
+    "rep-check-neighbor-candidate": (
+        "rep-check",
+        {
+            "--kb": "rep/neighbor_cand_kb", "--mapping": "rep/neighbor_cand_map",
+            "--t2": "rep/neighbor_cand_t2",
+        },
+    ),
+    "rep-exists-capture-concept": (
+        "rep-exists", {"--kb": "rep/capture_concept_kb", "--mapping": "rep/capture_concept_map"},
+    ),
+    "rep-exists-capture-role": (
+        "rep-exists", {"--kb": "rep/capture_role_kb", "--mapping": "rep/capture_role_map"},
+    ),
+    "rep-synth-one-hop-role": (
+        "rep-synth", {"--kb": "rep/one_hop_kb", "--mapping": "rep/one_hop_map"},
+    ),
+    "rep-synth-two-hop": (
+        "rep-synth", {"--kb": "rep/two_hop_kb", "--mapping": "rep/two_hop_map"},
+    ),
     # The QBF reduction: three valid formulas whose minimised null witnesses
     # pin the deepening, the minimisation and both embedding searches, and
     # one invalid member of the three-variable family (forall-forall-forall
