@@ -57,9 +57,7 @@ from .reasoner import (
     tbox_trivial,
 )
 from .representability import (
-    GeneratingPass,
     RepresentationVerdict,
-    find_generating_pass,
     is_ucq_representation,
     representation_exists,
     synthesize_representation,
@@ -78,7 +76,6 @@ __all__ = [
     "Constant",
     "Exists",
     "FiniteInterpretation",
-    "GeneratingPass",
     "InconsistentKB",
     "KnowledgeBase",
     "LabeledTreePrefix",
@@ -103,7 +100,6 @@ __all__ = [
     "derives_role",
     "dump_automaton",
     "encode_canonical_tree",
-    "find_generating_pass",
     "is_sigma2_positive",
     "is_ucq_representation",
     "is_universal_solution",

@@ -245,26 +245,19 @@ def derives_assertion(kb: KnowledgeBase, assertion) -> bool:
     return Reasoner(kb.tbox).entails(kb.abox, assertion)
 
 
-def ttype_at(c: CanonicalStructure, path: tuple, sigma: Signature | None = None) -> frozenset:
+def ttype_at(c: CanonicalStructure, path: tuple) -> frozenset:
     """Type of a path element; depends only on the path's last component."""
-    if len(path) == 1:
-        return c.state_type(path[0], sigma)
-    return c.state_type(path[-1], sigma)
+    return c.state_type(path[-1])
 
 
-def rtype_edge(
-    c: CanonicalStructure, p1: tuple, p2: tuple, sigma: Signature | None = None
-) -> frozenset:
+def rtype_edge(c: CanonicalStructure, p1: tuple, p2: tuple) -> frozenset:
     """Roles holding between two path elements (empty unless adjacent)."""
     if len(p1) == 1 and len(p2) == 1:
-        roles = c.individual_roles.get((p1[0], p2[0]), frozenset())
-        if sigma is None:
-            return roles
-        return frozenset(r for r in roles if role_over(r, sigma))
+        return c.individual_roles.get((p1[0], p2[0]), frozenset())
     if len(p2) == len(p1) + 1 and p2[:-1] == p1:
-        return c.edge_roles(p2[-1], sigma)
+        return c.edge_roles(p2[-1])
     if len(p1) == len(p2) + 1 and p1[:-1] == p2:
-        return frozenset(r.inverse() for r in c.edge_roles(p1[-1], sigma))
+        return frozenset(r.inverse() for r in c.edge_roles(p1[-1]))
     return frozenset()
 
 
@@ -275,8 +268,7 @@ def materialize(c: CanonicalStructure, depth: int) -> FiniteInterpretation:
     for _ in range(depth):
         nxt = []
         for p in frontier:
-            state = p[-1] if len(p) > 1 else p[0]
-            for rep in c.gen[state]:
+            for rep in c.gen[p[-1]]:
                 nxt.append(p + (rep,))
         paths.extend(nxt)
         frontier = nxt

@@ -1,13 +1,12 @@
 """Command-line interface: parse inputs, run a decision, report a verdict.
 
 Exit codes: 0 = yes, 1 = no, 2 = unknown, 3 = error (an input error, a broken
-precondition, or an internal fault, which is never reported as a verdict).
+precondition, a ``yes`` whose witness fails its recheck, or an internal fault;
+none of these is ever reported as a verdict).
 Reports carry the answer, input digests, any witness or counterexample, and a
 certificate summary; ``--json`` switches to a byte-deterministic JSON report
 (timing is reported as text only, so JSON output depends only on the inputs
 and seed).
-The environment variable ``KBX_DEPTH_CAP`` overrides the default search depth
-cap for the extended-solution command.
 """
 
 from __future__ import annotations
@@ -67,10 +66,7 @@ def _cert_summary(cert) -> str | None:
     if cert is None:
         return None
     if isinstance(cert, tuple) and len(cert) == 2 and cert[0] == "source-model":
-        try:
-            return f"source model with {len(cert[1])} facts"
-        except TypeError:
-            return "source model"
+        return f"source model with {len(cert[1])} facts"
     if isinstance(cert, tuple) and len(cert) == 2:
         table, h = cert
         return (
@@ -115,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--depth-cap",
         type=int,
-        default=None,
-        help="search depth cap (default: KBX_DEPTH_CAP or 6)",
+        default=DEFAULT_DEPTH_CAP,
+        help=f"search depth cap (default {DEFAULT_DEPTH_CAP})",
     )
     sp = sub.add_parser("usol-check", help="is the candidate a universal solution?")
     common(sp, mapping=True)
@@ -134,18 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _depth_cap(args) -> int:
-    if getattr(args, "depth_cap", None) is not None:
-        return args.depth_cap
-    env = os.environ.get("KBX_DEPTH_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"KBX_DEPTH_CAP is not an integer: {env!r}") from exc
-    return DEFAULT_DEPTH_CAP
-
-
 def _error_fields(reason: str | None) -> dict:
     """Report fields answering ``error``; a command overwrites them as it goes."""
     return {
@@ -157,6 +141,16 @@ def _error_fields(reason: str | None) -> dict:
         "recheck": None,
         "engine": "main",
     }
+
+
+def _recheck(out: dict, check) -> None:
+    """Record the recheck of a ``yes``; one that fails turns it into ``error``."""
+    if check.answer == "yes":
+        out["recheck"] = "passed"
+        return
+    out["answer"] = "error"
+    out["recheck"] = "failed"
+    out["reason"] = f"recheck failed: {check.counterexample}"
 
 
 def _dispatch(args, inputs: dict) -> dict:
@@ -203,15 +197,14 @@ def _dispatch(args, inputs: dict) -> dict:
         if args.command == "usol-exists":
             verdict = universal_solution_plain(kb1, mapping)
         else:
-            verdict = universal_solution_extended(kb1, mapping, depth_cap=_depth_cap(args))
+            verdict = universal_solution_extended(kb1, mapping, depth_cap=args.depth_cap)
         out["answer"] = verdict.answer
         out["reason"] = verdict.reason
         out["counterexample"] = verdict.counterexample
         out["certificate"] = _cert_summary(verdict.certificate)
         if verdict.answer == "yes":
             out["witness"] = serialize(verdict.witness)
-            check = is_universal_solution(kb1, mapping, KnowledgeBase((), verdict.witness))
-            out["recheck"] = "passed" if check.answer == "yes" else "failed"
+            _recheck(out, is_universal_solution(kb1, mapping, KnowledgeBase((), verdict.witness)))
         return out
 
     if args.command == "usol-check":
@@ -248,8 +241,7 @@ def _dispatch(args, inputs: dict) -> dict:
             return out
         out["answer"] = "yes"
         out["witness"] = _serialize_tbox(tbox)
-        check = is_ucq_representation(mapping, kb1.tbox, tbox)
-        out["recheck"] = "passed" if check.answer == "yes" else "failed"
+        _recheck(out, is_ucq_representation(mapping, kb1.tbox, tbox))
         return out
 
     raise InputError(f"unknown command {args.command!r}")  # pragma: no cover

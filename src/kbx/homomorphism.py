@@ -367,8 +367,7 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
     def candidates(path) -> list:
         """Every path that can share a role with ``path``: its children, its
         parent, and for an individual the individuals it has a role with."""
-        state = path[-1] if len(path) > 1 else path[0]
-        out = [path + (rep,) for rep in c.gen[state]]
+        out = [path + (rep,) for rep in c.gen[path[-1]]]
         if len(path) > 1:
             out.append(path[:-1])
         else:

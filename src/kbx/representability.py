@@ -99,33 +99,6 @@ class RepresentationVerdict:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class GeneratingPass:
-    """A chain tracing one generated neighbor of canonical source data into
-    facts the target TBox must supply.
-
-    ``chain[0]`` is the starting concept; each later entry is an existential
-    concept over an inverted source role, reached through that role.
-    ``node_labels[i]`` lists target concepts required at step ``i`` and
-    ``edge_labels[i]`` lists target roles required between steps ``i`` and
-    ``i + 1``; roles can only be required on a chain of exactly one hop.
-    """
-
-    chain: tuple
-    node_labels: tuple
-    edge_labels: tuple
-
-    def __str__(self) -> str:
-        bits = []
-        for i, node in enumerate(self.chain):
-            lab = ", ".join(sorted((str(c) for c in self.node_labels[i])))
-            bits.append(f"{node} [{lab}]")
-            if i < len(self.edge_labels):
-                elab = ", ".join(sorted(str(r) for r in self.edge_labels[i]))
-                bits.append(f"--[{elab}]->")
-        return " ".join(bits)
-
-
 _PROBE = Constant("o")
 
 # Deterministic constant pool for counterexample data and query probes; the
@@ -161,13 +134,14 @@ def _require_valid(mapping: Mapping, t1: TBox, t2: Optional[TBox]) -> None:
 
 @dataclass(frozen=True)
 class _Kind:
-    """Basic target concepts or basic target roles, with what synthesis needs
-    to reason about an axiom between two of them."""
+    """Basic concepts or basic roles: the terms of that kind on either side,
+    and how to relate and join two of them."""
 
     names: list  # every basic term of this kind over the target signature
-    derives: Callable  # the mapping's derivation between two terms of this kind
-    inclusion_safe: Callable
-    disjointness_safe: Callable
+    sources: list  # every basic term of this kind over the source signature
+    # Unbound ``Reasoner`` methods, called with the context at hand.
+    derives: Callable  # derives_concept or derives_role
+    consistent: Callable  # pair_consistent_concepts or pair_consistent_roles
     axiom: type  # ConceptInclusion or RoleInclusion
 
 
@@ -179,12 +153,13 @@ class _Decision:
 
     def __init__(self, mapping: Mapping, t1: TBox, t2: Optional[TBox] = None):
         t12 = mapping.t12
-        self.mapping = mapping
-        self.src_sig = _source_signature(mapping, t1)
+        src_sig = _source_signature(mapping, t1)
+        self.tgt_sig = mapping.sigma2
         self.t1 = Reasoner(t1)
         self.t12 = Reasoner(t12)
         self.comb = Reasoner(combined_tbox(t1, t12))
         if t2 is not None:
+            self.tgt_sig = self.tgt_sig.union(signature_of(t2))
             self.tgt_derive = Reasoner(combined_tbox(t2, t12))
             # Negated mapping axioms only constrain source-side facts, so they
             # can never fire on translated data; satisfiability on the target
@@ -194,12 +169,12 @@ class _Decision:
         self._probes: dict = {}
         self._safe: dict = {}
         self.concepts = _Kind(
-            all_basic_concepts(mapping.sigma2), self.t12.derives_concept,
-            _inclusion_safe_concepts, _disjointness_safe_concepts, ConceptInclusion,
+            all_basic_concepts(self.tgt_sig), all_basic_concepts(src_sig),
+            Reasoner.derives_concept, Reasoner.pair_consistent_concepts, ConceptInclusion,
         )
         self.roles = _Kind(
-            all_basic_roles(mapping.sigma2), self.t12.derives_role,
-            _inclusion_safe_roles, _disjointness_safe_roles, RoleInclusion,
+            all_basic_roles(self.tgt_sig), all_basic_roles(src_sig),
+            Reasoner.derives_role, Reasoner.pair_consistent_roles, RoleInclusion,
         )
 
     def probe(self, ctx: Reasoner, concept: BasicConcept) -> CanonicalStructure:
@@ -211,13 +186,21 @@ class _Decision:
             got = self._probes[key] = build_canonical(kb, check_consistency=False, reasoner=ctx)
         return got
 
-    def safe(self, check, lhs, rhs) -> bool:
-        """``check(self, lhs, rhs)``, one of the safety checks below, memoized."""
+    def safe(self, check, kind: _Kind, lhs, rhs) -> bool:
+        """``check(self, kind, lhs, rhs)``, one of the safety checks below, memoized."""
         key = (check, lhs, rhs)
         got = self._safe.get(key)
         if got is None:
-            got = self._safe[key] = check(self, lhs, rhs)
+            got = self._safe[key] = check(self, kind, lhs, rhs)
         return got
+
+    def consistent_sources(self):
+        """``(kind, term)`` for every source term consistent with the source
+        TBox and mapping, concepts first."""
+        for kind in (self.concepts, self.roles):
+            for b in kind.sources:
+                if kind.consistent(self.comb, b, b):
+                    yield kind, b
 
 
 # ---------------------------------------------------------------------------
@@ -230,82 +213,57 @@ class _Decision:
 # ---------------------------------------------------------------------------
 
 
-def _inclusion_safe_concepts(d: _Decision, lhs: BasicConcept, rhs: BasicConcept) -> bool:
+def _inclusion_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
     if lhs == rhs:
         return True
     comb = d.comb
-    universe = all_basic_concepts(d.src_sig)
-    for b in universe:
-        if not d.t1.pair_consistent_concepts(b, b):
+    for b in kind.sources:
+        if not kind.consistent(d.t1, b, b):
             continue
-        if comb.derives_concept(b, lhs) and not comb.derives_concept(b, rhs):
+        if kind.derives(comb, b, lhs) and not kind.derives(comb, b, rhs):
             return False
+    if kind is d.roles:
+        # A role inclusion also moves the existentials at both ends.
+        return d.safe(_inclusion_safe, d.concepts, Exists(lhs), Exists(rhs)) and d.safe(
+            _inclusion_safe, d.concepts, Exists(lhs.inverse()), Exists(rhs.inverse())
+        )
     if isinstance(lhs, Exists):
         # The lhs can also fire at a fresh witness created for an incoming
         # edge of its role; that witness must then already carry the rhs.
-        back = Exists(lhs.role.inverse())
-        for b in universe:
+        back = lhs.role.inverse()
+        for b in kind.sources:
             if not comb.pair_consistent_concepts(b, b):
                 continue
-            if not comb.derives_concept(b, back):
+            if not comb.derives_concept(b, Exists(back)):
                 continue
             probe = d.probe(comb, b)
-            ok = False
-            for rep in probe.gen[_PROBE]:
-                if lhs.role.inverse() in probe.edge_roles(rep) and rhs in probe.state_type(rep):
-                    ok = True
-                    break
-            if not ok:
+            if not any(
+                back in probe.edge_roles(rep) and rhs in probe.state_type(rep)
+                for rep in probe.gen[_PROBE]
+            ):
                 return False
     return True
 
 
-def _inclusion_safe_roles(d: _Decision, lhs: BasicRole, rhs: BasicRole) -> bool:
-    if lhs == rhs:
-        return True
-    for r in all_basic_roles(d.src_sig):
-        if not d.t1.pair_consistent_roles(r, r):
-            continue
-        if d.comb.derives_role(r, lhs) and not d.comb.derives_role(r, rhs):
-            return False
-    return d.safe(_inclusion_safe_concepts, Exists(lhs), Exists(rhs)) and d.safe(
-        _inclusion_safe_concepts, Exists(lhs.inverse()), Exists(rhs.inverse())
-    )
-
-
-def _disjointness_safe_concepts(d: _Decision, lhs: BasicConcept, rhs: BasicConcept) -> bool:
+def _disjointness_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
     comb = d.comb
-    universe = all_basic_concepts(d.src_sig)
-    for b, c in product(universe, repeat=2):
-        if not (comb.derives_concept(b, lhs) and comb.derives_concept(c, rhs)):
+    for b, c in product(kind.sources, repeat=2):
+        if not (kind.derives(comb, b, lhs) and kind.derives(comb, c, rhs)):
             continue
-        if comb.pair_consistent_concepts(b, c):
+        if kind.consistent(comb, b, c):
             return False
-    for b in universe:
+    # Nor may the two meet at, or on the edge to, a generated neighbor.
+    for b in d.concepts.sources:
         if not comb.pair_consistent_concepts(b, b):
             continue
         probe = d.probe(comb, b)
         for rep in probe.gen[_PROBE]:
-            tp = probe.state_type(rep)
-            if lhs in tp and rhs in tp:
-                return False
-    return True
-
-
-def _disjointness_safe_roles(d: _Decision, lhs: BasicRole, rhs: BasicRole) -> bool:
-    comb = d.comb
-    for r, q in product(all_basic_roles(d.src_sig), repeat=2):
-        if not (comb.derives_role(r, lhs) and comb.derives_role(q, rhs)):
-            continue
-        if comb.pair_consistent_roles(r, q):
-            return False
-    for b in all_basic_concepts(d.src_sig):
-        if not comb.pair_consistent_concepts(b, b):
-            continue
-        probe = d.probe(comb, b)
-        for rep in probe.gen[_PROBE]:
-            rt = probe.edge_roles(rep)
-            if (lhs in rt and rhs in rt) or (lhs.inverse() in rt and rhs.inverse() in rt):
+            if kind is d.concepts:
+                meet = {lhs, rhs} <= probe.state_type(rep)
+            else:
+                rt = probe.edge_roles(rep)
+                meet = {lhs, rhs} <= rt or {lhs.inverse(), rhs.inverse()} <= rt
+            if meet:
                 return False
     return True
 
@@ -315,11 +273,23 @@ def _disjointness_safe_roles(d: _Decision, lhs: BasicRole, rhs: BasicRole) -> bo
 # ---------------------------------------------------------------------------
 
 
-def _realize(concept: BasicConcept, term: Constant, fresh: Constant) -> list:
-    """Assert membership of ``term`` in a basic concept with plain facts."""
-    if isinstance(concept, Atomic):
-        return [ConceptAssertion(concept, term)]
-    return [RoleAssertion(concept.role, term, fresh)]
+def _realize(term, fresh: Constant) -> list:
+    """Plain facts putting ``a`` into a basic concept, reaching out to
+    ``fresh`` for an existential one, or ``(a, b)`` into a basic role."""
+    if isinstance(term, BasicRole):
+        return [RoleAssertion(term, _A, _B)]
+    if isinstance(term, Atomic):
+        return [ConceptAssertion(term, _A)]
+    return [RoleAssertion(term.role, _A, fresh)]
+
+
+def _member_query(term) -> InstanceQuery:
+    """The query asking ``a`` to be in a basic concept, or ``(a, b)`` in a basic role."""
+    if isinstance(term, BasicRole):
+        return InstanceQuery((), ((term, _A, _B),))
+    if isinstance(term, Atomic):
+        return InstanceQuery(((term, _A),), ())
+    return InstanceQuery((), ((term.role, _A, _Y),))
 
 
 def _fresh_probe(tgt_sig: Signature) -> InstanceQuery:
@@ -329,12 +299,6 @@ def _fresh_probe(tgt_sig: Signature) -> InstanceQuery:
         return InstanceQuery(((Atomic(names[0]), _FRESH0),), ())
     rnames = sorted(tgt_sig.roles)
     return InstanceQuery((), ((BasicRole(rnames[0]), _FRESH0, _FRESH1),))
-
-
-def _concept_query(concept: BasicConcept, term: Constant) -> InstanceQuery:
-    if isinstance(concept, Atomic):
-        return InstanceQuery(((concept, term),), ())
-    return InstanceQuery((), ((concept.role, term, _Y),))
 
 
 def _neighbor_query(need_t: frozenset, need_r: frozenset) -> InstanceQuery:
@@ -357,15 +321,14 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
     _require_valid(mapping, t1, t2)
     d = _Decision(mapping, t1, t2)
     comb, tgt_derive, tgt_consist = d.comb, d.tgt_derive, d.tgt_consist
-    tgt_sig = mapping.sigma2.union(signature_of(t2))
-    src_concepts = all_basic_concepts(d.src_sig)
-    src_roles = all_basic_roles(d.src_sig)
-    tgt_concepts = all_basic_concepts(tgt_sig)
-    tgt_roles = all_basic_roles(tgt_sig)
+    tgt_sig = d.tgt_sig
+
+    def no(data: list, query: InstanceQuery, reason: str) -> RepresentationVerdict:
+        return RepresentationVerdict("no", Counterexample(ABox.make(data), query, reason))
 
     # Contradictory source data must translate to contradictory target data,
     # and satisfiable source data to satisfiable target data.
-    for bc, cc in combinations_with_replacement(src_concepts, 2):
+    for bc, cc in combinations_with_replacement(d.concepts.sources, 2):
         if not d.t1.pair_consistent_concepts(bc, cc):
             continue
         if not d.t12.pair_consistent_concepts(bc, cc):
@@ -373,10 +336,8 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
             # translation at all, so there is nothing to compare.
             continue
         src_ok = comb.pair_consistent_concepts(bc, cc)
-        tgt_ok = tgt_consist.pair_consistent_concepts(bc, cc)
-        if src_ok == tgt_ok:
+        if src_ok == tgt_consist.pair_consistent_concepts(bc, cc):
             continue
-        abox = ABox.make(_realize(bc, _A, _W0) + _realize(cc, _A, _W1))
         if src_ok:
             reason = (
                 f"{{{bc}, {cc}}} at one object is satisfiable with the source TBox "
@@ -387,92 +348,52 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
                 f"{{{bc}, {cc}}} at one object is contradictory with the source TBox "
                 "but its translation stays satisfiable under the candidate"
             )
-        return RepresentationVerdict(
-            "no", Counterexample(abox, _fresh_probe(tgt_sig), reason)
-        )
+        return no(_realize(bc, _W0) + _realize(cc, _W1), _fresh_probe(tgt_sig), reason)
 
-    for rr, qq in combinations_with_replacement(src_roles, 2):
+    for rr, qq in combinations_with_replacement(d.roles.sources, 2):
         if not d.t1.pair_consistent_roles(rr, qq):
             continue
         if not d.t12.pair_consistent_roles(rr, qq):
             continue
         src_ok = comb.pair_consistent_roles(rr, qq)
-        tgt_ok = tgt_consist.pair_consistent_roles(rr, qq)
-        if src_ok == tgt_ok:
+        if src_ok == tgt_consist.pair_consistent_roles(rr, qq):
             continue
-        abox = ABox.make([RoleAssertion(rr, _A, _B), RoleAssertion(qq, _A, _B)])
         side = "satisfiable" if src_ok else "contradictory"
         reason = (
             f"{{{rr}, {qq}}} on one pair is {side} with the source TBox "
             "but the candidate disagrees on its translation"
         )
-        return RepresentationVerdict(
-            "no", Counterexample(abox, _fresh_probe(tgt_sig), reason)
-        )
+        return no(_realize(rr, _W0) + _realize(qq, _W1), _fresh_probe(tgt_sig), reason)
 
-    # Both sides must entail the same target memberships...
-    for bc in src_concepts:
-        if not comb.pair_consistent_concepts(bc, bc):
-            continue
-        for bp in tgt_concepts:
-            src_d = comb.derives_concept(bc, bp)
-            tgt_d = tgt_derive.derives_concept(bc, bp)
-            if src_d == tgt_d:
+    # Both sides must entail the same target memberships.
+    for kind, b in d.consistent_sources():
+        for bp in kind.names:
+            src_d = kind.derives(comb, b, bp)
+            if src_d == kind.derives(tgt_derive, b, bp):
                 continue
-            abox = ABox.make(_realize(bc, _A, _W0))
             holder = "the source TBox" if src_d else "only the candidate"
-            reason = f"{bc} transfers into {bp} under {holder}"
-            return RepresentationVerdict(
-                "no", Counterexample(abox, _concept_query(bp, _A), reason)
-            )
-
-    # ...and the same target role memberships.
-    for rr in src_roles:
-        if not comb.pair_consistent_roles(rr, rr):
-            continue
-        for rp in tgt_roles:
-            src_d = comb.derives_role(rr, rp)
-            tgt_d = tgt_derive.derives_role(rr, rp)
-            if src_d == tgt_d:
-                continue
-            abox = ABox.make([RoleAssertion(rr, _A, _B)])
-            holder = "the source TBox" if src_d else "only the candidate"
-            reason = f"{rr} transfers into {rp} under {holder}"
-            query = InstanceQuery((), ((rp, _A, _B),))
-            return RepresentationVerdict("no", Counterexample(abox, query, reason))
+            reason = f"{b} transfers into {bp} under {holder}"
+            return no(_realize(b, _W0), _member_query(bp), reason)
 
     # Every generated neighbor on one side must be matched on the other.
-    for bc in src_concepts:
+    for bc in d.concepts.sources:
         if not comb.pair_consistent_concepts(bc, bc):
             continue
         probe_src = d.probe(comb, bc)
         probe_tgt = d.probe(tgt_derive, bc)
-        for rep in probe_src.gen[_PROBE]:
-            need_t = probe_src.state_type(rep, tgt_sig)
-            need_r = probe_src.edge_roles(rep, tgt_sig)
-            if _has_matching_state(probe_tgt, need_t, need_r):
-                continue
-            abox = ABox.make(_realize(bc, _A, _W0))
-            reason = (
-                f"data satisfying {bc} is guaranteed a neighbor with "
-                f"{sorted(map(str, need_t))} that the candidate cannot reproduce"
-            )
-            return RepresentationVerdict(
-                "no", Counterexample(abox, _neighbor_query(need_t, need_r), reason)
-            )
-        for rep in probe_tgt.gen[_PROBE]:
-            need_t = probe_tgt.state_type(rep, tgt_sig)
-            need_r = probe_tgt.edge_roles(rep, tgt_sig)
-            if _has_matching_state(probe_src, need_t, need_r):
-                continue
-            abox = ABox.make(_realize(bc, _A, _W0))
-            reason = (
-                f"the candidate forces a neighbor with {sorted(map(str, need_t))} "
-                f"onto data satisfying {bc} beyond what the source TBox guarantees"
-            )
-            return RepresentationVerdict(
-                "no", Counterexample(abox, _neighbor_query(need_t, need_r), reason)
-            )
+        for have, other, template in (
+            (probe_src, probe_tgt, "data satisfying {bc} is guaranteed a neighbor with "
+             "{need} that the candidate cannot reproduce"),
+            (probe_tgt, probe_src, "the candidate forces a neighbor with {need} "
+             "onto data satisfying {bc} beyond what the source TBox guarantees"),
+        ):
+            for rep in have.gen[_PROBE]:
+                need_t = have.state_type(rep, tgt_sig)
+                need_r = have.edge_roles(rep, tgt_sig)
+                if _has_matching_state(other, need_t, need_r):
+                    continue
+                reason = template.format(bc=bc, need=sorted(map(str, need_t)))
+                return no(_realize(bc, _W0), _neighbor_query(need_t, need_r), reason)
 
     return RepresentationVerdict("yes")
 
@@ -515,92 +436,46 @@ def synthesize_representation(mapping: Mapping, t1: TBox) -> Optional[TBox]:
     return axioms
 
 
-def find_generating_pass(
-    mapping: Mapping, t1: TBox, concept: BasicConcept, role: BasicRole
-) -> Optional[GeneratingPass]:
-    """Search for a chain showing the target side can reproduce the neighbor
-    that ``concept``-data generates through ``role``.
+def _conform_pass(d: _Decision, bc: BasicConcept, rep: BasicRole) -> Optional[list]:
+    """Target axioms with which the target side reproduces the neighbor that
+    ``bc``-data generates through ``rep``, or ``None``.
 
-    Precondition: the canonical structure of the source TBox and mapping over
-    ``concept(o)`` must actually generate a neighbor for ``role``.
+    The axioms follow a chain from ``bc``: each hop is a target role whose
+    witness they force into existence, and the last node carries every
+    required target concept.
     """
-    _require_valid(mapping, t1, None)
-    d = _Decision(mapping, t1)
-    if not d.comb.pair_consistent_concepts(concept, concept):
-        raise PreconditionViolated(
-            f"{concept} is contradictory with the source TBox and mapping"
-        )
-    probe = d.probe(d.comb, concept)
-    rep = d.comb.rep_of(role)
-    if rep not in probe.gen[_PROBE]:
-        raise PreconditionViolated(
-            f"data satisfying {concept} generates no neighbor through {role}"
-        )
-    return _conform_pass(d, concept, rep)
-
-
-def _conform_pass(d: _Decision, bc: BasicConcept, rep: BasicRole) -> Optional[GeneratingPass]:
-    tgt_sig = d.mapping.sigma2
     probe = d.probe(d.comb, bc)
-    need_t = frozenset(probe.state_type(rep, tgt_sig))
-    need_r = frozenset(probe.edge_roles(rep, tgt_sig))
-
-    def accepts(node: BasicConcept) -> bool:
-        return all(
-            _included_via(d, d.concepts, node, bp) is not None for bp in sorted(need_t, key=str)
-        )
+    need_t = probe.state_type(rep, d.tgt_sig)
+    need_r = probe.edge_roles(rep, d.tgt_sig)
 
     # Zero hops: the starting object itself absorbs all required facts.
-    if not need_r and accepts(bc):
-        return GeneratingPass((bc,), (need_t,), ())
+    if not need_r:
+        got = _included_all(d, d.concepts, bc, need_t)
+        if got is not None:
+            return got
 
-    # Later chain nodes live on the target side: each hop is a target role
-    # whose witness the synthesized axioms will force into existence.
-    links = d.roles.names
-
-    def can_link(node: BasicConcept, q: BasicRole) -> bool:
-        return node == Exists(q) or _included_via(d, d.concepts, node, Exists(q)) is not None
-
-    def first_label(node: BasicConcept, q: BasicRole) -> frozenset:
-        return frozenset() if node == Exists(q) else frozenset([Exists(q)])
-
-    # One hop: the only shape on which connecting roles can be required.
-    for q in links:
-        nxt = Exists(q.inverse())
-        if not can_link(bc, q):
-            continue
-        if all(
-            _included_via(d, d.roles, q, rp) is not None for rp in sorted(need_r, key=str)
-        ) and accepts(nxt):
-            return GeneratingPass((bc, nxt), (first_label(bc, q), need_t), (need_r,))
-    if need_r:
-        return None
-
-    # Longer chains, required facts all landing on the last node.  Whether a
-    # hop or an acceptance works depends only on the node at hand, so a plain
-    # breadth-first search over node values finds a shortest chain.
+    # Whether a hop or an acceptance works depends only on the node at hand,
+    # so a breadth-first search over node values finds a shortest chain.
     seen: set = set()
-    queue: deque = deque()
-    for q in links:
-        nxt = Exists(q.inverse())
-        if can_link(bc, q) and nxt not in seen:
-            seen.add(nxt)
-            queue.append((nxt, (bc, nxt)))
+    queue: deque = deque([(bc, [])])
     while queue:
-        node, chain = queue.popleft()
-        if len(chain) > 2 and accepts(node):
-            labels = []
-            for i in range(len(chain) - 1):
-                nxt_link = chain[i + 1].role.inverse()
-                labels.append(first_label(chain[i], nxt_link))
-            labels.append(need_t)
-            edge_labels = tuple(frozenset() for _ in range(len(chain) - 1))
-            return GeneratingPass(tuple(chain), tuple(labels), edge_labels)
-        for q in links:
+        node, axioms = queue.popleft()
+        for q in d.roles.names:
             nxt = Exists(q.inverse())
-            if can_link(node, q) and nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, chain + (nxt,)))
+            if nxt in seen:
+                continue
+            link = [] if node == Exists(q) else _included_all(d, d.concepts, node, [Exists(q)])
+            if link is None:
+                continue
+            seen.add(nxt)
+            edge = _included_all(d, d.roles, q, need_r)
+            last = None if edge is None else _included_all(d, d.concepts, nxt, need_t)
+            if last is not None:
+                return axioms + link + edge + last
+            queue.append((nxt, axioms + link))
+        if need_r:
+            # Connecting roles can only be required on a chain of one hop.
+            return None
     return None
 
 
@@ -613,83 +488,43 @@ def _synthesis(mapping: Mapping, t1: TBox):
     _require_valid(mapping, t1, None)
     d = _Decision(mapping, t1)
     comb = d.comb
-    src_concepts = all_basic_concepts(d.src_sig)
-    src_roles = all_basic_roles(d.src_sig)
     axioms: list = []
 
     # Entailed target memberships need a safe target-side rewriting.
-    for bc in src_concepts:
-        if not comb.pair_consistent_concepts(bc, bc):
-            continue
-        for bp in d.concepts.names:
-            if not comb.derives_concept(bc, bp):
+    for kind, b in d.consistent_sources():
+        for bp in kind.names:
+            if not kind.derives(comb, b, bp):
                 continue
-            cp = _included_via(d, d.concepts, bc, bp)
-            if cp is None:
-                return None, f"no target axiom can capture that {bc} entails {bp}"
-            if cp != bp:
-                axioms.append(ConceptInclusion(cp, bp))
-    for rr in src_roles:
-        if not comb.pair_consistent_roles(rr, rr):
-            continue
-        for rp in d.roles.names:
-            if not comb.derives_role(rr, rp):
-                continue
-            qp = _included_via(d, d.roles, rr, rp)
-            if qp is None:
-                return None, f"no target axiom can capture that {rr} entails {rp}"
-            if qp != rp:
-                axioms.append(RoleInclusion(qp, rp))
+            got = _included_all(d, kind, b, [bp])
+            if got is None:
+                return None, f"no target axiom can capture that {b} entails {bp}"
+            axioms.extend(got)
 
     # Generated neighbors need a chain of target axioms reproducing them.
-    for bc in src_concepts:
+    for bc in d.concepts.sources:
         if not comb.pair_consistent_concepts(bc, bc):
             continue
-        probe = d.probe(comb, bc)
-        for rep in probe.gen[_PROBE]:
-            gp = _conform_pass(d, bc, rep)
-            if gp is None:
+        for rep in d.probe(comb, bc).gen[_PROBE]:
+            got = _conform_pass(d, bc, rep)
+            if got is None:
                 return None, (
                     f"the neighbor that {bc} generates through {rep} "
                     "cannot be reproduced on the target side"
                 )
-            for i, node in enumerate(gp.chain):
-                for bp in sorted(gp.node_labels[i], key=str):
-                    cp = _included_via(d, d.concepts, node, bp)
-                    if cp is not None and cp != bp:
-                        axioms.append(ConceptInclusion(cp, bp))
-                if i < len(gp.edge_labels):
-                    link = gp.chain[i + 1].role.inverse()
-                    for rp in sorted(gp.edge_labels[i], key=str):
-                        qp = _included_via(d, d.roles, link, rp)
-                        if qp is not None and qp != rp:
-                            axioms.append(RoleInclusion(qp, rp))
+            axioms.extend(got)
 
     # Source-side contradictions need a target-side contradiction.
-    for b1, b2 in combinations_with_replacement(src_concepts, 2):
-        if not d.t1.pair_consistent_concepts(b1, b2):
-            continue
-        if comb.pair_consistent_concepts(b1, b2):
-            continue
-        got = _cover_clash(d, d.concepts, b1, b2)
-        if got is None:
-            return None, (
-                f"the contradiction between {b1} and {b2} "
-                "cannot be mirrored on the target side"
-            )
-        axioms.extend(got)
-    for r1, r2 in combinations_with_replacement(src_roles, 2):
-        if not d.t1.pair_consistent_roles(r1, r2):
-            continue
-        if comb.pair_consistent_roles(r1, r2):
-            continue
-        got = _cover_clash(d, d.roles, r1, r2)
-        if got is None:
-            return None, (
-                f"the contradiction between {r1} and {r2} "
-                "cannot be mirrored on the target side"
-            )
-        axioms.extend(got)
+    for kind in (d.concepts, d.roles):
+        for b1, b2 in combinations_with_replacement(kind.sources, 2):
+            if not kind.consistent(d.t1, b1, b2) or kind.consistent(comb, b1, b2):
+                continue
+            got = _cover_clash(d, kind, b1, b2)
+            if got is None:
+                return None, (
+                    f"the contradiction between {b1} and {b2} "
+                    "cannot be mirrored on the target side"
+                )
+            axioms.extend(got)
 
     out = []
     for ax in combined_tbox(tuple(axioms)):
@@ -703,9 +538,22 @@ def _included_via(d: _Decision, kind: _Kind, sub, target):
     """The first target term that the mapping derives from ``sub`` and that
     is safely included in ``target``, or ``None``."""
     for name in kind.names:
-        if kind.derives(sub, name) and d.safe(kind.inclusion_safe, name, target):
+        if kind.derives(d.t12, sub, name) and d.safe(_inclusion_safe, kind, name, target):
             return name
     return None
+
+
+def _included_all(d: _Decision, kind: _Kind, sub, targets) -> Optional[list]:
+    """Target axioms with which ``sub``'s translation safely reaches every
+    term of ``targets``, or ``None`` if some term is out of reach."""
+    out = []
+    for target in sorted(targets, key=str):
+        name = _included_via(d, kind, sub, target)
+        if name is None:
+            return None
+        if name != target:
+            out.append(kind.axiom(name, target))
+    return out
 
 
 def _distinct(x, y) -> list:
@@ -741,19 +589,19 @@ def _cover_members(d: _Decision, kind: _Kind, members: list):
     # A target disjointness between translations of two members.
     for x, y in product(members, repeat=2):
         for bp in kind.names:
-            if not kind.derives(x, bp):
+            if not kind.derives(d.t12, x, bp):
                 continue
             for cp in kind.names:
-                if kind.derives(y, cp) and d.safe(kind.disjointness_safe, bp, cp):
+                if kind.derives(d.t12, y, cp) and d.safe(_disjointness_safe, kind, bp, cp):
                     return [kind.axiom(bp, cp, negated_rhs=True)]
     # A target inclusion feeding a disjointness the mapping already states.
     for x, y in product(members, repeat=2):
         for bp in kind.names:
-            if not kind.derives(x, bp):
+            if not kind.derives(d.t12, x, bp):
                 continue
             for ax in d.t12.tbox:
                 if not (isinstance(ax, kind.axiom) and ax.negated_rhs and ax.lhs == y):
                     continue
-                if d.safe(kind.inclusion_safe, bp, ax.rhs):
+                if d.safe(_inclusion_safe, kind, bp, ax.rhs):
                     return [] if bp == ax.rhs else [kind.axiom(bp, ax.rhs)]
     return None

@@ -91,23 +91,23 @@ def test_usol_exists_plain_says_no_where_nulls_are_needed(capsys):
     assert code == 1
 
 
-def test_depth_cap_flag_and_env(capsys, monkeypatch):
+def test_depth_cap_flag(capsys):
     code, _ = run(
         capsys, "usol-exists-ext", "--kb", path("ex3_kb"), "--mapping", path("ex3_map"),
         "--depth-cap", "0",
     )
     assert code == 2
-    monkeypatch.setenv("KBX_DEPTH_CAP", "0")
-    code, _ = run(
-        capsys, "usol-exists-ext", "--kb", path("ex3_kb"), "--mapping", path("ex3_map")
-    )
-    assert code == 2
-    monkeypatch.setenv("KBX_DEPTH_CAP", "not-a-number")
-    code, out = run(
-        capsys, "usol-exists-ext", "--kb", path("ex3_kb"), "--mapping", path("ex3_map")
+
+
+def test_failed_recheck_answers_error(capsys):
+    code, report = run_json(
+        capsys, "rep-synth", "--kb", path("clash_far_neg_kb"), "--mapping",
+        path("clash_far_neg_map"),
     )
     assert code == 3
-    assert "KBX_DEPTH_CAP" in out
+    assert report["answer"] == "error"
+    assert report["recheck"] == "failed"
+    assert report["reason"].startswith("recheck failed: data {")
 
 
 def test_rep_check_no_carries_counterexample(capsys):

@@ -7,7 +7,6 @@ from conftest import load_kb, load_mapping
 from kbx.model import Atomic, BasicRole, ConceptInclusion, Constant
 from kbx.representability import (
     PreconditionViolated,
-    find_generating_pass,
     is_ucq_representation,
     representation_exists,
     synthesize_representation,
@@ -81,18 +80,3 @@ def test_synthesis_round_trip_on_the_repaired_mapping():
 def test_synthesis_returns_none_when_nothing_represents():
     assert synthesize_representation(load_mapping("ex9_map"), t1_fg()) is None
 
-
-def test_generating_pass_found_for_regenerable_witness():
-    gp = find_generating_pass(
-        load_mapping("ex8_map"), load_kb("ex8_kb").tbox, Atomic("F"), BasicRole("S1")
-    )
-    assert gp is not None
-    assert len(gp.chain) == 2
-    assert gp.edge_labels  # at least one hop
-
-
-def test_generating_pass_requires_an_actual_neighbor():
-    with pytest.raises(PreconditionViolated, match="no neighbor"):
-        find_generating_pass(
-            load_mapping("ex5_map"), t1_fg(), Atomic("F"), BasicRole("S")
-        )
