@@ -4,7 +4,7 @@ Source knowledge bases are translated along inclusion mappings into a target
 signature; this package decides whether universal solutions exist (with or
 without labeled nulls), checks candidate solutions, decides whether a target
 TBox represents the source TBox query-faithfully, synthesizes such TBoxes,
-and validates exchange witnesses with alternating tree automata.
+and builds alternating tree automata over a KB's canonical model.
 """
 
 from .canonical import (
@@ -40,22 +40,14 @@ from .model import (
     Variable,
 )
 from .automata import (
-    LabeledTreePrefix,
     TreeAutomaton,
     build_acan,
     build_afin,
     build_amod,
-    check_runs,
     dump_automaton,
-    encode_canonical_tree,
     pad_kb,
 )
-from .reasoner import (
-    derives_concept,
-    derives_role,
-    kb_consistent,
-    tbox_trivial,
-)
+from .reasoner import kb_consistent, tbox_trivial
 from .representability import (
     RepresentationVerdict,
     is_ucq_representation,
@@ -78,7 +70,6 @@ __all__ = [
     "FiniteInterpretation",
     "InconsistentKB",
     "KnowledgeBase",
-    "LabeledTreePrefix",
     "Mapping",
     "Null",
     "ParseError",
@@ -94,12 +85,8 @@ __all__ = [
     "build_amod",
     "build_canonical",
     "build_vabox",
-    "check_runs",
     "closure_abox",
-    "derives_concept",
-    "derives_role",
     "dump_automaton",
-    "encode_canonical_tree",
     "is_sigma2_positive",
     "is_ucq_representation",
     "is_universal_solution",

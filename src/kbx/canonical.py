@@ -240,11 +240,6 @@ def build_canonical(
     return CanonicalStructure(kb, reasoner)
 
 
-def derives_assertion(kb: KnowledgeBase, assertion) -> bool:
-    """Whether the KB entails a single membership assertion (one-shot, uncached)."""
-    return Reasoner(kb.tbox).entails(kb.abox, assertion)
-
-
 def ttype_at(c: CanonicalStructure, path: tuple) -> frozenset:
     """Type of a path element; depends only on the path's last component."""
     return c.state_type(path[-1])

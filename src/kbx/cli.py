@@ -63,17 +63,11 @@ def _load(path: str, parser, inputs: dict):
 
 
 def _cert_summary(cert) -> str | None:
+    """The size of a (simulation table, embedding) certificate."""
     if cert is None:
         return None
-    if isinstance(cert, tuple) and len(cert) == 2 and cert[0] == "source-model":
-        return f"source model with {len(cert[1])} facts"
-    if isinstance(cert, tuple) and len(cert) == 2:
-        table, h = cert
-        return (
-            f"simulation table with {len(table)} entries; "
-            f"embedding of {len(h)} elements"
-        )
-    return str(cert)
+    table, h = cert
+    return f"simulation table with {len(table)} entries; embedding of {len(h)} elements"
 
 
 def _serialize_tbox(tbox) -> str:

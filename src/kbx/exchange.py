@@ -5,6 +5,13 @@ target-signature homomorphically equivalent to the canonical model of the
 source KB joined with the mapping TBox.  Negative information cannot be
 carried by an ABox, so every decision starts with the positivity check ruling
 out disjointness pressure on the target side.
+
+One membership check, both embeddings between the candidate's Herbrand
+structure and the canonical model, then decides all three questions:
+`is_universal_solution` runs it on the given candidate,
+`universal_solution_plain` on the closure ABox, and
+`universal_solution_extended` on truncations of the canonical model of
+growing depth, minimising the first one that passes.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from .canonical import (
     build_vabox,
     closure_abox,
     combined_tbox,
-    element_label,
     materialize,
 )
 from .homomorphism import (
@@ -32,12 +38,10 @@ from .homomorphism import (
 from .model import (
     ABox,
     Atomic,
-    BasicConcept,
     BasicRole,
     ConceptAssertion,
     ConceptInclusion,
     Constant,
-    Exists,
     KnowledgeBase,
     Mapping,
     Null,
@@ -194,156 +198,44 @@ def is_sigma2_positive(
     return PositivityResult(True)
 
 
-def _model_search(source: Reasoner, kb1: KnowledgeBase, mapping: Mapping, a2: ABox):
-    """Search a source model over the ABox individuals plus one extra element
-    that satisfies the positive source TBox and keeps every mapped concept
-    and role inside what the closure ABox can absorb."""
-    t1 = kb1.tbox
-    u_a2 = build_canonical(KnowledgeBase((), a2), check_consistency=False)
-    extra = "*"
-    dom = list(kb1.abox.all_terms()) + [extra]
-
-    def abox_type(x) -> frozenset:
-        if isinstance(x, str):
-            return frozenset()
-        return u_a2.individual_types.get(x, frozenset())
-
-    concept_bounds = []
-    role_bounds = []
-    for ax in mapping.t12:
-        if ax.negated_rhs:
-            continue
-        if isinstance(ax, ConceptInclusion):
-            allowed = frozenset(x for x in dom if ax.rhs in abox_type(x))
-            concept_bounds.append((ax.lhs, allowed))
-        else:
-            allowed = frozenset(
-                pair for pair, roles in u_a2.individual_roles.items() if ax.rhs in roles
-            )
-            role_bounds.append((ax.lhs, allowed))
-
-    pos_concept_axioms = [
-        ax for ax in t1
-        if isinstance(ax, ConceptInclusion) and not ax.negated_rhs
-    ]
-
-    def holds(facts, concept: BasicConcept, x) -> bool:
-        if isinstance(concept, Atomic):
-            return ("c", concept.name, x) in facts
-        r = concept.role
-        if r.inverted:
-            return any(f[0] == "r" and f[1] == r.name and f[3] == x for f in facts)
-        return any(f[0] == "r" and f[1] == r.name and f[2] == x for f in facts)
-
-    def add_role(facts: set, role: BasicRole, x, y):
-        for s in source.sup_roles(role):
-            if s.inverted:
-                facts.add(("r", s.name, y, x))
-            else:
-                facts.add(("r", s.name, x, y))
-
-    def saturate(facts: set):
-        changed = True
-        while changed:
-            changed = False
-            for ax in pos_concept_axioms:
-                if not isinstance(ax.rhs, Atomic):
-                    continue
-                for x in dom:
-                    if holds(facts, ax.lhs, x) and not holds(facts, ax.rhs, x):
-                        facts.add(("c", ax.rhs.name, x))
-                        changed = True
-
-    def within_bounds(facts) -> bool:
-        for (b, allowed) in concept_bounds:
-            for x in dom:
-                if holds(facts, b, x) and x not in allowed:
-                    return False
-        for (r, allowed) in role_bounds:
-            for f in facts:
-                if f[0] != "r":
-                    continue
-                name, x, y = f[1], f[2], f[3]
-                if r.name != name:
-                    continue
-                pair = (y, x) if r.inverted else (x, y)
-                if pair not in allowed:
-                    return False
-        return True
-
-    def obligations(facts):
-        out = []
-        for a in kb1.abox.assertions:
-            if isinstance(a, ConceptAssertion) and isinstance(a.concept, Exists):
-                if not holds(facts, a.concept, a.term):
-                    out.append((a.term, a.concept.role))
-        for ax in pos_concept_axioms:
-            if isinstance(ax.rhs, Exists):
-                for x in dom:
-                    if holds(facts, ax.lhs, x) and not holds(facts, ax.rhs, x):
-                        out.append((x, ax.rhs.role))
-        return out
-
-    base: set = set()
-    for a in kb1.abox.assertions:
-        if isinstance(a, ConceptAssertion):
-            if isinstance(a.concept, Atomic):
-                base.add(("c", a.concept.name, a.term))
-        else:
-            add_role(base, a.role, a.first, a.second)
-    saturate(base)
-
-    seen: set = set()
-
-    def search(facts: set):
-        frozen = frozenset(facts)
-        if frozen in seen:
-            return None
-        seen.add(frozen)
-        if not within_bounds(facts):
-            return None
-        obls = obligations(facts)
-        if not obls:
-            return frozen
-        x, role = min(obls, key=lambda o: (element_label(o[0]), str(o[1])))
-        for y in dom:
-            nxt = set(facts)
-            add_role(nxt, role, x, y)
-            saturate(nxt)
-            found = search(nxt)
-            if found is not None:
-                return found
-        return None
-
-    return search(base)
-
-
-def universal_solution_plain(kb1: KnowledgeBase, mapping: Mapping) -> SolutionVerdict:
-    """Non-emptiness and construction of universal solutions whose witness is
-    an ordinary (null-free) target ABox.
-
-    The closure ABox is the only candidate worth checking; it is a universal
-    solution exactly when some small source model keeps all mapped extensions
-    inside it.
-    """
+def _positive(
+    kb1: KnowledgeBase, mapping: Mapping
+) -> tuple[CanonicalStructure, SolutionVerdict | None]:
+    """``_prepare``'s canonical structure, with the ``no`` verdict of a source
+    and mapping that fail the positivity check, or None when they pass."""
     prepared = _prepare(kb1, mapping)
     pos = is_sigma2_positive(kb1, mapping, prepared)
-    if not pos:
-        return SolutionVerdict(
-            "no", counterexample=f"positivity clause ({pos.clause}): {pos.detail}"
-        )
-    source, u = prepared
-    a2 = closure_abox(kb1, mapping.t12, mapping.sigma2, u.reasoner)
-    model = _model_search(source, kb1, mapping, a2)
-    if model is None:
+    refusal = None if pos else SolutionVerdict(
+        "no", counterexample=f"positivity clause ({pos.clause}): {pos.detail}"
+    )
+    return prepared[1], refusal
+
+
+def _membership(u: CanonicalStructure, abox: ABox, sigma) -> SolutionVerdict:
+    """Whether the Herbrand structure of ``abox`` and the canonical model
+    ``u`` map into each other over ``sigma``; the certificate of a yes is the
+    (simulation table, embedding) pair."""
+    v = build_vabox(abox)
+    table = embeds_regular_into_finite(u, v, sigma)
+    if table is None:
         return SolutionVerdict(
             "no",
             counterexample=(
-                "no source model over the ABox individuals plus one extra "
-                "element keeps every mapped extension inside the closure ABox"
+                "the canonical model of source plus mapping does not map "
+                "into the candidate's Herbrand structure over the target "
+                "signature"
             ),
         )
-    return SolutionVerdict("yes", witness=a2, certificate=("source-model", model))
+    h = embeds_finite_into_regular(v, u, sigma)
+    if h is None:
+        return SolutionVerdict(
+            "no",
+            counterexample=(
+                "the candidate's Herbrand structure does not map back into "
+                "the canonical model over the target signature"
+            ),
+        )
+    return SolutionVerdict("yes", witness=abox, certificate=(table, h))
 
 
 def _interpretation_to_abox(f: FiniteInterpretation, sigma) -> ABox:
@@ -381,22 +273,8 @@ def _interpretation_to_abox(f: FiniteInterpretation, sigma) -> ABox:
 
 
 def _term_of(e):
-    if isinstance(e, tuple) and len(e) == 1 and isinstance(e[0], (Constant, Null)):
-        return e[0]
-    if isinstance(e, (Constant, Null)):
-        return e
-    return None
-
-
-def _both_embeddings(u: CanonicalStructure, abox: ABox, sigma):
-    v = build_vabox(abox)
-    table = embeds_regular_into_finite(u, v, sigma)
-    if table is None:
-        return None
-    h = embeds_finite_into_regular(v, u, sigma)
-    if h is None:
-        return None
-    return (table, h)
+    """The individual of a length-one path of ``materialize``, else None."""
+    return e[0] if len(e) == 1 else None
 
 
 def _minimize_witness(u: CanonicalStructure, abox: ABox, sigma) -> ABox:
@@ -437,26 +315,19 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
     Sound for yes; no only on positivity failure; unknown past the cap (a
     solution may in the worst case be exponentially deep).
     """
-    prepared = _prepare(kb1, mapping)
-    pos = is_sigma2_positive(kb1, mapping, prepared)
-    if not pos:
-        return SolutionVerdict(
-            "no", counterexample=f"positivity clause ({pos.clause}): {pos.detail}"
-        )
-    u = prepared[1]
+    u, refusal = _positive(kb1, mapping)
+    if refusal is not None:
+        return refusal
     sigma2 = mapping.sigma2
     last = "none"
     for d in range(depth_cap + 1):
         last = d
-        trunc = materialize(u, d)
-        candidate = _interpretation_to_abox(trunc, sigma2)
-        cert = _both_embeddings(u, candidate, sigma2)
-        if cert is not None:
-            witness = _minimize_witness(u, candidate, sigma2)
-            final = _both_embeddings(u, witness, sigma2)
-            if final is None:
+        candidate = _interpretation_to_abox(materialize(u, d), sigma2)
+        if _membership(u, candidate, sigma2).answer == "yes":
+            final = _membership(u, _minimize_witness(u, candidate, sigma2), sigma2)
+            if final.answer != "yes":
                 raise RuntimeError("the minimised witness fails its embedding check")
-            return SolutionVerdict("yes", witness=witness, certificate=final)
+            return final
     return SolutionVerdict(
         "unknown",
         reason=f"depth cap {depth_cap} reached; last depth tried: {last}",
@@ -472,39 +343,38 @@ def is_universal_solution(kb1: KnowledgeBase, mapping: Mapping,
     candidate ABox must be target-signature homomorphically equivalent to the
     canonical model of source plus mapping.
     """
-    prepared = _prepare(kb1, mapping)
-    pos = is_sigma2_positive(kb1, mapping, prepared)
-    if not pos:
-        return SolutionVerdict(
-            "no", counterexample=f"positivity clause ({pos.clause}): {pos.detail}"
-        )
+    u, refusal = _positive(kb1, mapping)
+    if refusal is not None:
+        return refusal
     if not tbox_trivial(kb2.tbox):
         return SolutionVerdict(
             "no",
             counterexample="candidate TBox is not equivalent to the empty TBox",
         )
-    u = prepared[1]
-    sigma2 = mapping.sigma2
-    v = build_vabox(kb2.abox)
-    table = embeds_regular_into_finite(u, v, sigma2)
-    if table is None:
-        return SolutionVerdict(
-            "no",
-            counterexample=(
-                "the canonical model of source plus mapping does not map "
-                "into the candidate's Herbrand structure over the target "
-                "signature"
-            ),
-        )
-    h = embeds_finite_into_regular(v, u, sigma2)
-    if h is None:
-        return SolutionVerdict(
-            "no",
-            counterexample=(
-                "the candidate's Herbrand structure does not map back into "
-                "the canonical model over the target signature"
-            ),
-        )
+    return _membership(u, kb2.abox, mapping.sigma2)
+
+
+def universal_solution_plain(kb1: KnowledgeBase, mapping: Mapping) -> SolutionVerdict:
+    """Non-emptiness and construction of universal solutions whose witness is
+    an ordinary (null-free) target ABox: the membership check of the closure
+    ABox.
+
+    Every fact of a null-free universal solution is entailed over the source
+    individuals, so it lies in the closure ABox.  Hence the closure ABox is a
+    universal solution whenever any null-free one is.  Its ``exists R (a)``
+    assertions belong to the ABox language: the parser reads them and
+    ``closure_abox`` writes them.
+    """
+    u, refusal = _positive(kb1, mapping)
+    if refusal is not None:
+        return refusal
+    a2 = closure_abox(kb1, mapping.t12, mapping.sigma2, u.reasoner)
+    verdict = _membership(u, a2, mapping.sigma2)
+    if verdict.answer == "yes":
+        return verdict
     return SolutionVerdict(
-        "yes", witness=kb2.abox, certificate=(table, h)
+        "no",
+        counterexample=(
+            f"the closure ABox is not a universal solution: {verdict.counterexample}"
+        ),
     )

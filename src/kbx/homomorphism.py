@@ -23,7 +23,7 @@ from .canonical import (
     rtype_edge,
     ttype_at,
 )
-from .model import Atomic, BasicRole, Constant, Signature
+from .model import Atomic, BasicRole, Constant, Signature, role_over
 
 SimulationTable = frozenset
 
@@ -147,7 +147,7 @@ def choose_images(c: CanonicalStructure, f: FiniteInterpretation, images: dict,
     reqs_at: list = [[] for _ in inds]
     for (t1, t2), roles in c.individual_roles.items():
         need = frozenset(
-            r for r in roles if sigma is None or _role_in(r, sigma)
+            r for r in roles if sigma is None or role_over(r, sigma)
         )
         if need:
             reqs_at[max(level[t1], level[t2])].append((t1, t2, need))
@@ -236,10 +236,6 @@ def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | N
             queue += [(p, e1) for p in parents[s] for e1 in images[p]]
 
 
-def _role_in(r: BasicRole, sigma: Signature) -> bool:
-    return r.name in sigma.roles
-
-
 def verify_simulation(c: CanonicalStructure, f: FiniteInterpretation,
                       table: SimulationTable, sigma: Signature | None = None) -> bool:
     """Re-check a simulation certificate clause by clause.
@@ -287,7 +283,7 @@ def verify_simulation(c: CanonicalStructure, f: FiniteInterpretation,
     for (t1, t2), roles in c.individual_roles.items():
         have = rtype(images[t1], images[t2])
         for r in roles:
-            if sigma is None or _role_in(r, sigma):
+            if sigma is None or role_over(r, sigma):
                 if r not in have:
                     return False
     return True

@@ -15,8 +15,8 @@ drops them when it returns, so no cache outlives a call: `CanonicalStructure`
 builds (or is handed) the context of its KB's TBox, `exchange` reuses the
 structure's, and `representability` builds one per TBox it reasons over.  A
 certificate recheck is a decision of its own and builds its own contexts.
-The module-level `derives_concept`, `derives_role` and `kb_consistent` are
-uncached one-shot wrappers kept for library users; no decider calls them.
+The module-level `kb_consistent` is an uncached one-shot wrapper for the
+CLI's `consistency` command.
 """
 
 from __future__ import annotations
@@ -250,13 +250,6 @@ class Reasoner:
             for pair, roles in _asserted_roles(abox).items()
         }
 
-    def entails(self, abox: ABox, assertion) -> bool:
-        """Whether the ABox under this TBox entails one membership assertion."""
-        if isinstance(assertion, ConceptAssertion):
-            return assertion.concept in self.term_types(abox).get(assertion.term, ())
-        pair = (assertion.first, assertion.second)
-        return assertion.role in self.pair_roles(abox).get(pair, ())
-
 
 def _asserted_concepts(abox: ABox) -> dict:
     """Basic concepts directly asserted of each term (role facts included)."""
@@ -278,16 +271,6 @@ def _asserted_roles(abox: ABox) -> dict:
             out.setdefault((a.first, a.second), set()).add(a.role)
             out.setdefault((a.second, a.first), set()).add(a.role.inverse())
     return out
-
-
-def derives_concept(tbox: TBox, sub: BasicConcept, sup: BasicConcept) -> bool:
-    """Positive concept subsumption under ``tbox`` (one-shot, uncached)."""
-    return Reasoner(tbox).derives_concept(sub, sup)
-
-
-def derives_role(tbox: TBox, sub: BasicRole, sup: BasicRole) -> bool:
-    """Positive role subsumption under ``tbox`` (one-shot, uncached)."""
-    return Reasoner(tbox).derives_role(sub, sup)
 
 
 def kb_consistent(kb: KnowledgeBase) -> bool:

@@ -1,9 +1,12 @@
-"""Shared test helpers: loading the checked-in example corpus."""
+"""Shared test helpers: loading the checked-in example corpus, and one-shot
+entailment checks under a fresh reasoning context."""
 
 from pathlib import Path
 
 import pytest
 
+from kbx.model import ConceptAssertion
+from kbx.reasoner import Reasoner
 from kbx.syntax import parse_kb, parse_mapping
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -17,6 +20,25 @@ def load_kb(name):
 def load_mapping(name):
     """Parse ``tests/corpus/<name>.kbx`` as a mapping."""
     return parse_mapping((CORPUS / f"{name}.kbx").read_text())
+
+
+def derives_concept(tbox, sub, sup) -> bool:
+    """Positive concept subsumption under ``tbox`` (one-shot, uncached)."""
+    return Reasoner(tbox).derives_concept(sub, sup)
+
+
+def derives_role(tbox, sub, sup) -> bool:
+    """Positive role subsumption under ``tbox`` (one-shot, uncached)."""
+    return Reasoner(tbox).derives_role(sub, sup)
+
+
+def derives_assertion(kb, assertion) -> bool:
+    """Whether the KB entails a single membership assertion (one-shot, uncached)."""
+    ctx = Reasoner(kb.tbox)
+    if isinstance(assertion, ConceptAssertion):
+        return assertion.concept in ctx.term_types(kb.abox).get(assertion.term, ())
+    pair = (assertion.first, assertion.second)
+    return assertion.role in ctx.pair_roles(kb.abox).get(pair, ())
 
 
 @pytest.fixture

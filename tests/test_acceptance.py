@@ -11,7 +11,7 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
-from conftest import load_kb, load_mapping
+from conftest import derives_concept, derives_role, load_kb, load_mapping
 
 from kbx.automata import (
     GOOD_MARK,
@@ -19,9 +19,7 @@ from kbx.automata import (
     build_acan,
     build_afin,
     build_amod,
-    check_runs,
     dump_automaton,
-    encode_canonical_tree,
     pad_kb,
 )
 from kbx.canonical import build_canonical, build_vabox, closure_abox, combined_tbox, materialize
@@ -47,7 +45,7 @@ from oracle import (
     qbf_valid,
     three_colorable,
 )
-from kbx.reasoner import derives_concept, derives_role, kb_consistent
+from kbx.reasoner import kb_consistent
 from kbx.representability import (
     is_ucq_representation,
     representation_exists,
@@ -68,6 +66,7 @@ from reductions import (
     reach_membership,
     reach_nonemptiness,
 )
+from runs import check_runs, encode_canonical_tree
 
 SEED = 20260823
 CORPUS = Path(__file__).parent / "corpus"

@@ -10,12 +10,11 @@ from kbx.automata import (
     build_acan,
     build_afin,
     build_amod,
-    check_runs,
     dump_automaton,
-    encode_canonical_tree,
     pad_kb,
 )
 from kbx.model import ABox, Atomic, ConceptAssertion, KnowledgeBase, Null
+from runs import check_runs, encode_canonical_tree
 
 
 def canonical_tree(kb, depth):

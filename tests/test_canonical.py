@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import load_kb, load_mapping
+from conftest import derives_assertion, load_kb, load_mapping
 
 from kbx.canonical import (
     InconsistentKB,
@@ -12,12 +12,11 @@ from kbx.canonical import (
     build_vabox,
     closure_abox,
     combined_tbox,
-    derives_assertion,
     element_label,
     materialize,
     positive_part,
 )
-from kbx.exchange import _both_embeddings, _interpretation_to_abox, _prepare
+from kbx.exchange import _interpretation_to_abox, _membership, _prepare
 from kbx.model import (
     ABox,
     Atomic,
@@ -161,7 +160,7 @@ def test_without_matches_the_smaller_qbf_candidates():
         candidate = next(
             cand
             for cand in (_interpretation_to_abox(materialize(u, d), sigma) for d in range(7))
-            if _both_embeddings(u, cand, sigma) is not None
+            if _membership(u, cand, sigma).answer == "yes"
         )
         _check_without(candidate)
 

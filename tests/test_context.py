@@ -7,9 +7,11 @@ import time
 
 import pytest
 
+from conftest import derives_assertion
+
 import kbx.reasoner
 import kbx.representability
-from kbx.canonical import closure_abox, combined_tbox, derives_assertion, positive_part
+from kbx.canonical import closure_abox, combined_tbox, positive_part
 from kbx.model import (
     ABox,
     Atomic,

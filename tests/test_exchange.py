@@ -5,10 +5,10 @@ import random
 from conftest import load_kb, load_mapping
 from oracle import naive_minimize_witness, naive_simulation
 
-from kbx.canonical import build_canonical, build_vabox, combined_tbox, materialize
+from kbx.canonical import build_canonical, build_vabox, closure_abox, combined_tbox, materialize
 from kbx.exchange import (
-    _both_embeddings,
     _interpretation_to_abox,
+    _membership,
     _minimize_witness,
     _prepare,
     is_sigma2_positive,
@@ -117,7 +117,7 @@ def test_one_pass_minimisation_matches_the_repeated_passes():
         candidate = next(
             cand
             for cand in (_interpretation_to_abox(materialize(u, d), sigma) for d in range(7))
-            if _both_embeddings(u, cand, sigma) is not None
+            if _membership(u, cand, sigma).answer == "yes"
         )
 
         def both(abox):
@@ -188,7 +188,7 @@ def test_minimisation_matches_the_repeated_passes_on_random_candidates():
 
         for d in range(3):
             truncation = _interpretation_to_abox(materialize(u, d), sigma)
-            if _both_embeddings(u, truncation, sigma) is None:
+            if _membership(u, truncation, sigma).answer == "no":
                 continue
             for candidate in (truncation, _doubled(truncation)):
                 want = naive_minimize_witness(candidate, both)
@@ -196,3 +196,26 @@ def test_minimisation_matches_the_repeated_passes_on_random_candidates():
                 candidates += 1
                 shrunk += want != candidate
     assert candidates >= 200 and shrunk >= 100, (candidates, shrunk)
+
+
+def test_plain_decision_is_the_membership_check_of_the_closure_abox():
+    """A null-free solution exists exactly when the closure ABox is one; the
+    draws carry no negation, so each source KB is consistent."""
+    rng = random.Random(0)
+    answers = {"yes": 0, "no": 0}
+    for _ in range(300):
+        kb, mapping = _random_instance(rng)
+        sigma = mapping.sigma2
+        closure = closure_abox(kb, mapping.t12, sigma)
+        member = is_universal_solution(kb, mapping, KnowledgeBase((), closure))
+        verdict = universal_solution_plain(kb, mapping)
+        assert verdict.answer == member.answer, (kb, mapping)
+        answers[verdict.answer] += 1
+        if verdict.answer == "yes":
+            assert verdict.witness == closure, (kb, mapping)
+            table, h = verdict.certificate
+            u = _prepare(kb, mapping)[1]
+            v = build_vabox(closure)
+            assert verify_simulation(u, v, table, sigma), (kb, mapping)
+            assert verify_embedding_into_regular(v, u, h, sigma), (kb, mapping)
+    assert answers["yes"] >= 200 and answers["no"] >= 50, answers

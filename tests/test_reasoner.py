@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import derives_concept, derives_role
+
 from kbx.model import (
     ABox,
     Atomic,
@@ -15,7 +17,7 @@ from kbx.model import (
     RoleAssertion,
     RoleInclusion,
 )
-from kbx.reasoner import derives_concept, derives_role, kb_consistent, tbox_trivial
+from kbx.reasoner import kb_consistent, tbox_trivial
 
 F, G, H = Atomic("F"), Atomic("G"), Atomic("H")
 S, T = BasicRole("S"), BasicRole("T")

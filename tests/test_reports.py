@@ -18,6 +18,17 @@ GOLDEN = CORPUS / "golden"
 CASES = {
     "usol-exists-ex1": ("usol-exists", {"--kb": "ex1_kb", "--mapping": "ex1_map"}),
     "usol-exists-ex4": ("usol-exists", {"--kb": "ex4_kb", "--mapping": "ex4_map"}),
+    # A role mapping and a concept mapping with the same solutions both accept
+    # the closure ABox ``exists Pp (a)``, and a source whose anonymous
+    # successor is mapped needs nulls.  The inputs sit in ``plain/``, outside
+    # the corpus root whose KBs the automata test walks.
+    "usol-exists-plain-role": (
+        "usol-exists", {"--kb": "plain/plain_kb", "--mapping": "plain/plain_role_map"},
+    ),
+    "usol-exists-plain-concept": (
+        "usol-exists", {"--kb": "plain/plain_kb", "--mapping": "plain/plain_concept_map"},
+    ),
+    "usol-exists-ex3": ("usol-exists", {"--kb": "ex3_kb", "--mapping": "ex3_map"}),
     "usol-exists-ext-ex3": ("usol-exists-ext", {"--kb": "ex3_kb", "--mapping": "ex3_map"}),
     "usol-check-yes": (
         "usol-check", {"--kb": "ex1_kb", "--mapping": "ex1_map", "--candidate": "ex1_cand"},
