@@ -4,7 +4,8 @@ The canonical model of a KB is in general infinite, but its anonymous part is
 regular: the type of a path element depends only on its final witness class,
 and edges only ever connect a path to its parent.  `CanonicalStructure` stores
 that finite presentation (individuals, reachable witness classes, generating
-edges and type tables); `materialize` unfolds it to any finite depth.
+edges and type tables); `materialize` unfolds it to any finite depth, and
+`truncation` does the same over a signature, with int anonymous elements.
 """
 
 from __future__ import annotations
@@ -61,32 +62,32 @@ class FiniteInterpretation:
         """Args are iterables of (name, elem) / (name, elem, elem) plus a
         Constant -> element map; extra elements may carry no facts at all."""
         self.elements: tuple = tuple(sorted(set(elements), key=element_label))
-        self.concept_ext: dict[str, frozenset] = {}
-        self.role_ext: dict[str, frozenset] = {}
         self.constant_elems: dict = dict(constants)
         cext: dict[str, set] = {}
         for name, e in concept_facts:
             cext.setdefault(name, set()).add(e)
         rext: dict[str, set] = {}
-        # element -> neighbour -> roles from the element to the neighbour
-        self._links: dict = {}
         for name, e1, e2 in role_facts:
             rext.setdefault(name, set()).add((e1, e2))
-            self._links.setdefault(e1, {}).setdefault(e2, set()).add(BasicRole(name))
-            self._links.setdefault(e2, {}).setdefault(e1, set()).add(
-                BasicRole(name, inverted=True)
-            )
-        self.concept_ext = {n: frozenset(s) for n, s in cext.items()}
-        self.role_ext = {n: frozenset(s) for n, s in rext.items()}
-        self._types: dict = {e: set() for e in self.elements}
+        self.concept_ext: dict[str, frozenset] = {n: frozenset(s) for n, s in cext.items()}
+        self.role_ext: dict[str, frozenset] = {n: frozenset(s) for n, s in rext.items()}
+        types: dict = {e: set() for e in self.elements}
         for name, ext in self.concept_ext.items():
+            a = Atomic(name)
             for e in ext:
-                self._types[e].add(Atomic(name))
-        for e1, links in self._links.items():
-            for roles in links.values():
-                for r in roles:
-                    self._types[e1].add(Exists(r))
-        self._types = {e: frozenset(t) for e, t in self._types.items()}
+                types[e].add(a)
+        # element -> neighbour -> roles from the element to the neighbour
+        self._links: dict = {}
+        for name, ext in self.role_ext.items():
+            r, inv = BasicRole(name), BasicRole(name, inverted=True)
+            for e1, e2 in ext:
+                self._links.setdefault(e1, {}).setdefault(e2, set()).add(r)
+                self._links.setdefault(e2, {}).setdefault(e1, set()).add(inv)
+            for e in {e1 for e1, _ in ext}:
+                types[e].add(Exists(r))
+            for e in {e2 for _, e2 in ext}:
+                types[e].add(Exists(inv))
+        self._types = {e: frozenset(t) for e, t in types.items()}
 
     def ttype(self, e, sigma: Signature | None = None) -> frozenset:
         t = self._types[e]
@@ -256,41 +257,64 @@ def rtype_edge(c: CanonicalStructure, p1: tuple, p2: tuple) -> frozenset:
     return frozenset()
 
 
+def _unfold(c: CanonicalStructure, depth: int, sigma: Signature | None, elem) -> tuple:
+    """The elements of all paths with at most ``depth`` witness steps, with
+    their concept facts ``(name, e)`` and role facts ``(name, e1, e2)`` over
+    ``sigma`` (None: over every name).
+
+    The paths are numbered breadth-first, the individuals first; path i is
+    the element ``elem(i, parent, state)``, given its parent's element (None
+    for an individual) and its last state.
+    """
+    states: list = list(c.individuals)
+    elems = [elem(i, None, t) for i, t in enumerate(states)]
+    first = dict(zip(states, elems))
+    role_facts = [
+        (r.name, first[t1], first[t2])
+        for (t1, t2), roles in c.individual_roles.items()
+        for r in roles
+        if not r.inverted and (sigma is None or role_over(r, sigma))
+    ]
+    names = {s: [b.name for b in c.state_type(s, sigma) if isinstance(b, Atomic)] for s in c.gen}
+    edges = {rep: [(r.name, r.inverted) for r in c.edge_roles(rep, sigma)] for rep in c.classes}
+    start = 0
+    for _ in range(depth):
+        end = len(states)
+        for i in range(start, end):
+            for rep in c.gen[states[i]]:
+                e = elem(len(states), elems[i], rep)
+                states.append(rep)
+                elems.append(e)
+                role_facts += [
+                    (n, e, elems[i]) if inverted else (n, elems[i], e)
+                    for n, inverted in edges[rep]
+                ]
+        start = end
+    concept_facts = [(n, e) for s, e in zip(states, elems) for n in names[s]]
+    return elems, concept_facts, role_facts
+
+
 def materialize(c: CanonicalStructure, depth: int) -> FiniteInterpretation:
     """Finite truncation: all paths with at most `depth` witness steps."""
-    paths: list[tuple] = [(t,) for t in c.individuals]
-    frontier = list(paths)
-    for _ in range(depth):
-        nxt = []
-        for p in frontier:
-            for rep in c.gen[p[-1]]:
-                nxt.append(p + (rep,))
-        paths.extend(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    path_set = set(paths)
-    concept_facts = []
-    role_facts = []
-    for p in paths:
-        tp = ttype_at(c, p)
-        for b in tp:
-            if isinstance(b, Atomic):
-                concept_facts.append((b.name, p))
-    for (t1, t2), roles in c.individual_roles.items():
-        for r in roles:
-            if not r.inverted:
-                role_facts.append((r.name, (t1,), (t2,)))
-    for p in paths:
-        if len(p) > 1 and p[:-1] in path_set:
-            parent = p[:-1]
-            for r in c.edge_roles(p[-1]):
-                if not r.inverted:
-                    role_facts.append((r.name, parent, p))
-                else:
-                    role_facts.append((r.name, p, parent))
+    elems, concept_facts, role_facts = _unfold(
+        c, depth, None, lambda i, parent, state: (state,) if parent is None else parent + (state,)
+    )
     constants = {t: (t,) for t in c.individuals if isinstance(t, Constant)}
-    return FiniteInterpretation(paths, concept_facts, role_facts, constants)
+    return FiniteInterpretation(elems, concept_facts, role_facts, constants)
+
+
+def truncation(c: CanonicalStructure, depth: int, sigma: Signature) -> FiniteInterpretation:
+    """The facts over ``sigma`` of ``materialize(c, depth)`` on exactly the
+    elements that carry one, each individual as its own term and each
+    anonymous path as the int of its breadth-first index: up to that
+    renaming, the Herbrand structure of the ABox that ``materialize(c,
+    depth)`` reads as over ``sigma``."""
+    _, concept_facts, role_facts = _unfold(
+        c, depth, sigma, lambda i, parent, state: state if parent is None else i
+    )
+    used = {e for _, e in concept_facts} | {e for _, e1, e2 in role_facts for e in (e1, e2)}
+    constants = {t: t for t in c.individuals if isinstance(t, Constant) and t in used}
+    return FiniteInterpretation(used, concept_facts, role_facts, constants)
 
 
 def build_vabox(abox: ABox) -> FiniteInterpretation:

@@ -11,12 +11,14 @@ structure and the canonical model, then decides all three questions:
 `is_universal_solution` runs it on the given candidate,
 `universal_solution_plain` on the closure ABox, and
 `universal_solution_extended` on truncations of the canonical model of
-growing depth, minimising the first one that passes.
+growing depth, taken as structures rather than ABoxes, minimising the first
+one that passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import count
 
 from .canonical import (
     CanonicalStructure,
@@ -27,6 +29,7 @@ from .canonical import (
     closure_abox,
     combined_tbox,
     materialize,
+    truncation,
 )
 from .homomorphism import (
     choose_images,
@@ -212,10 +215,16 @@ def _positive(
 
 
 def _membership(u: CanonicalStructure, abox: ABox, sigma) -> SolutionVerdict:
-    """Whether the Herbrand structure of ``abox`` and the canonical model
-    ``u`` map into each other over ``sigma``; the certificate of a yes is the
-    (simulation table, embedding) pair."""
-    v = build_vabox(abox)
+    """``_embeddings`` of the Herbrand structure of ``abox``, which is the
+    witness of a yes."""
+    verdict = _embeddings(u, build_vabox(abox), sigma)
+    return replace(verdict, witness=abox) if verdict.answer == "yes" else verdict
+
+
+def _embeddings(u: CanonicalStructure, v: FiniteInterpretation, sigma) -> SolutionVerdict:
+    """Whether ``v`` and the canonical model ``u`` map into each other over
+    ``sigma``; the certificate of a yes is the (simulation table, embedding)
+    pair."""
     table = embeds_regular_into_finite(u, v, sigma)
     if table is None:
         return SolutionVerdict(
@@ -235,46 +244,34 @@ def _membership(u: CanonicalStructure, abox: ABox, sigma) -> SolutionVerdict:
                 "the canonical model over the target signature"
             ),
         )
-    return SolutionVerdict("yes", witness=abox, certificate=(table, h))
+    return SolutionVerdict("yes", certificate=(table, h))
 
 
 def _interpretation_to_abox(f: FiniteInterpretation, sigma) -> ABox:
-    """Read a finite interpretation back as an extended ABox; anonymous
-    elements become deterministically named labeled nulls."""
-    used = set()
-    for e in f.elements:
-        t = _term_of(e)
-        if isinstance(t, Null):
-            used.add(t.name)
+    """Read a truncation written by ``materialize`` back as an extended ABox
+    over ``sigma``: each individual stands for itself, and the anonymous
+    paths become labeled nulls ``n1``, ``n2``, ... in the order their facts
+    are read, skipping the names of null individuals."""
+    used = {e[0].name for e in f.elements if len(e) == 1 and isinstance(e[0], Null)}
+    fresh = (Null(f"n{k}") for k in count(1) if f"n{k}" not in used)
     names: dict = {}
-    counter = 0
+
     def term_for(e):
-        nonlocal counter
-        t = _term_of(e)
-        if t is not None:
-            return t
+        if len(e) == 1:
+            return e[0]
         if e not in names:
-            while True:
-                counter += 1
-                cand = f"n{counter}"
-                if cand not in used:
-                    break
-            names[e] = Null(cand)
+            names[e] = next(fresh)
         return names[e]
 
-    facts = []
-    for (n, e) in f.concept_facts():
-        if n in sigma.concepts:
-            facts.append(ConceptAssertion(Atomic(n), term_for(e)))
-    for (n, e1, e2) in f.role_facts():
-        if n in sigma.roles:
-            facts.append(RoleAssertion(BasicRole(n), term_for(e1), term_for(e2)))
+    facts = [
+        ConceptAssertion(Atomic(n), term_for(e))
+        for n, e in f.concept_facts() if n in sigma.concepts
+    ]
+    facts += [
+        RoleAssertion(BasicRole(n), term_for(e1), term_for(e2))
+        for n, e1, e2 in f.role_facts() if n in sigma.roles
+    ]
     return ABox.make(facts)
-
-
-def _term_of(e):
-    """The individual of a length-one path of ``materialize``, else None."""
-    return e[0] if len(e) == 1 else None
 
 
 def _minimize_witness(u: CanonicalStructure, abox: ABox, sigma) -> ABox:
@@ -312,6 +309,11 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
     """Non-emptiness for universal solutions with labeled nulls, by iterative
     deepening over truncations of the canonical model.
 
+    Each depth is decided on ``truncation``, which is isomorphic to the
+    Herbrand structure of the ABox read off ``materialize`` at that depth.
+    Both embedding checks are invariant under isomorphism, so the verdict is
+    the same, and only the first depth that passes is written as an ABox.
+
     Sound for yes; no only on positivity failure; unknown past the cap (a
     solution may in the worst case be exponentially deep).
     """
@@ -322,8 +324,8 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
     last = "none"
     for d in range(depth_cap + 1):
         last = d
-        candidate = _interpretation_to_abox(materialize(u, d), sigma2)
-        if _membership(u, candidate, sigma2).answer == "yes":
+        if _embeddings(u, truncation(u, d, sigma2), sigma2).answer == "yes":
+            candidate = _interpretation_to_abox(materialize(u, d), sigma2)
             final = _membership(u, _minimize_witness(u, candidate, sigma2), sigma2)
             if final.answer != "yes":
                 raise RuntimeError("the minimised witness fails its embedding check")

@@ -325,11 +325,9 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
     """
     creq = _concept_requirements(f, sigma)
     rfacts = _role_requirements(f, sigma)
-    pin = {}
-    for const, e in f.constant_elems.items():
-        if const not in c.individuals:
-            return None
-        pin[e] = (const,)
+    if not f.constant_elems.keys() <= set(c.individuals):
+        return None
+    pin = {e: (const,) for const, e in f.constant_elems.items()}
 
     facts_at: dict = {e: [] for e in f.elements}
     for (n, e1, e2) in rfacts:

@@ -1,10 +1,12 @@
 """Canonical-structure construction, materialization, and ABox closure."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import derives_assertion, load_kb, load_mapping
+from reductions import qbf_family, qbf_instance
 
 from kbx.canonical import (
     InconsistentKB,
@@ -15,8 +17,9 @@ from kbx.canonical import (
     element_label,
     materialize,
     positive_part,
+    truncation,
 )
-from kbx.exchange import _interpretation_to_abox, _membership, _prepare
+from kbx.exchange import _embeddings, _interpretation_to_abox, _membership, _prepare
 from kbx.model import (
     ABox,
     Atomic,
@@ -111,6 +114,38 @@ def test_build_vabox_maps_nulls_to_plain_elements():
     fi = build_vabox(abox)
     assert len(fi.elements) == 2
     assert Constant("a") in fi.constant_elems
+
+
+def _profile(f):
+    """The multiset of element types, each with the multiset of roles towards
+    its neighbours: the same for isomorphic structures."""
+    return Counter(
+        (f.ttype(e), frozenset(Counter(f.rtype(e, e2) for e2 in f.neighbours(e)).items()))
+        for e in f.elements
+    )
+
+
+def test_truncation_matches_the_round_trip_through_an_abox():
+    """The truncation over the target signature has the elements, facts and
+    constants of the Herbrand structure of the ABox read off ``materialize``,
+    with each anonymous path an int, and gets the same membership verdict."""
+    for member in qbf_family():
+        kb, mapping = qbf_instance(*member)
+        sigma = mapping.sigma2
+        u = _prepare(kb, mapping)[1]
+        for d in range(5):
+            t = truncation(u, d, sigma)
+            abox = _interpretation_to_abox(materialize(u, d), sigma)
+            v = build_vabox(abox)
+            assert len(t.elements) == len(v.elements), (member, d)
+            assert t.fact_count() == v.fact_count(), (member, d)
+            assert _profile(t) == _profile(v), (member, d)
+            assert t.constant_elems == v.constant_elems, (member, d)
+            named = [e for e in t.elements if e in u.individuals]
+            assert named == [e for e in v.elements if not isinstance(e, Null)], (member, d)
+            assert all(isinstance(e, int) for e in t.elements if e not in named), (member, d)
+            want = _membership(u, abox, sigma).answer
+            assert _embeddings(u, t, sigma).answer == want, (member, d)
 
 
 def _fact(a):

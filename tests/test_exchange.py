@@ -1,15 +1,19 @@
 """Universal-solution checking and construction on the worked examples."""
 
 import random
+from collections import Counter
 
 from conftest import load_kb, load_mapping
 from oracle import naive_minimize_witness, naive_simulation
+from reductions import qbf_family, qbf_instance
 
 from kbx.canonical import build_canonical, build_vabox, closure_abox, combined_tbox, materialize
 from kbx.exchange import (
+    SolutionVerdict,
     _interpretation_to_abox,
     _membership,
     _minimize_witness,
+    _positive,
     _prepare,
     is_sigma2_positive,
     is_universal_solution,
@@ -219,3 +223,34 @@ def test_plain_decision_is_the_membership_check_of_the_closure_abox():
             assert verify_simulation(u, v, table, sigma), (kb, mapping)
             assert verify_embedding_into_regular(v, u, h, sigma), (kb, mapping)
     assert answers["yes"] >= 200 and answers["no"] >= 50, answers
+
+
+def _round_trip_extended(kb1, mapping, depth_cap):
+    """The deepening loop that writes every truncation as an ABox and reads
+    it back as a structure before checking it."""
+    u, refusal = _positive(kb1, mapping)
+    if refusal is not None:
+        return refusal
+    sigma = mapping.sigma2
+    for d in range(depth_cap + 1):
+        candidate = _interpretation_to_abox(materialize(u, d), sigma)
+        if _membership(u, candidate, sigma).answer == "yes":
+            return _membership(u, _minimize_witness(u, candidate, sigma), sigma)
+    return SolutionVerdict(
+        "unknown", reason=f"depth cap {depth_cap} reached; last depth tried: {depth_cap}"
+    )
+
+
+def test_deepening_on_truncations_matches_the_round_trip():
+    """Same answer, witness, certificate, counterexample and reason (verdicts
+    compare field by field) on every QBF family member at cap 10 and on
+    random draws at cap 4."""
+    instances = [(qbf_instance(*member), 10) for member in qbf_family()]
+    rng = random.Random(3)
+    instances += [(_random_instance(rng), 4) for _ in range(300)]
+    answers = Counter()
+    for (kb, mapping), cap in instances:
+        verdict = universal_solution_extended(kb, mapping, cap)
+        assert verdict == _round_trip_extended(kb, mapping, cap), (kb, mapping)
+        answers[verdict.answer] += 1
+    assert answers["yes"] >= 200 and answers["unknown"] >= 30, answers
