@@ -32,7 +32,6 @@ from .representability import (
     PreconditionViolated,
     is_ucq_representation,
     representation_exists,
-    synthesize_representation,
 )
 from .syntax import ParseError, parse_kb, parse_mapping, serialize
 
@@ -74,6 +73,13 @@ def _serialize_tbox(tbox) -> str:
     return serialize(KnowledgeBase(tuple(tbox), EMPTY_ABOX))
 
 
+def _non_negative(text: str) -> int:
+    """A flag value that must be a non-negative integer (else a usage error)."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kbx",
@@ -93,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp = sub.add_parser("canonical", help="materialize a canonical-model truncation")
     common(sp)
-    sp.add_argument("--depth", type=int, default=3, help="truncation depth (default 3)")
+    sp.add_argument("--depth", type=_non_negative, default=3, help="truncation depth (default 3)")
     sp = sub.add_parser(
         "usol-exists", help="does a null-free universal solution exist?"
     )
@@ -104,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, mapping=True)
     sp.add_argument(
         "--depth-cap",
-        type=int,
+        type=_non_negative,
         default=DEFAULT_DEPTH_CAP,
         help=f"search depth cap (default {DEFAULT_DEPTH_CAP})",
     )
@@ -219,23 +225,17 @@ def _dispatch(args, inputs: dict) -> dict:
             out["counterexample"] = str(verdict.counterexample)
         return out
 
-    if args.command == "rep-exists":
+    if args.command in ("rep-exists", "rep-synth"):
         verdict = representation_exists(mapping, kb1.tbox)
         out["answer"] = verdict.answer
-        out["reason"] = verdict.reason
-        if verdict.tbox is not None:
-            out["witness"] = _serialize_tbox(verdict.tbox)
-        return out
-
-    if args.command == "rep-synth":
-        tbox = synthesize_representation(mapping, kb1.tbox)
-        if tbox is None:
-            out["answer"] = "no"
-            out["reason"] = "no representing target TBox exists"
+        if verdict.answer == "no":
+            out["reason"] = (
+                verdict.reason if args.command == "rep-exists"
+                else "no representing target TBox exists"
+            )
             return out
-        out["answer"] = "yes"
-        out["witness"] = _serialize_tbox(tbox)
-        _recheck(out, is_ucq_representation(mapping, kb1.tbox, tbox))
+        out["witness"] = _serialize_tbox(verdict.tbox)
+        _recheck(out, is_ucq_representation(mapping, kb1.tbox, verdict.tbox))
         return out
 
     raise InputError(f"unknown command {args.command!r}")  # pragma: no cover

@@ -10,8 +10,13 @@ dropped re-refines it from the pairs at the fact's ends.  Finite-to-regular
 ``verify_embedding_into_regular``) is complete via an anchored search: a
 connected image in a forest-shaped model sits below a unique shallowest node,
 so it suffices to try every element as the anchor and every state as its
-image, and to place each further element next to the image of a neighbour
-placed before it.
+image.  It reads each element's concepts and neighbour roles from the
+finite structure once; one breadth-first walk over those neighbours gives a
+component, the order to place its elements in, and for each element the
+neighbour that reached it, next to whose image it is placed.  A component
+with constants starts from them alone.  Both searches, this one and
+``choose_images``' choice of one image per individual, run the same
+depth-first loop, ``_search``.
 """
 
 from __future__ import annotations
@@ -26,24 +31,6 @@ from .canonical import (
 from .model import Atomic, BasicRole, Constant, Signature, role_over
 
 SimulationTable = frozenset
-
-
-def _concept_requirements(f: FiniteInterpretation, sigma: Signature | None) -> dict:
-    req: dict = {e: set() for e in f.elements}
-    for n, ext in f.concept_ext.items():
-        if sigma is None or n in sigma.concepts:
-            for e in ext:
-                req[e].add(n)
-    return req
-
-
-def _role_requirements(f: FiniteInterpretation, sigma: Signature | None) -> list:
-    return [
-        (n, e1, e2)
-        for n, ext in sorted(f.role_ext.items())
-        if sigma is None or n in sigma.roles
-        for (e1, e2) in sorted(ext, key=lambda p: (element_label(p[0]), element_label(p[1])))
-    ]
 
 
 def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
@@ -132,9 +119,9 @@ def choose_images(c: CanonicalStructure, f: FiniteInterpretation, images: dict,
     individuals map onto role facts of ``f``, or None.
 
     Null-named individuals are unpinned, so the finite core (with its role
-    facts) must map consistently.  The search is a loop over individuals
-    with the next image to try at each level; a role requirement is checked
-    once both its ends are chosen.
+    facts) must map consistently.  A ``_search`` over the individuals in
+    order, trying each one's live images by label; a role requirement is
+    checked once both its ends are chosen.
     """
 
     def rtype(e1, e2) -> frozenset:
@@ -144,36 +131,48 @@ def choose_images(c: CanonicalStructure, f: FiniteInterpretation, images: dict,
 
     inds = list(c.individuals)
     level = {t: i for i, t in enumerate(inds)}
-    reqs_at: list = [[] for _ in inds]
+    reqs_at: dict = {t: [] for t in inds}
     for (t1, t2), roles in c.individual_roles.items():
         need = frozenset(
             r for r in roles if sigma is None or role_over(r, sigma)
         )
         if need:
-            reqs_at[max(level[t1], level[t2])].append((t1, t2, need))
-    order: list = []  # sorted images per level, built on the first visit
-    nxt: list = []  # index of the next image to try per level
+            reqs_at[max(t1, t2, key=level.__getitem__)].append((t1, t2, need))
+
+    def by_label(t, _choice) -> list:
+        return sorted(images[t], key=lambda e: (e is None, "" if e is None else element_label(e)))
+
+    def fits(t, choice) -> bool:
+        return all(need <= rtype(choice[t1], choice[t2]) for (t1, t2, need) in reqs_at[t])
+
     choice: dict = {}
-    i = 0
-    while 0 <= i < len(inds):
-        if i == len(order):
-            order.append(sorted(
-                images[inds[i]],
-                key=lambda e: (e is None, element_label(e) if e is not None else ""),
-            ))
-            nxt.append(0)
-        t = inds[i]
-        while nxt[i] < len(order[i]):
-            choice[t] = order[i][nxt[i]]
-            nxt[i] += 1
-            if all(need <= rtype(choice[t1], choice[t2]) for (t1, t2, need) in reqs_at[i]):
-                i += 1
+    return choice if _search(inds, choice, by_label, fits) else None
+
+
+def _search(keys: list, assignment: dict, candidates, fits) -> bool:
+    """Extend ``assignment`` to every key of ``keys``, depth first in order.
+
+    On entering a key's level, ``candidates(key, assignment)`` gives the
+    values to try, in order; a value stays when ``fits(key, assignment)``
+    holds with it assigned, and the search backtracks when a level runs out.
+    Returns whether it got past the last key; on failure ``assignment`` is
+    as it was.
+    """
+    todo: list = [None] * len(keys)  # the untried values per level
+    i, entered = 0, True
+    while 0 <= i < len(keys):
+        key = keys[i]
+        if entered:
+            todo[i] = iter(candidates(key, assignment))
+        for value in todo[i]:
+            assignment[key] = value
+            if fits(key, assignment):
+                i, entered = i + 1, True
                 break
         else:
-            choice.pop(t, None)
-            nxt[i] = 0
-            i -= 1
-    return None if i < 0 else choice
+            assignment.pop(key, None)
+            i, entered = i - 1, False
+    return i == len(keys)
 
 
 def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | None,
@@ -289,30 +288,6 @@ def verify_simulation(c: CanonicalStructure, f: FiniteInterpretation,
     return True
 
 
-def _components(f: FiniteInterpretation, sigma: Signature | None) -> list:
-    adj: dict = {e: set() for e in f.elements}
-    for (n, e1, e2) in _role_requirements(f, sigma):
-        adj[e1].add(e2)
-        adj[e2].add(e1)
-    seen: set = set()
-    out = []
-    for e in f.elements:
-        if e in seen:
-            continue
-        comp = []
-        stack = [e]
-        seen.add(e)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        out.append((comp, adj))
-    return out
-
-
 def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
                                sigma: Signature | None = None) -> dict | None:
     """Homomorphism from a finite interpretation into a canonical model.
@@ -323,42 +298,39 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
     neighbor images stepwise explores every homomorphism shape.  Components
     containing constants are anchored by the constants themselves.
     """
-    creq = _concept_requirements(f, sigma)
-    rfacts = _role_requirements(f, sigma)
     if not f.constant_elems.keys() <= set(c.individuals):
         return None
     pin = {e: (const,) for const, e in f.constant_elems.items()}
-
-    facts_at: dict = {e: [] for e in f.elements}
-    for (n, e1, e2) in rfacts:
-        facts_at[e1].append((n, e1, e2))
-        if e2 != e1:
-            facts_at[e2].append((n, e1, e2))
-
-    const_roots = [(t,) for t in c.individuals]
+    # Per element: its atomic concepts and its neighbours with their roles,
+    # both over the signature, the neighbours by label.
+    atoms = {
+        e: frozenset(a for a in f.ttype(e, sigma) if isinstance(a, Atomic)) for e in f.elements
+    }
+    links = {
+        e: [(e2, roles) for e2 in sorted(f.neighbours(e), key=element_label)
+            if (roles := f.rtype(e, e2, sigma))]
+        for e in f.elements
+    }
+    roots = [(t,) for t in c.individuals] + [(rep,) for rep in sorted(c.classes, key=str)]
     # Individuals that share a role with each individual, in individual order.
     rank = {t: i for i, t in enumerate(c.individuals)}
     linked: dict = {}
-    for (t1, t2) in c.individual_roles:
+    for t1, t2 in sorted(c.individual_roles, key=lambda pair: rank[pair[1]]):
         linked.setdefault(t1, []).append(t2)
-    for ts in linked.values():
-        ts.sort(key=rank.__getitem__)
 
-    def node_ok(e, path) -> bool:
-        tp = ttype_at(c, path)
-        return all(Atomic(n) in tp for n in creq[e])
+    def walk(starts) -> dict:
+        """Breadth-first over the links from ``starts``: each element reached,
+        in order, with the element that reached it (None for a start)."""
+        base = dict.fromkeys(starts)
+        order = list(starts)
+        for e in order:
+            for e2, _ in links[e]:
+                if e2 not in base:
+                    base[e2] = e
+                    order.append(e2)
+        return base
 
-    def edges_ok(e, path, assignment) -> bool:
-        for (n, e1, e2) in facts_at[e]:
-            p1 = path if e1 == e else assignment.get(e1)
-            p2 = path if e2 == e else assignment.get(e2)
-            if p1 is None or p2 is None:
-                continue
-            if BasicRole(n) not in rtype_edge(c, p1, p2):
-                return False
-        return True
-
-    def candidates(path) -> list:
+    def around(path) -> list:
         """Every path that can share a role with ``path``: its children, its
         parent, and for an individual the individuals it has a role with."""
         out = [path + (rep,) for rep in c.gen[path[-1]]]
@@ -368,97 +340,41 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
             out.extend((t,) for t in linked.get(path[0], ()))
         return out
 
-    def grow(order, assignment) -> bool:
-        """Extend ``assignment`` to every element of ``order``.
+    def fits(e, assignment) -> bool:
+        path = assignment[e]
+        return atoms[e] <= ttype_at(c, path) and all(
+            roles <= rtype_edge(c, path, assignment[e2])
+            for e2, roles in links[e] if e2 in assignment
+        )
 
-        Each element shares a role fact with an element placed before it (the
-        order is breadth-first), so its image is among the candidates around
-        that element's image.  A loop with the candidates and the next one to
-        try per level.
-        """
-        placed = set(assignment)
-        bases = []
-        for e in order:
-            bases.append(next(
-                x for (_n, e1, e2) in facts_at[e] for x in (e1, e2) if x != e and x in placed
-            ))
-            placed.add(e)
-        cands: list = [()] * len(order)
-        nxt = [0] * len(order)
-        i, entered = 0, True
-        while 0 <= i < len(order):
-            e = order[i]
-            if entered:
-                cands[i] = candidates(assignment[bases[i]])
-                nxt[i] = 0
-            while nxt[i] < len(cands[i]):
-                p = cands[i][nxt[i]]
-                nxt[i] += 1
-                if node_ok(e, p) and edges_ok(e, p, assignment):
-                    assignment[e] = p
-                    i, entered = i + 1, True
-                    break
-            else:
-                assignment.pop(e, None)
-                i, entered = i - 1, False
-        return i == len(order)
+    def seeds(comp):
+        """The partial assignments a component's search starts from: its pins,
+        or else every element at every root."""
+        pins = [e for e in comp if e in pin]
+        if pins:
+            yield {e: pin[e] for e in pins}, walk(pins)
+            return
+        for anchor in comp:
+            grown = walk([anchor])
+            for root in roots:
+                yield {anchor: root}, grown
 
     total: dict = {}
-    for comp, adj in _components(f, sigma):
-        pinned_elems = [e for e in comp if e in pin]
-        order = _bfs_order(comp, adj, pinned_elems or None)
-        if pinned_elems:
-            assignment = {e: pin[e] for e in pinned_elems}
-            for e in pinned_elems:
-                if not (node_ok(e, pin[e]) and edges_ok(e, pin[e], assignment)):
-                    return None
-            rest = [e for e in order if e not in pin]
-            if not grow(rest, assignment):
-                return None
-            total.update(assignment)
+    for e in f.elements:
+        if e in total:
+            continue
+        for assignment, base in seeds(list(walk([e]))):
+            # Each further element is placed next to the image of the element
+            # that reached it, which is placed before it.
+            rest = [x for x, b in base.items() if b is not None]
+            if all(fits(x, assignment) for x in assignment) and _search(
+                rest, assignment, lambda x, placed: around(placed[base[x]]), fits
+            ):
+                total.update(assignment)
+                break
         else:
-            done = False
-            roots = const_roots + [(rep,) for rep in sorted(c.classes, key=str)]
-            for anchor in order:
-                rest = [e for e in _bfs_order(comp, adj, [anchor]) if e != anchor]
-                for root in roots:
-                    assignment = {anchor: root}
-                    if not (node_ok(anchor, root) and edges_ok(anchor, root, assignment)):
-                        continue
-                    if grow(rest, assignment):
-                        total.update(assignment)
-                        done = True
-                        break
-                if done:
-                    break
-            if not done:
-                return None
+            return None
     return total
-
-
-def _bfs_order(comp, adj, starts=None):
-    comp_set = set(comp)
-    order = []
-    seen: set = set()
-    queue = list(starts) if starts else []
-    for s in queue:
-        seen.add(s)
-    i = 0
-    while True:
-        while i < len(queue):
-            x = queue[i]
-            i += 1
-            order.append(x)
-            for y in sorted(adj[x], key=element_label):
-                if y in comp_set and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        remaining = [e for e in comp if e not in seen]
-        if not remaining:
-            return order
-        nxt = min(remaining, key=element_label)
-        seen.add(nxt)
-        queue.append(nxt)
 
 
 def verify_embedding_into_regular(f: FiniteInterpretation, c: CanonicalStructure,

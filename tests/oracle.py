@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
+from kbx.canonical import materialize
 from kbx.model import (
     ABox,
     Atomic,
@@ -420,6 +421,69 @@ def naive_simulation(c, f, sigma: Signature | None = None):
         ):
             return {(s, e) for (s, e) in alive if s in c.classes}
     return None
+
+
+def naive_embedding(f, c, sigma: Signature | None = None):
+    """Finite-to-regular embedding of a finite interpretation ``f`` into the
+    canonical model of the structure ``c``, by plain backtracking over its
+    truncation at depth |states| + |f|.
+
+    That depth holds an image of every homomorphism: a connected image spans
+    fewer than |f| levels below its shallowest node, the model below a node
+    depends only on the node's state, and every state occurs above depth
+    |states|.  Constants are pinned; every other element is tried at each
+    element of the truncation, or, once an element it shares a role fact
+    with is placed, at that image's neighbours.  A fact of ``f`` over
+    ``sigma`` is checked against the truncation's extensions as soon as its
+    ends are placed.  Returns the map from elements to paths, or None.  Of
+    the main code it uses ``materialize`` only, not the regular presentation's
+    type and edge lookups that the anchored search reads.
+    """
+    m = materialize(c, len(c.states()) + len(f.elements))
+    h = {}
+    for const, e in f.constant_elems.items():
+        if const not in m.constant_elems:
+            return None
+        h[e] = m.constant_elems[const]
+    cfacts = [
+        (n, e)
+        for n, ext in f.concept_ext.items()
+        if sigma is None or n in sigma.concepts
+        for e in ext
+    ]
+    rfacts = [
+        (n, e1, e2)
+        for n, ext in f.role_ext.items()
+        if sigma is None or n in sigma.roles
+        for (e1, e2) in ext
+    ]
+
+    def holds() -> bool:
+        return all(
+            h[e] in m.concept_ext.get(n, ()) for (n, e) in cfacts if e in h
+        ) and all(
+            (h[e1], h[e2]) in m.role_ext.get(n, ()) for (n, e1, e2) in rfacts
+            if e1 in h and e2 in h
+        )
+
+    def place(free: list) -> bool:
+        if not free:
+            return True
+        # Prefer an element that shares a role fact with a placed one.
+        near = [(e, x) for e in free for (_n, e1, e2) in rfacts for x in (e1, e2)
+                if e in (e1, e2) and x != e and x in h]
+        e, x = near[0] if near else (free[0], None)
+        rest = [y for y in free if y != e]
+        for p in (m.elements if x is None else m.neighbours(h[x])):
+            h[e] = p
+            if holds() and place(rest):
+                return True
+        h.pop(e, None)
+        return False
+
+    if not holds() or not place([e for e in f.elements if e not in h]):
+        return None
+    return h
 
 
 def naive_minimize_witness(abox: ABox, embeds) -> ABox:

@@ -100,14 +100,15 @@ def test_depth_cap_flag(capsys):
 
 
 def test_failed_recheck_answers_error(capsys):
-    code, report = run_json(
-        capsys, "rep-synth", "--kb", path("clash_far_neg_kb"), "--mapping",
-        path("clash_far_neg_map"),
-    )
-    assert code == 3
-    assert report["answer"] == "error"
-    assert report["recheck"] == "failed"
-    assert report["reason"].startswith("recheck failed: data {")
+    for command in ("rep-synth", "rep-exists"):
+        code, report = run_json(
+            capsys, command, "--kb", path("clash_far_neg_kb"), "--mapping",
+            path("clash_far_neg_map"),
+        )
+        assert code == 3, command
+        assert report["answer"] == "error"
+        assert report["recheck"] == "failed"
+        assert report["reason"].startswith("recheck failed: data {")
 
 
 def test_rep_check_no_carries_counterexample(capsys):
@@ -130,6 +131,7 @@ def test_rep_exists_verdicts(capsys):
     )
     assert code == 0
     assert "Fp [= Gp" in report["witness"]
+    assert report["recheck"] == "passed"
 
 
 def test_rep_synth_rechecks_its_output(capsys):
@@ -172,6 +174,13 @@ def test_usage_errors_exit_3(capsys):
     capsys.readouterr()
     assert cli.run(["consistency"]) == 3
     capsys.readouterr()
+    # A negative depth is refused, not read as a depth or a cap.
+    for argv in (
+        ["canonical", "--kb", path("ex4_kb"), "--depth", "-2"],
+        ["usol-exists-ext", "--kb", path("ex3_kb"), "--mapping", path("ex3_map"),
+         "--depth-cap", "-1"],
+    ):
+        assert run(capsys, *argv) == (3, ""), argv
 
 
 def test_automata_dump_is_byte_stable(capsys):

@@ -2,9 +2,9 @@
 
 import random
 
-from oracle import naive_simulation
+from oracle import naive_embedding, naive_simulation
 
-from kbx.canonical import FiniteInterpretation, build_canonical, build_vabox
+from kbx.canonical import FiniteInterpretation, build_canonical, build_vabox, materialize
 from kbx.homomorphism import (
     choose_images,
     embeds_finite_into_regular,
@@ -180,3 +180,61 @@ def test_dead_pairs_refute_the_pairs_that_relied_on_them():
     for c, f, sigma in cases:
         assert naive_simulation(c, f, sigma) is None
         assert embeds_regular_into_finite(c, f, sigma) is None
+
+
+def _random_piece(rng, c, sigma) -> FiniteInterpretation:
+    """A connected piece of at most four elements of ``materialize(c, 3)``
+    with its facts over ``sigma``, some elements renamed to ints, and with
+    probability one half each a twin of one element and one random fact
+    over ``sigma`` added."""
+    m = materialize(c, 3)
+    concepts = ["A", "B"] if sigma is None else sorted(sigma.concepts)
+    roles = ["P", "S"] if sigma is None else sorted(sigma.roles)
+    piece = [rng.choice(m.elements)]
+    for _ in range(rng.randint(0, 3)):
+        reach = sorted(
+            {e2 for e in piece for e2 in m.neighbours(e)
+             if e2 not in piece and m.rtype(e, e2, sigma)},
+            key=str,
+        )
+        if reach:
+            piece.append(rng.choice(reach))
+    name = {e: i if rng.random() < 0.5 else e for i, e in enumerate(piece)}
+    cfacts = [(n, name[e]) for n, e in m.concept_facts() if n in concepts and e in name]
+    rfacts = [
+        (n, name[e1], name[e2]) for n, e1, e2 in m.role_facts()
+        if n in roles and e1 in name and e2 in name
+    ]
+    elems = list(name.values())
+    if rng.random() < 0.5:
+        # A twin with the same facts may share its original's image, which
+        # the search can reach only by placing an element above the one
+        # before it.
+        e, twin = rng.choice(elems), len(elems)
+        elems.append(twin)
+        cfacts += [(n, twin) for n, x in cfacts if x == e]
+        rfacts += [
+            (n, twin if x == e else x, twin if y == e else y)
+            for n, x, y in rfacts if e in (x, y)
+        ]
+    if rng.random() < 0.5:
+        if roles and rng.random() < 0.5:
+            rfacts.append((rng.choice(roles), rng.choice(elems), rng.choice(elems)))
+        elif concepts:
+            cfacts.append((rng.choice(concepts), rng.choice(elems)))
+    consts = {t: name[(t,)] for t in m.constant_elems if (t,) in name}
+    return FiniteInterpretation(elems, cfacts, rfacts, consts)
+
+
+def test_anchored_search_matches_the_naive_embedding():
+    rng = random.Random(8)
+    found = 0
+    for _ in range(300):
+        c, _f, sigma = _random_pair(rng)
+        f = _random_piece(rng, c, sigma)
+        h = embeds_finite_into_regular(f, c, sigma)
+        assert (h is None) == (naive_embedding(f, c, sigma) is None), (f.elements, sigma)
+        if h is not None:
+            found += 1
+            assert verify_embedding_into_regular(f, c, h, sigma)
+    assert 100 <= found <= 270, found
