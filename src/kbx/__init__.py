@@ -52,7 +52,6 @@ from .representability import (
     RepresentationVerdict,
     is_ucq_representation,
     representation_exists,
-    synthesize_representation,
 )
 from .syntax import ParseError, parse_kb, parse_mapping, serialize
 
@@ -97,7 +96,6 @@ __all__ = [
     "parse_mapping",
     "representation_exists",
     "serialize",
-    "synthesize_representation",
     "tbox_trivial",
     "universal_solution_extended",
     "universal_solution_plain",

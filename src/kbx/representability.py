@@ -430,12 +430,6 @@ def representation_exists(mapping: Mapping, t1: TBox) -> RepresentationVerdict:
     return RepresentationVerdict("yes", tbox=axioms)
 
 
-def synthesize_representation(mapping: Mapping, t1: TBox) -> Optional[TBox]:
-    """Build a target TBox representing ``t1``, or ``None`` if none exists."""
-    axioms, _ = _synthesis(mapping, t1)
-    return axioms
-
-
 def _conform_pass(d: _Decision, bc: BasicConcept, rep: BasicRole) -> Optional[list]:
     """Target axioms with which the target side reproduces the neighbor that
     ``bc``-data generates through ``rep``, or ``None``.

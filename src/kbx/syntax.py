@@ -2,17 +2,23 @@
 
 The format is whitespace-insensitive with ``#`` line comments.  ``[=`` is the
 inclusion token, a ``-`` suffix inverts a role, and a ``_`` prefix marks a
-labeled null.  Because a bare inclusion ``S [= S'`` does not reveal whether its
-sides are concepts or roles, the parser infers name kinds from usage (``exists``
-arguments, ``-`` suffixes, assertion arities, explicit declarations) and
-propagates them across axioms; names with no evidence default to concepts.
-KB files may carry an optional ``roles { ... }`` block and mapping signature
-entries may be marked ``role X`` so that serialization is always re-parsable.
+labeled null.  A name starts with a letter (``str.isalpha``), and goes on with
+letters or digits (``str.isalnum``) and ``'``.  The lexer matches one pattern,
+``_TOKEN``, at each position: a newline, other whitespace, a comment, a name
+with or without its ``_``, or one of ``[=`` ``{`` ``}`` ``(`` ``)`` ``,``
+``;`` ``-``; anything else is an error.  Because a bare inclusion ``S [= S'``
+does not reveal whether its sides are concepts or roles, the parser infers
+name kinds from usage (``exists`` arguments, ``-`` suffixes, assertion
+arities, explicit declarations) and propagates them across axioms; names with
+no evidence default to concepts.  KB files may carry an optional
+``roles { ... }`` block and mapping signature entries may be marked
+``role X`` so that serialization is always re-parsable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .model import (
     ABox,
@@ -37,100 +43,68 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
-    end: int
+class ParseError(Exception):
+    """Raised on the first syntax or well-formedness failure, with a location."""
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
+        self.line = line
+        self.column = column
+
+
+class _Token(NamedTuple):
+    kind: str  # ident | null | punct | eof; a null's text keeps its '_'
+    text: str
     line: int
     column: int
 
 
-class ParseError(Exception):
-    """Raised on the first syntax or well-formedness failure, with a location."""
-
-    def __init__(self, message: str, span: SourceSpan):
-        super().__init__(f"{message} (line {span.line}, column {span.column})")
-        self.message = message
-        self.span = span
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | null | punct | eof
-    text: str
-    span: SourceSpan
-
-
-_PUNCT = {"{", "}", "(", ")", ",", ";", "-"}
+# [^\W_] is exactly str.isalnum.  It also admits digits as a name's first
+# character, so the lexer checks that character with str.isalpha.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<name>_?[^\W_](?:[^\W_]|')*)|(?P<punct>\[=|[{}(),;-])|(?P<other>.)",
+    re.DOTALL,
+)
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def span(start: int, end: int, sline: int, scol: int) -> SourceSpan:
-        return SourceSpan(start, end, sline, scol)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start, sline, scol = i, line, col
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "'"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], span(start, j, sline, scol)))
-            col += j - i
-            i = j
-            continue
-        if ch == "_":
-            j = i + 1
-            if j >= n or not text[j].isalpha():
-                raise ParseError("null name expected after '_'", span(start, i + 1, sline, scol))
-            k = j + 1
-            while k < n and (text[k].isalnum() or text[k] == "'"):
-                k += 1
-            tokens.append(_Token("null", text[j:k], span(start, k, sline, scol)))
-            col += k - i
-            i = k
-            continue
-        if text.startswith("[=", i):
-            tokens.append(_Token("punct", "[=", span(start, i + 2, sline, scol)))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, span(start, i + 1, sline, scol)))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span(start, i + 1, sline, scol))
-    tokens.append(_Token("eof", "", SourceSpan(n, n, line, col)))
+    line, line_start = 1, 0
+    m: re.Match[str] | None = None
+    for m in _TOKEN.finditer(text):
+        kind, word, column = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "punct":
+            tokens.append(_Token("punct", word, line, column))
+        elif kind == "name" and word.lstrip("_")[0].isalpha():
+            tokens.append(_Token("null" if word[0] == "_" else "ident", word, line, column))
+        elif word[0] == "_":
+            raise ParseError("null name expected after '_'", line, column)
+        elif kind not in ("space", "comment"):
+            raise ParseError(f"unexpected character {word[0]!r}", line, column)
+    # A comment that runs to the end of the input does not move the end's column.
+    end = m.start() if m and m.lastgroup == "comment" else len(text)
+    tokens.append(_Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
-# A parsed axiom side before the concept-vs-role decision is made.
-# ("exists", BasicRole) | ("inv", name) | ("name", name); every shape keeps its token.
-_Side = tuple[str, object, _Token]
+# An axiom side before the concept-vs-role decision: its shape ("exists",
+# "inv" or "name"), the role it reads as, and its token.  A bare name reads
+# as the role of that name, an existential as its role.
+_Side = tuple[str, BasicRole, _Token]
+_RawAxiom = tuple[_Side, bool, _Side]
 
 
 class _Parser:
+    """A cursor over the tokens, and the concept-or-role kind of each name."""
+
     def __init__(self, text: str):
         self.tokens = _lex(text)
         self.pos = 0
+        self.kinds: dict[str, str] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -142,167 +116,135 @@ class _Parser:
         return tok
 
     def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        return ParseError(message, (tok or self.peek()).span)
+        tok = tok or self.peek()
+        return ParseError(message, tok.line, tok.column)
 
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise self.error(f"expected {text!r}", tok)
-        return self.next()
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise self.error(f"expected {word!r}", tok)
-        return self.next()
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def accept_punct(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
+    def accept(self, text: str) -> bool:
+        """Take the next token if it is the keyword or punctuation ``text``."""
+        if self.peek().text == text:
             self.next()
             return True
         return False
 
-    # -- shared pieces -------------------------------------------------
-
-    def parse_role(self) -> tuple[BasicRole, _Token]:
+    def expect(self, text: str) -> _Token:
         tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error("role name expected", tok)
-        self.next()
-        inverted = self.accept_punct("-")
-        return BasicRole(tok.text, inverted), tok
+        if not self.accept(text):
+            raise self.error(f"expected {text!r}")
+        return tok
 
-    def parse_side(self) -> _Side:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error("concept or role expected", tok)
+    def ident(self, message: str) -> _Token:
+        if self.peek().kind != "ident":
+            raise self.error(message)
+        return self.next()
+
+    def constrain(self, name: str, kind: str, tok: _Token) -> None:
+        if self.kinds.setdefault(name, kind) != kind:
+            raise self.error(f"name {name!r} used as both concept and role", tok)
+
+    def close(self) -> None:
+        """The final ``}``, and nothing after it."""
+        self.expect("}")
+        if self.peek().kind != "eof":
+            raise self.error("trailing input after closing '}'")
+
+    # -- blocks ----------------------------------------------------------
+
+    def names(self, marked: bool) -> list[str]:
+        """``{ N, ... }``: every name is a role, or in a signature (``marked``)
+        only those written ``role N``."""
+        names: list[str] = []
+        self.expect("{")
+        while not self.accept("}"):
+            tok = self.ident("name expected" if marked else "role name expected")
+            role = not marked
+            if marked and tok.text == "role" and self.peek().kind == "ident":
+                tok, role = self.next(), True
+            if role:
+                self.constrain(tok.text, "role", tok)
+            names.append(tok.text)
+            if not self.accept(","):
+                self.expect("}")
+                break
+        return names
+
+    def role(self) -> tuple[BasicRole, _Token]:
+        tok = self.ident("role name expected")
+        return BasicRole(tok.text, self.accept("-")), tok
+
+    def side(self) -> _Side:
+        tok = self.ident("concept or role expected")
         if tok.text == "exists":
-            self.next()
-            role, rtok = self.parse_role()
+            role, rtok = self.role()
             return ("exists", role, rtok)
-        self.next()
-        if self.accept_punct("-"):
-            return ("inv", tok.text, tok)
-        return ("name", tok.text, tok)
+        if self.accept("-"):
+            return ("inv", BasicRole(tok.text, True), tok)
+        return ("name", BasicRole(tok.text), tok)
 
-    def parse_raw_axiom(self) -> tuple[_Side, bool, _Side]:
-        lhs = self.parse_side()
-        self.expect_punct("[=")
-        negated = False
-        if self.at_keyword("not"):
-            self.next()
-            negated = True
-        rhs = self.parse_side()
-        self.expect_punct(";")
-        return lhs, negated, rhs
+    def tbox(self) -> list[_RawAxiom]:
+        self.expect("tbox")
+        self.expect("{")
+        raw: list[_RawAxiom] = []
+        while not self.accept("}"):
+            lhs = self.side()
+            self.expect("[=")
+            negated = self.accept("not")
+            raw.append((lhs, negated, self.side()))
+            self.expect(";")
+        return raw
 
-    def parse_arg(self) -> Term:
+    def arg(self) -> Term:
         tok = self.peek()
         if tok.kind == "ident":
             self.next()
             return Constant(tok.text)
         if tok.kind == "null":
             self.next()
-            return Null(tok.text)
-        raise self.error("constant or null expected", tok)
+            return Null(tok.text[1:])
+        raise self.error("constant or null expected")
 
-
-class _Kinds:
-    """Concept-vs-role assignment for names, built from usage evidence."""
-
-    def __init__(self) -> None:
-        self.known: dict[str, tuple[str, _Token]] = {}
-
-    def constrain(self, name: str, kind: str, tok: _Token) -> None:
-        prior = self.known.get(name)
-        if prior is None:
-            self.known[name] = (kind, tok)
-        elif prior[0] != kind:
-            raise ParseError(f"name {name!r} used as both concept and role", tok.span)
-
-    def kind_of(self, name: str) -> str | None:
-        entry = self.known.get(name)
-        return entry[0] if entry else None
-
-
-def _side_names(side: _Side) -> list[tuple[str, _Token]]:
-    tag, payload, tok = side
-    if tag == "name":
-        return [(payload, tok)]  # type: ignore[list-item]
-    return []
-
-
-def _constrain_from_axioms(kinds: _Kinds, raw_axioms: list[tuple[_Side, bool, _Side]]) -> None:
-    """Fix name kinds implied by axiom shapes, then propagate across bare axioms."""
-    for lhs, _neg, rhs in raw_axioms:
-        tags = {lhs[0], rhs[0]}
-        if "exists" in tags and "inv" in tags:
-            raise ParseError("inclusion mixes a concept and a role", lhs[2].span)
-        if "exists" in tags:
-            for name, tok in _side_names(lhs) + _side_names(rhs):
-                kinds.constrain(name, "concept", tok)
-        elif "inv" in tags:
-            for name, tok in _side_names(lhs) + _side_names(rhs):
-                kinds.constrain(name, "role", tok)
-        for side in (lhs, rhs):
-            if side[0] == "exists":
-                kinds.constrain(side[1].name, "role", side[2])  # type: ignore[union-attr]
-            elif side[0] == "inv":
-                kinds.constrain(side[1], "role", side[2])  # type: ignore[arg-type]
-    changed = True
-    while changed:
-        changed = False
-        for lhs, _neg, rhs in raw_axioms:
-            if lhs[0] != "name" or rhs[0] != "name":
+    def axioms(self, raw: list[_RawAxiom]) -> tuple[TBoxAxiom, ...]:
+        """Fix name kinds from each axiom's shape, propagate them across bare
+        inclusions, then build the axioms."""
+        for lhs, _neg, rhs in raw:
+            shapes = {lhs[0], rhs[0]}
+            if shapes >= {"exists", "inv"}:
+                raise self.error("inclusion mixes a concept and a role", lhs[2])
+            if shapes != {"name"}:
+                kind = "concept" if "exists" in shapes else "role"
+                for shape, role, tok in (lhs, rhs):
+                    if shape == "name":
+                        self.constrain(role.name, kind, tok)
+            for shape, role, tok in (lhs, rhs):
+                if shape != "name":
+                    self.constrain(role.name, "role", tok)
+        changed = True
+        while changed:
+            changed = False
+            for (s1, r1, _), _neg, (s2, r2, _) in raw:
+                if s1 != "name" or s2 != "name":
+                    continue
+                for known, other in ((r1.name, r2.name), (r2.name, r1.name)):
+                    if known in self.kinds and other not in self.kinds:
+                        self.kinds[other] = self.kinds[known]
+                        changed = True
+        axioms: set[TBoxAxiom] = set()
+        for lhs, negated, rhs in raw:
+            shapes = {lhs[0], rhs[0]}
+            if "exists" not in shapes and (
+                "inv" in shapes or self.kinds.get(lhs[1].name) == "role"
+            ):
+                axioms.add(RoleInclusion(lhs[1], rhs[1], negated))
                 continue
-            k1 = kinds.kind_of(lhs[1])  # type: ignore[arg-type]
-            k2 = kinds.kind_of(rhs[1])  # type: ignore[arg-type]
-            if k1 and not k2:
-                kinds.constrain(rhs[1], k1, rhs[2])  # type: ignore[arg-type]
-                changed = True
-            elif k2 and not k1:
-                kinds.constrain(lhs[1], k2, lhs[2])  # type: ignore[arg-type]
-                changed = True
-
-
-def _build_axioms(
-    kinds: _Kinds, raw_axioms: list[tuple[_Side, bool, _Side]]
-) -> tuple[TBoxAxiom, ...]:
-    axioms: set[TBoxAxiom] = set()
-    for lhs, negated, rhs in raw_axioms:
-        tags = {lhs[0], rhs[0]}
-        if "exists" in tags:
-            is_role = False
-        elif "inv" in tags:
-            is_role = True
-        else:
-            is_role = kinds.kind_of(lhs[1]) == "role"  # type: ignore[arg-type]
-        if is_role:
-            sides = []
-            for tag, payload, tok in (lhs, rhs):
-                if tag == "inv":
-                    sides.append(BasicRole(payload, inverted=True))  # type: ignore[arg-type]
+            sides: list[BasicConcept] = []
+            for shape, role, tok in (lhs, rhs):
+                if shape == "exists":
+                    sides.append(Exists(role))
+                elif self.kinds.get(role.name) == "role":
+                    raise self.error(f"role {role.name!r} used where a concept is required", tok)
                 else:
-                    sides.append(BasicRole(payload))  # type: ignore[arg-type]
-            axioms.add(RoleInclusion(sides[0], sides[1], negated))
-        else:
-            csides: list[BasicConcept] = []
-            for tag, payload, tok in (lhs, rhs):
-                if tag == "exists":
-                    csides.append(Exists(payload))  # type: ignore[arg-type]
-                else:
-                    if kinds.kind_of(payload) == "role":  # type: ignore[arg-type]
-                        raise ParseError(
-                            f"role {payload!r} used where a concept is required", tok.span
-                        )
-                    csides.append(Atomic(payload))  # type: ignore[arg-type]
-            axioms.add(ConceptInclusion(csides[0], csides[1], negated))
-    return tuple(sorted(axioms, key=str))
+                    sides.append(Atomic(role.name))
+            axioms.add(ConceptInclusion(sides[0], sides[1], negated))
+        return tuple(sorted(axioms, key=str))
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -311,133 +253,67 @@ def parse_kb(text: str) -> KnowledgeBase:
     Raises ParseError with a source location on the first failure.
     """
     p = _Parser(text)
-    kinds = _Kinds()
-    p.expect_keyword("kb")
-    p.expect_punct("{")
-    if p.at_keyword("roles"):
-        p.next()
-        p.expect_punct("{")
-        while not p.accept_punct("}"):
-            tok = p.peek()
-            if tok.kind != "ident":
-                raise p.error("role name expected", tok)
-            p.next()
-            kinds.constrain(tok.text, "role", tok)
-            if not p.accept_punct(","):
-                p.expect_punct("}")
-                break
-    p.expect_keyword("tbox")
-    p.expect_punct("{")
-    raw_axioms: list[tuple[_Side, bool, _Side]] = []
-    while not p.accept_punct("}"):
-        raw_axioms.append(p.parse_raw_axiom())
-
-    p.expect_keyword("abox")
-    p.expect_punct("{")
-    raw_assertions: list[tuple[_Token, BasicRole | None, list[Term]]] = []
-    while not p.accept_punct("}"):
-        tok = p.peek()
-        if tok.kind != "ident":
-            raise p.error("assertion expected", tok)
-        if tok.text == "exists":
-            p.next()
-            role, rtok = p.parse_role()
-            kinds.constrain(role.name, "role", rtok)
-            p.expect_punct("(")
-            arg = p.parse_arg()
-            p.expect_punct(")")
-            p.expect_punct(";")
-            raw_assertions.append((tok, role, [arg]))
-            continue
-        p.next()
-        p.expect_punct("(")
-        args = [p.parse_arg()]
-        if p.accept_punct(","):
-            args.append(p.parse_arg())
-        p.expect_punct(")")
-        p.expect_punct(";")
-        kinds.constrain(tok.text, "role" if len(args) == 2 else "concept", tok)
-        raw_assertions.append((tok, None, args))
-    p.expect_punct("}")
-    if p.peek().kind != "eof":
-        raise p.error("trailing input after closing '}'")
-
-    _constrain_from_axioms(kinds, raw_axioms)
-    tbox = _build_axioms(kinds, raw_axioms)
+    p.expect("kb")
+    p.expect("{")
+    if p.accept("roles"):
+        p.names(marked=False)
+    raw = p.tbox()
+    p.expect("abox")
+    p.expect("{")
     assertions: list = []
-    has_exists_assertion = False
-    for tok, role, args in raw_assertions:
+    first_exists: _Token | None = None
+    while not p.accept("}"):
+        tok = p.ident("assertion expected")
+        role: BasicRole | None = None
+        if tok.text == "exists":
+            role, rtok = p.role()
+            p.constrain(role.name, "role", rtok)
+            first_exists = first_exists or tok
+        p.expect("(")
+        args = [p.arg()]
+        if role is None and p.accept(","):
+            args.append(p.arg())
+        p.expect(")")
+        p.expect(";")
         if role is not None:
-            has_exists_assertion = True
             assertions.append(ConceptAssertion(Exists(role), args[0]))
         elif len(args) == 2:
+            p.constrain(tok.text, "role", tok)
             assertions.append(RoleAssertion(BasicRole(tok.text), args[0], args[1]))
         else:
+            p.constrain(tok.text, "concept", tok)
             assertions.append(ConceptAssertion(Atomic(tok.text), args[0]))
+    p.close()
+    tbox = p.axioms(raw)
     abox = ABox.make(assertions)
-    if has_exists_assertion and abox.extended:
-        raise ParseError(
-            "existential assertions are only allowed in ABoxes without nulls",
-            raw_assertions[0][0].span,
+    if first_exists and abox.extended:
+        raise p.error(
+            "existential assertions are only allowed in ABoxes without nulls", first_exists
         )
     return KnowledgeBase(tbox, abox)
-
-
-def _parse_name_list(p: _Parser, kinds: _Kinds) -> list[tuple[str, _Token]]:
-    names: list[tuple[str, _Token]] = []
-    p.expect_punct("{")
-    while not p.accept_punct("}"):
-        tok = p.peek()
-        if tok.kind != "ident":
-            raise p.error("name expected", tok)
-        p.next()
-        if tok.text == "role" and p.peek().kind == "ident":
-            rtok = p.next()
-            kinds.constrain(rtok.text, "role", rtok)
-            names.append((rtok.text, rtok))
-        else:
-            names.append((tok.text, tok))
-        if not p.accept_punct(","):
-            p.expect_punct("}")
-            break
-    return names
 
 
 def parse_mapping(text: str) -> Mapping:
     """Parse a ``mapping { source {...} target {...} tbox {...} }`` file."""
     p = _Parser(text)
-    kinds = _Kinds()
-    start = p.expect_keyword("mapping")
-    p.expect_punct("{")
-    p.expect_keyword("source")
-    source_names = _parse_name_list(p, kinds)
-    p.expect_keyword("target")
-    target_names = _parse_name_list(p, kinds)
-    p.expect_keyword("tbox")
-    p.expect_punct("{")
-    raw_axioms: list[tuple[_Side, bool, _Side]] = []
-    while not p.accept_punct("}"):
-        raw_axioms.append(p.parse_raw_axiom())
-    p.expect_punct("}")
-    if p.peek().kind != "eof":
-        raise p.error("trailing input after closing '}'")
+    start = p.expect("mapping")
+    p.expect("{")
+    p.expect("source")
+    source = p.names(marked=True)
+    p.expect("target")
+    target = p.names(marked=True)
+    raw = p.tbox()
+    p.close()
+    t12 = p.axioms(raw)
 
-    _constrain_from_axioms(kinds, raw_axioms)
-    t12 = _build_axioms(kinds, raw_axioms)
+    def split(names: list[str]) -> Signature:
+        roles = {name for name in names if p.kinds.get(name) == "role"}
+        return Signature(frozenset(names) - roles, frozenset(roles))
 
-    def split(names: list[tuple[str, _Token]]) -> Signature:
-        concepts, roles = set(), set()
-        for name, _tok in names:
-            if kinds.kind_of(name) == "role":
-                roles.add(name)
-            else:
-                concepts.add(name)
-        return Signature(frozenset(concepts), frozenset(roles))
-
-    mapping = Mapping(split(source_names), split(target_names), t12)
+    mapping = Mapping(split(source), split(target), t12)
     violations = validate_mapping(mapping)
     if violations:
-        raise ParseError("; ".join(violations), start.span)
+        raise p.error("; ".join(violations), start)
     return mapping
 
 

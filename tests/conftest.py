@@ -1,5 +1,6 @@
-"""Shared test helpers: loading the checked-in example corpus, and one-shot
-entailment checks under a fresh reasoning context."""
+"""Shared test helpers: loading the checked-in example corpus, one-shot
+entailment checks under a fresh reasoning context, and the TBox that
+``representation_exists`` builds."""
 
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from kbx.model import ConceptAssertion
 from kbx.reasoner import Reasoner
+from kbx.representability import representation_exists
 from kbx.syntax import parse_kb, parse_mapping
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -30,6 +32,11 @@ def derives_concept(tbox, sub, sup) -> bool:
 def derives_role(tbox, sub, sup) -> bool:
     """Positive role subsumption under ``tbox`` (one-shot, uncached)."""
     return Reasoner(tbox).derives_role(sub, sup)
+
+
+def synthesize_representation(mapping, t1):
+    """A target TBox representing ``t1`` under the mapping, or ``None``."""
+    return representation_exists(mapping, t1).tbox
 
 
 def derives_assertion(kb, assertion) -> bool:

@@ -11,7 +11,13 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
-from conftest import derives_concept, derives_role, load_kb, load_mapping
+from conftest import (
+    derives_concept,
+    derives_role,
+    load_kb,
+    load_mapping,
+    synthesize_representation,
+)
 
 from kbx.automata import (
     GOOD_MARK,
@@ -46,11 +52,7 @@ from oracle import (
     three_colorable,
 )
 from kbx.reasoner import kb_consistent
-from kbx.representability import (
-    is_ucq_representation,
-    representation_exists,
-    synthesize_representation,
-)
+from kbx.representability import is_ucq_representation, representation_exists
 from kbx.syntax import parse_kb
 from reductions import (
     _CONCEPTS,

@@ -2,14 +2,13 @@
 
 import pytest
 
-from conftest import load_kb, load_mapping
+from conftest import load_kb, load_mapping, synthesize_representation
 
 from kbx.model import Atomic, BasicRole, ConceptInclusion, Constant
 from kbx.representability import (
     PreconditionViolated,
     is_ucq_representation,
     representation_exists,
-    synthesize_representation,
 )
 
 

@@ -84,6 +84,107 @@ def test_parse_error_reports_location():
         pytest.fail("expected a ParseError")
 
 
+# One input per error message, with the exact location each one reports.
+ERROR_LOCATIONS = [
+    ("kb { tbox { } abox { F(a)! } }", "unexpected character '!'", 1, 26),
+    ("kb { tbox { F [ G; } abox { } }", "unexpected character '['", 1, 15),
+    ("kb { tbox { F = G; } abox { } }", "unexpected character '='", 1, 15),
+    ("kb { tbox { } abox { F(_); } }", "null name expected after '_'", 1, 24),
+    ("kb { tbox { } abox { F(_n1) } _", "null name expected after '_'", 1, 31),
+    ("kb { tbox { F [= G } abox { } }", "expected ';'", 1, 20),
+    ("kb { abox { F(a); } }", "expected 'tbox'", 1, 6),
+    ("kb { _tbox { } abox { } }", "expected 'tbox'", 1, 6),
+    ("kb { roles { S, ( } tbox { } abox { } }", "role name expected", 1, 17),
+    ("kb { tbox { exists ; [= F; } abox { } }", "role name expected", 1, 20),
+    ("kb {\n  tbox {\n    F [= ;\n  }\n}", "concept or role expected", 3, 10),
+    ("kb { tbox { } abox { F(,); } }", "constant or null expected", 1, 24),
+    ("kb { tbox { } abox { exists S (a, b); } }", "expected ')'", 1, 33),
+    ("kb { tbox { } abox { (a); } }", "assertion expected", 1, 22),
+    ("mapping { source { F, ; } target { } tbox { } }", "name expected", 1, 23),
+    # Conflicting kinds: by ABox arity, by axiom shape against a declaration,
+    # by the shapes of two axioms, and by an existential fact against a plain one.
+    ("kb { tbox { } abox { F(a); F(a, b); } }", "name 'F' used as both concept and role", 1, 28),
+    (
+        "kb { roles { F } tbox { G [= F; exists S [= F; } abox { } }",
+        "name 'F' used as both concept and role", 1, 45,
+    ),
+    (
+        "kb { tbox { F- [= G-; exists S [= F; } abox { } }",
+        "name 'F' used as both concept and role", 1, 35,
+    ),
+    (
+        "kb { tbox { } abox { exists S (a); S(a); } }",
+        "name 'S' used as both concept and role", 1, 36,
+    ),
+    (
+        "mapping { source { role S } target { Sp } tbox { S [= Sp; exists Sp [= Sp; } }",
+        "name 'Sp' used as both concept and role", 1, 66,
+    ),
+    ("kb { tbox { exists S [= T-; } abox { } }", "inclusion mixes a concept and a role", 1, 20),
+    # T becomes a concept by propagation from F, so its inclusion into S is a concept one.
+    (
+        "kb { roles { S } tbox { F [= T; T [= S; } abox { F(a); } }",
+        "role 'S' used where a concept is required", 1, 38,
+    ),
+    # Reported at the first existential assertion, not at the ABox's first one.
+    (
+        "kb { tbox { } abox {\n  F(a);\n  G(_n1);\n  exists S (b);\n} }",
+        "existential assertions are only allowed in ABoxes without nulls", 4, 3,
+    ),
+    ("kb { tbox { } abox { } } x", "trailing input after closing '}'", 1, 26),
+    (
+        "mapping {\n  source { F }\n  target { F }\n  tbox { }\n}",
+        "signature overlap between source and target: ['F']", 1, 1,
+    ),
+    # Edge cases of the lexer: a trailing comment leaves the end-of-input column
+    # at its '#', '\r' is counted as a column, and names follow str.isalpha and
+    # str.isalnum.
+    ("kb { tbox { } abox { } # end", "expected '}'", 1, 24),
+    ("kb {\r\n  tbox {\r\n    F [= ;\r\n  }\r\n}", "concept or role expected", 3, 10),
+    ("kb { tbox { } abox { ²F(a); } }", "unexpected character '²'", 1, 22),
+    ("kb { tbox { } abox { F(_²); } }", "null name expected after '_'", 1, 24),
+    ("kb { tbox { } abox { é(a) } }", "expected ';'", 1, 27),
+    ("kb { tbox { } abox { F²'(a); } } x", "trailing input after closing '}'", 1, 34),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", ERROR_LOCATIONS)
+def test_parse_error_message_and_location(text, message, line, column):
+    parse = parse_mapping if text.startswith("mapping") else parse_kb
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    err = info.value
+    assert (err.message, err.line, err.column) == (message, line, column)
+    assert str(err) == f"{message} (line {line}, column {column})"
+
+
+# Tokens of the format, plus characters that are not, or only in some places.
+soup_tokens = st.sampled_from(
+    [
+        "kb", "mapping", "roles", "tbox", "abox", "source", "target", "role", "exists",
+        "not", "F", "S", "a", "_n1", "[=", "{", "}", "(", ")", ",", ";", "-", " ", "\n",
+        "# c\n", "²", "é", "[", "=", "_", "\r", "'",
+    ]
+)
+
+
+# Valid openings, so that the soup also reaches the later blocks.
+soup_prefixes = st.sampled_from(
+    ["", "kb { ", "kb { tbox { ", "kb { tbox { } abox { ", "mapping { source { "]
+)
+
+
+@given(soup_prefixes, st.lists(soup_tokens, max_size=40).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_bad_input_is_always_a_parse_error(prefix, soup):
+    """Any text either parses or raises ParseError; nothing else escapes."""
+    for parse in (parse_kb, parse_mapping):
+        try:
+            parse(prefix + soup)
+        except ParseError:
+            pass
+
+
 def test_serialize_round_trip_on_corpus(corpus_dir):
     """Serialization is a fixpoint: pretty-printed text re-parses to the same object."""
     for path in sorted(corpus_dir.glob("*.kbx")):
