@@ -10,9 +10,10 @@ One membership check, both embeddings between the candidate's Herbrand
 structure and the canonical model, then decides all three questions:
 `is_universal_solution` runs it on the given candidate,
 `universal_solution_plain` on the closure ABox, and
-`universal_solution_extended` on truncations of the canonical model of
-growing depth, taken as structures rather than ABoxes, minimising the first
-one that passes.
+`universal_solution_extended` on truncations of the canonical model, taken
+as structures rather than ABoxes, minimising the shallowest one that passes.
+A truncation T_d maps into the canonical model U by inclusion and lies inside
+T_{d+1}, so "U maps into T_d" is monotone in d and galloping finds that depth.
 """
 
 from __future__ import annotations
@@ -306,13 +307,19 @@ def _minimize_witness(u: CanonicalStructure, abox: ABox, sigma) -> ABox:
 
 def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
                                 depth_cap: int = 6) -> SolutionVerdict:
-    """Non-emptiness for universal solutions with labeled nulls, by iterative
-    deepening over truncations of the canonical model.
+    """Non-emptiness for universal solutions with labeled nulls: the ABox of
+    the least depth d <= ``depth_cap`` whose truncation T_d the canonical
+    model U maps into, minimised.
 
-    Each depth is decided on ``truncation``, which is isomorphic to the
-    Herbrand structure of the ABox read off ``materialize`` at that depth.
-    Both embedding checks are invariant under isomorphism, so the verdict is
-    the same, and only the first depth that passes is written as an ABox.
+    T_d maps into U by inclusion, so a probe checks regular-to-finite only.
+    T_d is a substructure of T_{d+1} and homomorphisms compose, so the probe
+    is monotone in d.  The loop probes d = 0, 1, 3, 7, ... (2d + 1, clipped
+    to the cap), then bisects between the last failing probe and the first
+    passing one: an ``unknown`` costs O(log cap) probes, and a yes at depth
+    d* probes no deeper than 2d* + 1.  ``truncation`` is isomorphic to the
+    Herbrand structure of the ABox read off ``materialize``, and both checks
+    are invariant under isomorphism, so that depth's ABox is the first one
+    that is a universal solution.
 
     Sound for yes; no only on positivity failure; unknown past the cap (a
     solution may in the worst case be exponentially deep).
@@ -321,19 +328,24 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
     if refusal is not None:
         return refusal
     sigma2 = mapping.sigma2
-    last = "none"
-    for d in range(depth_cap + 1):
-        last = d
-        if _embeddings(u, truncation(u, d, sigma2), sigma2).answer == "yes":
-            candidate = _interpretation_to_abox(materialize(u, d), sigma2)
-            final = _membership(u, _minimize_witness(u, candidate, sigma2), sigma2)
-            if final.answer != "yes":
-                raise RuntimeError("the minimised witness fails its embedding check")
-            return final
-    return SolutionVerdict(
-        "unknown",
-        reason=f"depth cap {depth_cap} reached; last depth tried: {last}",
-    )
+
+    def maps_in(d: int) -> bool:
+        return embeds_regular_into_finite(u, truncation(u, d, sigma2), sigma2) is not None
+
+    lo, hi = -1, 0  # every depth up to lo fails; hi is the next probe
+    while hi <= depth_cap and not maps_in(hi):
+        lo, hi = hi, (min(2 * hi + 1, depth_cap) if hi < depth_cap else hi + 1)
+    if hi > depth_cap:
+        reason = f"depth cap {depth_cap} reached; last depth tried: {lo if lo >= 0 else 'none'}"
+        return SolutionVerdict("unknown", reason=reason)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if maps_in(mid) else (mid, hi)
+    candidate = _interpretation_to_abox(materialize(u, hi), sigma2)
+    final = _membership(u, _minimize_witness(u, candidate, sigma2), sigma2)
+    if final.answer != "yes":
+        raise RuntimeError("the minimised witness fails its embedding check")
+    return final
 
 
 def is_universal_solution(kb1: KnowledgeBase, mapping: Mapping,

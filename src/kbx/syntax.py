@@ -233,6 +233,8 @@ class _Parser:
             if "exists" not in shapes and (
                 "inv" in shapes or self.kinds.get(lhs[1].name) == "role"
             ):
+                if self.kinds.get(rhs[1].name) == "concept":
+                    raise self.error("inclusion mixes a concept and a role", rhs[2])
                 axioms.add(RoleInclusion(lhs[1], rhs[1], negated))
                 continue
             sides: list[BasicConcept] = []

@@ -7,7 +7,16 @@ from conftest import load_kb, load_mapping
 from oracle import naive_minimize_witness, naive_simulation
 from reductions import qbf_family, qbf_instance
 
-from kbx.canonical import build_canonical, build_vabox, closure_abox, combined_tbox, materialize
+from kbx import exchange
+from kbx.canonical import (
+    _unfold,
+    build_canonical,
+    build_vabox,
+    closure_abox,
+    combined_tbox,
+    materialize,
+    truncation,
+)
 from kbx.exchange import (
     SolutionVerdict,
     _interpretation_to_abox,
@@ -22,6 +31,7 @@ from kbx.exchange import (
 )
 from kbx.homomorphism import (
     embeds_finite_into_regular,
+    embeds_regular_into_finite,
     verify_embedding_into_regular,
     verify_simulation,
 )
@@ -254,3 +264,98 @@ def test_deepening_on_truncations_matches_the_round_trip():
         assert verdict == _round_trip_extended(kb, mapping, cap), (kb, mapping)
         answers[verdict.answer] += 1
     assert answers["yes"] >= 200 and answers["unknown"] >= 30, answers
+
+
+def test_truncations_map_back_by_inclusion_and_the_probe_is_monotone():
+    """The two facts the depth search rests on: every truncation T_d maps
+    into the canonical model U by inclusion, and once U maps into T_d it
+    maps into every deeper truncation.  The finite-to-regular search finds
+    a way back as well up to depth 7; past it, on most family members, that
+    search takes seconds per truncation, so the inclusion is checked alone."""
+    instances = [(qbf_instance(*member), 10) for member in qbf_family()]
+    rng = random.Random(4)
+    instances += [(_random_instance(rng), 4) for _ in range(300)]
+    flips = 0
+    for (kb, mapping), cap in instances:
+        sigma = mapping.sigma2
+        u = _prepare(kb, mapping)[1]
+        seen = []
+        for d in range(cap + 1):
+            t = truncation(u, d, sigma)
+            paths = _unfold(u, d, sigma, lambda i, parent, state: (*(parent or ()), state))[0]
+            inclusion = {e: paths[e] if isinstance(e, int) else (e,) for e in t.elements}
+            assert verify_embedding_into_regular(t, u, inclusion, sigma), (kb, mapping, d)
+            if d <= 7:
+                h = embeds_finite_into_regular(t, u, sigma)
+                assert h is not None and verify_embedding_into_regular(t, u, h, sigma), (kb, d)
+            seen.append(embeds_regular_into_finite(u, t, sigma) is not None)
+        assert seen == sorted(seen), (kb, mapping, seen)
+        flips += seen[0] != seen[-1]
+    assert flips >= 20, flips
+
+
+def _chain_instance(k):
+    """A source whose canonical model is one chain of k anonymous steps from
+    ``a`` with its last element in ``Ak``, mapped onto ``Pp`` steps and
+    ``Bp``: the least truncation the canonical model maps into has depth k."""
+    steps = range(1, k + 1)
+    kb = parse_kb(
+        f"kb {{ roles {{ {', '.join(f'P{i}' for i in steps)} }} tbox {{ "
+        + " ".join(f"A{i - 1} [= exists P{i}; exists P{i}- [= A{i};" for i in steps)
+        + " } abox { A0(a); } }"
+    )
+    source = [f"A{i}" for i in range(k + 1)] + [f"role P{i}" for i in steps]
+    mapping = parse_mapping(
+        f"mapping {{ source {{ {', '.join(source)} }} target {{ Bp, role Pp }} tbox {{ "
+        + " ".join(f"P{i} [= Pp;" for i in steps)
+        + f" A{k} [= Bp; }} }}"
+    )
+    return kb, mapping
+
+
+def test_depth_search_matches_the_round_trip_at_every_cap():
+    """Every cap from 0 to 10 on every QBF family member, whose least passing
+    depth is 7 or none, and on chains whose least passing depth is each of
+    0 to 10, so that the search ends after each probe and bisection step."""
+    instances = [qbf_instance(*member) for member in qbf_family()]
+    instances += [_chain_instance(k) for k in range(11)]
+    answers = Counter()
+    for kb, mapping in instances:
+        expected = None
+        for cap in range(11):
+            # The round trip returns at its first passing depth, so a yes
+            # stays the same at every larger cap.
+            if expected is None or expected.answer != "yes":
+                expected = _round_trip_extended(kb, mapping, cap)
+            verdict = universal_solution_extended(kb, mapping, cap)
+            assert verdict == expected, (kb, mapping, cap)
+            answers[verdict.answer] += 1
+    assert answers == {"yes": 40 + 66, "unknown": 224 + 55}, answers
+
+
+def test_the_depth_search_gallops_then_bisects(monkeypatch):
+    """The depths probed, in order: doubling plus one up to the cap, then
+    halving the gap between the last failing and first passing probe; and
+    the depth written out as the witness is the least passing one."""
+    probed, written = [], []
+
+    def traced_truncation(u, d, sigma):
+        probed.append(d)
+        return truncation(u, d, sigma)
+
+    def traced_materialize(u, d):
+        written.append(d)
+        return materialize(u, d)
+
+    monkeypatch.setattr(exchange, "truncation", traced_truncation)
+    monkeypatch.setattr(exchange, "materialize", traced_materialize)
+    assert universal_solution_extended(*qbf_instance(*qbf_family()[2]), 40).answer == "unknown"
+    assert (probed, written) == ([0, 1, 3, 7, 15, 31, 40], [])
+    probed.clear()
+    assert universal_solution_extended(*_chain_instance(5), 1000).answer == "yes"
+    assert (probed, written) == ([0, 1, 3, 7, 5, 4], [5])
+    for k in range(11):
+        for cap in [*range(k, 11), 1000]:
+            written.clear()
+            assert universal_solution_extended(*_chain_instance(k), cap).answer == "yes"
+            assert written == [k], (k, cap)

@@ -5,6 +5,7 @@ report under ``tests/corpus/golden/``."""
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -142,7 +143,11 @@ CASES = {
 
 def report_text(name: str) -> str:
     """The case's JSON report without ``inputs``, in the CLI's own layout."""
-    command, files, *args = CASES[name]
+    return cli_report(*CASES[name])
+
+
+def cli_report(command: str, files: dict, *args: str) -> str:
+    """The JSON report of one CLI run on corpus files, without ``inputs``."""
     argv = [command, *args]
     for flag, stem in files.items():
         argv += [flag, str(CORPUS / f"{stem}.kbx")]
@@ -157,3 +162,19 @@ def report_text(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     assert report_text(name) == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_large_depth_caps_answer_quickly():
+    """An unknown costs a few probes rather than one check per depth, and a
+    yes never looks far past its witness's depth."""
+    invalid = {"--kb": "qbf/invalid_kb", "--mapping": "qbf/invalid_map"}
+    valid0 = {"--kb": "qbf/valid0_kb", "--mapping": "qbf/valid0_map"}
+    start = time.process_time()
+    report = json.loads(cli_report("usol-exists-ext", invalid, "--depth-cap", "40"))
+    assert time.process_time() - start < 0.5
+    assert report["answer"] == "unknown"
+    assert report["reason"] == "depth cap 40 reached; last depth tried: 40"
+    start = time.process_time()
+    deep = cli_report("usol-exists-ext", valid0, "--depth-cap", "1000")
+    assert time.process_time() - start < 0.5
+    assert deep == cli_report("usol-exists-ext", valid0, "--depth-cap", "10")

@@ -1,8 +1,11 @@
 """Parser and serializer tests, including property-based round trips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reductions import random_kb, random_representable_instance
 
 from kbx.model import (
     ABox,
@@ -13,6 +16,7 @@ from kbx.model import (
     Constant,
     Exists,
     KnowledgeBase,
+    Mapping,
     Null,
     RoleAssertion,
     RoleInclusion,
@@ -121,6 +125,16 @@ ERROR_LOCATIONS = [
         "name 'Sp' used as both concept and role", 1, 66,
     ),
     ("kb { tbox { exists S [= T-; } abox { } }", "inclusion mixes a concept and a role", 1, 20),
+    # A bare inclusion from a role into a name the ABox fixed as a concept,
+    # directly and after T takes S's kind by propagation.
+    (
+        "kb { roles { S } tbox { S [= F; } abox { F(a); } }",
+        "inclusion mixes a concept and a role", 1, 30,
+    ),
+    (
+        "kb { roles { S } tbox { S [= T; T [= F; } abox { F(a); } }",
+        "inclusion mixes a concept and a role", 1, 38,
+    ),
     # T becomes a concept by propagation from F, so its inclusion into S is a concept one.
     (
         "kb { roles { S } tbox { F [= T; T [= S; } abox { F(a); } }",
@@ -183,6 +197,61 @@ def test_bad_input_is_always_a_parse_error(prefix, soup):
             parse(prefix + soup)
         except ParseError:
             pass
+
+
+def _reparsed(x):
+    """``x`` printed and parsed back with the parser of its kind."""
+    return (parse_mapping if isinstance(x, Mapping) else parse_kb)(serialize(x))
+
+
+# Well-formed axioms and facts over names whose kinds only usage decides, so
+# that most KBs drawn from them parse and kinds meet across blocks.
+axiom_soup = st.lists(
+    st.sampled_from(["F [= S", "S [= F", "F [= G", "S- [= T", "exists S [= F", "G [= not T"]),
+    max_size=4,
+)
+fact_soup = st.lists(
+    st.sampled_from(["F(a)", "S(a, _n1)", "T(a, b)", "G(_n1)", "exists T (a)"]), max_size=3
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(soup_prefixes, st.lists(soup_tokens, max_size=40).map("".join)).map("".join),
+        st.builds(
+            "kb {{ {} tbox {{ {} }} abox {{ {} }} }}".format,
+            st.sampled_from(["", "roles { S }", "roles { S, T }"]),
+            axiom_soup.map(lambda axioms: "".join(f"{ax}; " for ax in axioms)),
+            fact_soup.map(lambda facts: "".join(f"{fact}; " for fact in facts)),
+        ),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_accepted_soup_prints_and_parses_back_equal(text):
+    """Whatever parses is well-kinded: it prints, and the print parses back equal."""
+    for parse in (parse_kb, parse_mapping):
+        try:
+            parsed = parse(text)
+        except ParseError:
+            continue
+        assert _reparsed(parsed) == parsed
+
+
+def test_random_kbs_and_mappings_print_and_parse_back_equal():
+    """Structured draws are well-kinded, so each one prints; its parse then
+    prints and parses back to itself, with the drawn axioms and facts."""
+    rng = random.Random(5)
+    for _ in range(300):
+        mapping, t1 = random_representable_instance(rng)
+        for x in (random_kb(rng), KnowledgeBase(t1, ABox.make([])), mapping):
+            parsed = _reparsed(x)
+            assert _reparsed(parsed) == parsed, x
+            if isinstance(x, Mapping):
+                assert (parsed.sigma1, parsed.sigma2) == (x.sigma1, x.sigma2), x
+                assert set(parsed.t12) == set(x.t12), x
+            else:
+                assert set(parsed.tbox) == set(x.tbox), x
+                assert parsed.abox == x.abox, x
 
 
 def test_serialize_round_trip_on_corpus(corpus_dir):
