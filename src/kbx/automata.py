@@ -19,7 +19,6 @@ the dump header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .canonical import build_canonical
@@ -29,6 +28,7 @@ from .model import (
     Constant,
     Exists,
     KnowledgeBase,
+    Record,
     RoleAssertion,
     all_basic_concepts,
     all_basic_roles,
@@ -44,40 +44,38 @@ GOOD_MARK = "mark:G"
 # Positive boolean formulas over move directions.
 
 
-@dataclass(frozen=True)
-class TrueFormula:
+class TrueFormula(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
-class FalseFormula:
+class FalseFormula(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """An obligation at a neighbour: -1 moves up, 0 stays, i >= 1 descends."""
 
-    direction: int
-    state: str
+    __slots__ = ("direction", "state")
 
     def __str__(self) -> str:
         return f"({self.direction},{self.state})"
 
 
-@dataclass(frozen=True)
-class And:
-    parts: tuple
+class And(Record):
+    __slots__ = ("parts",)
 
     def __str__(self) -> str:
         return "AND(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: tuple
+class Or(Record):
+    __slots__ = ("parts",)
 
     def __str__(self) -> str:
         return "OR(" + ", ".join(str(p) for p in self.parts) + ")"
@@ -129,12 +127,16 @@ def disj(parts) -> Formula:
 # Automata as guarded case tables.
 
 
-@dataclass(frozen=True)
-class Guard:
-    """Letter predicate attached to a transition case."""
+class Guard(Record):
+    """Letter predicate attached to a transition case.
 
-    kind: str  # always | has | lacks | not_all | inds_empty | inds_eq
-    symbols: tuple = ()
+    `kind` is always, has, lacks, not_all, inds_empty or inds_eq.
+    """
+
+    __slots__ = ("kind", "symbols")
+
+    def __init__(self, kind: str, symbols: tuple = ()) -> None:
+        self._fill((kind, symbols))
 
     def test(self, letter: frozenset, individual_symbols: frozenset) -> bool:
         if self.kind == "always":
@@ -170,26 +172,20 @@ class Guard:
 ALWAYS = Guard("always")
 
 
-@dataclass(frozen=True, eq=False)
-class TreeAutomaton:
+class TreeAutomaton(Record):
     """An alternating tree automaton presented as a guarded case table.
 
     `transition(state, letter)` conjoins the formulas of every case whose
     guard matches the letter; a (state, letter) pair matching no case maps to
     false.  `kb` is the padded knowledge base the automaton was built from.
+    `kind` is "twoWayAlternating" or "oneWayNondeterministic"; `cases` holds
+    (state, Guard, Formula) triples.
     """
 
-    name: str
-    kind: str  # "twoWayAlternating" | "oneWayNondeterministic"
-    branching: int
-    states: tuple
-    initial: str
-    buchi: frozenset
-    cases: tuple  # of (state, Guard, Formula)
-    alphabet: tuple
-    individual_symbols: frozenset
-    kb: KnowledgeBase
-    padding_note: str
+    __slots__ = (
+        "name", "kind", "branching", "states", "initial", "buchi", "cases", "alphabet",
+        "individual_symbols", "kb", "padding_note",
+    )
 
     def transition(self, state: str, letter: frozenset) -> Formula:
         matched = [

@@ -17,9 +17,7 @@ import json
 import os
 import sys
 import time
-import traceback
 
-from .automata import build_acan, build_afin, build_amod, dump_automaton
 from .canonical import InconsistentKB, build_canonical, element_label, materialize
 from .exchange import (
     is_universal_solution,
@@ -184,6 +182,8 @@ def _dispatch(args, inputs: dict) -> dict:
         return out
 
     if args.command == "automata":
+        from .automata import build_acan, build_afin, build_amod, dump_automaton
+
         kb = _load(args.kb, parse_kb, inputs)
         dumps = [dump_automaton(a) for a in (build_acan(kb), build_amod(kb), build_afin(kb))]
         out["answer"] = "yes"
@@ -255,6 +255,8 @@ def run(argv) -> int:
     except (InputError, InconsistentKB, PreconditionViolated) as exc:
         fields = _error_fields(str(exc))
     except Exception as exc:  # an internal fault must never read as a verdict
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         fields = _error_fields(f"internal error: {type(exc).__name__}: {exc}")
     elapsed_ms = int((time.perf_counter() - started) * 1000)

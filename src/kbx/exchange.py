@@ -18,7 +18,6 @@ T_{d+1}, so "U maps into T_d" is monotone in d and galloping finds that depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import count
 
 from .canonical import (
@@ -49,28 +48,34 @@ from .model import (
     KnowledgeBase,
     Mapping,
     Null,
+    Record,
     RoleAssertion,
 )
 from .reasoner import Reasoner, tbox_trivial
 
 
-@dataclass(frozen=True)
-class PositivityResult:
-    ok: bool
-    clause: str | None = None
-    detail: str | None = None
+class PositivityResult(Record):
+    __slots__ = ("ok", "clause", "detail")
+
+    def __init__(self, ok: bool, clause: str | None = None, detail: str | None = None) -> None:
+        self._fill((ok, clause, detail))
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SolutionVerdict:
-    answer: str  # "yes" | "no" | "unknown"
-    witness: ABox | None = None
-    certificate: object = None
-    counterexample: str | None = None
-    reason: str | None = None  # on "unknown": the cap that was hit
+class SolutionVerdict(Record):
+    __slots__ = ("answer", "witness", "certificate", "counterexample", "reason")
+
+    def __init__(
+        self,
+        answer: str,  # "yes" | "no" | "unknown"
+        witness: ABox | None = None,
+        certificate: object = None,
+        counterexample: str | None = None,
+        reason: str | None = None,  # on "unknown": the cap that was hit
+    ) -> None:
+        self._fill((answer, witness, certificate, counterexample, reason))
 
 
 def _prepare(kb1: KnowledgeBase, mapping: Mapping) -> tuple[Reasoner, CanonicalStructure]:
@@ -219,7 +224,9 @@ def _membership(u: CanonicalStructure, abox: ABox, sigma) -> SolutionVerdict:
     """``_embeddings`` of the Herbrand structure of ``abox``, which is the
     witness of a yes."""
     verdict = _embeddings(u, build_vabox(abox), sigma)
-    return replace(verdict, witness=abox) if verdict.answer == "yes" else verdict
+    if verdict.answer != "yes":
+        return verdict
+    return SolutionVerdict("yes", abox, verdict.certificate)
 
 
 def _embeddings(u: CanonicalStructure, v: FiniteInterpretation, sigma) -> SolutionVerdict:

@@ -1,27 +1,91 @@
 """Core syntactic objects: signatures, roles, concepts, axioms, ABoxes, KBs, mappings.
 
-Everything here is an immutable value with structural equality.  Rendering
+Everything here is an immutable `Record` with structural equality.  Rendering
 methods produce the concrete text syntax understood by the parser in
 `kbx.syntax`; the parser and serializer rely on them being exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 from typing import Iterable, Iterator, Union
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Signature:
+
+def _compare(op):
+    """An order on records of one class: their field tuples' order."""
+
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._values, other._values)
+        return NotImplemented
+
+    return compare
+
+
+class Record:
+    """An immutable value whose fields are the names in its class's ``__slots__``.
+
+    A record keeps its field tuple next to its fields.  Records of one class
+    compare, order and hash as their field tuples do; records of different
+    classes are never equal.  The repr reads ``Name(field=value, ...)``.  The
+    base ``__init__`` takes every field, in order or by name; a class with
+    defaults or a normal form writes its own and passes the field tuple to
+    ``_fill``.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, *values, **named) -> None:
+        fields = self.__slots__
+        if named:
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if len(values) != len(fields) or named:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        self._fill(values)
+
+    def _fill(self, values: tuple) -> None:
+        _set(self, "_values", values)
+        for f, value in zip(self.__slots__, values):
+            _set(self, f, value)
+
+    def __eq__(self, other):  # spelled out: every set and dict lookup runs it
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    __lt__ = _compare(operator.lt)
+    __le__ = _compare(operator.le)
+    __gt__ = _compare(operator.gt)
+    __ge__ = _compare(operator.ge)
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Signature(Record):
     """A finite set of concept names plus a disjoint finite set of role names."""
 
-    concepts: frozenset[str] = frozenset()
-    roles: frozenset[str] = frozenset()
+    __slots__ = ("concepts", "roles")
 
-    def __post_init__(self) -> None:
-        overlap = self.concepts & self.roles
+    def __init__(
+        self, concepts: frozenset[str] = frozenset(), roles: frozenset[str] = frozenset()
+    ) -> None:
+        overlap = concepts & roles
         if overlap:
             raise ValueError(f"names used as both concept and role: {sorted(overlap)}")
+        self._fill((concepts, roles))
 
     @staticmethod
     def make(concepts: Iterable[str] = (), roles: Iterable[str] = ()) -> "Signature":
@@ -31,12 +95,13 @@ class Signature:
         return Signature(self.concepts | other.concepts, self.roles | other.roles)
 
 
-@dataclass(frozen=True, order=True)
-class BasicRole:
+class BasicRole(Record):
     """A role name or its inverse (``P`` or ``P-``)."""
 
-    name: str
-    inverted: bool = False
+    __slots__ = ("name", "inverted")
+
+    def __init__(self, name: str, inverted: bool = False) -> None:
+        self._fill((name, inverted))
 
     def inverse(self) -> "BasicRole":
         return BasicRole(self.name, not self.inverted)
@@ -45,21 +110,19 @@ class BasicRole:
         return self.name + ("-" if self.inverted else "")
 
 
-@dataclass(frozen=True, order=True)
-class Atomic:
+class Atomic(Record):
     """A concept name used as a basic concept."""
 
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class Exists:
+class Exists(Record):
     """Existential restriction over a basic role (``exists R``)."""
 
-    role: BasicRole
+    __slots__ = ("role",)
 
     def __str__(self) -> str:
         return f"exists {self.role}"
@@ -68,22 +131,22 @@ class Exists:
 BasicConcept = Union[Atomic, Exists]
 
 
-@dataclass(frozen=True)
-class ConceptInclusion:
-    lhs: BasicConcept
-    rhs: BasicConcept
-    negated_rhs: bool = False
+class ConceptInclusion(Record):
+    __slots__ = ("lhs", "rhs", "negated_rhs")
+
+    def __init__(self, lhs: BasicConcept, rhs: BasicConcept, negated_rhs: bool = False) -> None:
+        self._fill((lhs, rhs, negated_rhs))
 
     def __str__(self) -> str:
         neg = "not " if self.negated_rhs else ""
         return f"{self.lhs} [= {neg}{self.rhs}"
 
 
-@dataclass(frozen=True)
-class RoleInclusion:
-    lhs: BasicRole
-    rhs: BasicRole
-    negated_rhs: bool = False
+class RoleInclusion(Record):
+    __slots__ = ("lhs", "rhs", "negated_rhs")
+
+    def __init__(self, lhs: BasicRole, rhs: BasicRole, negated_rhs: bool = False) -> None:
+        self._fill((lhs, rhs, negated_rhs))
 
     def __str__(self) -> str:
         neg = "not " if self.negated_rhs else ""
@@ -94,19 +157,17 @@ TBoxAxiom = Union[ConceptInclusion, RoleInclusion]
 TBox = tuple[TBoxAxiom, ...]
 
 
-@dataclass(frozen=True, order=True)
-class Constant:
-    name: str
+class Constant(Record):
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class Null:
+class Null(Record):
     """A labeled null; rendered with a leading underscore."""
 
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return f"_{self.name}"
@@ -115,20 +176,17 @@ class Null:
 Term = Union[Constant, Null]
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
+class Variable(Record):
     """A query variable; only meaningful inside query atoms, never in ABoxes."""
 
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class ConceptAssertion:
-    concept: BasicConcept
-    term: Term
+class ConceptAssertion(Record):
+    __slots__ = ("concept", "term")
 
     def __str__(self) -> str:
         if isinstance(self.concept, Exists):
@@ -136,8 +194,7 @@ class ConceptAssertion:
         return f"{self.concept}({self.term})"
 
 
-@dataclass(frozen=True)
-class RoleAssertion:
+class RoleAssertion(Record):
     """A role membership fact.
 
     Assertions over an inverted role are normalized on construction:
@@ -145,16 +202,12 @@ class RoleAssertion:
     forward role and serialization round-trips exactly.
     """
 
-    role: BasicRole
-    first: Term
-    second: Term
+    __slots__ = ("role", "first", "second")
 
-    def __post_init__(self) -> None:
-        if self.role.inverted:
-            object.__setattr__(self, "role", self.role.inverse())
-            first, second = self.first, self.second
-            object.__setattr__(self, "first", second)
-            object.__setattr__(self, "second", first)
+    def __init__(self, role: BasicRole, first: Term, second: Term) -> None:
+        if role.inverted:
+            role, first, second = role.inverse(), second, first
+        self._fill((role, first, second))
 
     def __str__(self) -> str:
         return f"{self.role}({self.first}, {self.second})"
@@ -163,11 +216,10 @@ class RoleAssertion:
 Assertion = Union[ConceptAssertion, RoleAssertion]
 
 
-@dataclass(frozen=True)
-class ABox:
+class ABox(Record):
     """A finite set of assertions; extended iff some labeled null occurs."""
 
-    assertions: tuple[Assertion, ...]
+    __slots__ = ("assertions",)
 
     @staticmethod
     def make(assertions: Iterable[Assertion]) -> "ABox":
@@ -205,19 +257,14 @@ class ABox:
 EMPTY_ABOX = ABox(())
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
-    tbox: TBox
-    abox: ABox
+class KnowledgeBase(Record):
+    __slots__ = ("tbox", "abox")
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(Record):
     """A source signature, a disjoint target signature, and bridging axioms."""
 
-    sigma1: Signature
-    sigma2: Signature
-    t12: TBox
+    __slots__ = ("sigma1", "sigma2", "t12")
 
 
 def concept_over(c: BasicConcept, sig: Signature) -> bool:

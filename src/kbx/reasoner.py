@@ -21,8 +21,6 @@ CLI's `consistency` command.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     ABox,
     BasicConcept,
@@ -30,6 +28,7 @@ from .model import (
     ConceptAssertion,
     Exists,
     KnowledgeBase,
+    Record,
     RoleAssertion,
     RoleInclusion,
     TBox,
@@ -37,12 +36,10 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class WitnessClass:
+class WitnessClass(Record):
     """An equivalence class of mutually subsuming roles, named by its least member."""
 
-    representative: BasicRole
-    members: frozenset[BasicRole]
+    __slots__ = ("representative", "members")
 
     def __str__(self) -> str:
         return f"w[{self.representative}]"

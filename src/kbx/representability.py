@@ -12,9 +12,8 @@ set and a target query on which the two sides disagree.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Callable, Optional
+from typing import Optional
 
 from .canonical import CanonicalStructure, build_canonical, combined_tbox, positive_part
 from .model import (
@@ -28,6 +27,7 @@ from .model import (
     Exists,
     KnowledgeBase,
     Mapping,
+    Record,
     RoleAssertion,
     RoleInclusion,
     Signature,
@@ -45,8 +45,7 @@ class PreconditionViolated(Exception):
     """An operation was invoked outside its stated precondition."""
 
 
-@dataclass(frozen=True)
-class InstanceQuery:
+class InstanceQuery(Record):
     """A conjunctive query with constants and at most one existential variable.
 
     Concept atoms pair a basic concept with a term; an existential concept in
@@ -54,8 +53,7 @@ class InstanceQuery:
     atoms pair a basic role with two terms.
     """
 
-    concept_atoms: tuple
-    role_atoms: tuple
+    __slots__ = ("concept_atoms", "role_atoms")
 
     def variables(self) -> list:
         seen: dict = {}
@@ -78,25 +76,27 @@ class InstanceQuery:
         return body
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """Source data and a target query on which the two sides disagree."""
 
-    abox: ABox
-    query: InstanceQuery
-    reason: str
+    __slots__ = ("abox", "query", "reason")
 
     def __str__(self) -> str:
         facts = ", ".join(str(a) for a in self.abox.assertions)
         return f"data {{{facts}}}, query {self.query}: {self.reason}"
 
 
-@dataclass(frozen=True)
-class RepresentationVerdict:
-    answer: str  # "yes" or "no"
-    counterexample: Optional[Counterexample] = None
-    tbox: Optional[TBox] = None
-    reason: Optional[str] = None
+class RepresentationVerdict(Record):
+    __slots__ = ("answer", "counterexample", "tbox", "reason")
+
+    def __init__(
+        self,
+        answer: str,  # "yes" or "no"
+        counterexample: Optional[Counterexample] = None,
+        tbox: Optional[TBox] = None,
+        reason: Optional[str] = None,
+    ) -> None:
+        self._fill((answer, counterexample, tbox, reason))
 
 
 _PROBE = Constant("o")
@@ -132,17 +132,18 @@ def _require_valid(mapping: Mapping, t1: TBox, t2: Optional[TBox]) -> None:
         raise PreconditionViolated("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(Record):
     """Basic concepts or basic roles: the terms of that kind on either side,
-    and how to relate and join two of them."""
+    and how to relate and join two of them.
 
-    names: list  # every basic term of this kind over the target signature
-    sources: list  # every basic term of this kind over the source signature
-    # Unbound ``Reasoner`` methods, called with the context at hand.
-    derives: Callable  # derives_concept or derives_role
-    consistent: Callable  # pair_consistent_concepts or pair_consistent_roles
-    axiom: type  # ConceptInclusion or RoleInclusion
+    ``names`` and ``sources`` list every basic term of this kind over the
+    target and over the source signature.  ``derives`` (derives_concept or
+    derives_role) and ``consistent`` (pair_consistent_concepts or
+    pair_consistent_roles) are unbound ``Reasoner`` methods, called with the
+    context at hand.  ``axiom`` is ConceptInclusion or RoleInclusion.
+    """
+
+    __slots__ = ("names", "sources", "derives", "consistent", "axiom")
 
 
 class _Decision:

@@ -2,11 +2,16 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS
 
+import kbx
 from kbx import cli, exchange
 from kbx.model import EMPTY_ABOX
 
@@ -198,15 +203,53 @@ def test_internal_fault_is_an_error_not_a_verdict(capsys, monkeypatch):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(cli, "is_universal_solution", broken)
-    code, report = run_json(
-        capsys, "usol-check", "--kb", path("ex1_kb"), "--mapping", path("ex1_map"),
-        "--candidate", path("ex1_cand"),
-    )
+    code = cli.run([
+        "usol-check", "--kb", path("ex1_kb"), "--mapping", path("ex1_map"),
+        "--candidate", path("ex1_cand"), "--json",
+    ])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
     assert code == 3
     assert set(report) == REPORT_KEYS
     assert report["answer"] == "error"
     assert "RuntimeError" in report["reason"]
     assert report["witness"] is None and report["recheck"] is None
+    assert "Traceback" in captured.err and "injected fault" in captured.err
+
+
+def test_cli_import_leaves_automata_dataclasses_and_traceback_unloaded():
+    """A fresh ``import kbx`` loads no submodule, and ``import kbx.cli`` loads
+    neither the automata nor the standard modules only a fault or ``automata
+    dump`` needs."""
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import kbx\n"
+        "bare = [m for m in sys.modules if m.startswith('kbx.')]\n"
+        "import kbx.cli\n"
+        "print(json.dumps([bare, sorted(set(sys.modules) - before)]))\n"
+    )
+    src = str(Path(kbx.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    bare, loaded = json.loads(proc.stdout)
+    assert bare == []
+    assert "kbx.cli" in loaded and "kbx.exchange" in loaded
+    assert not {"kbx.automata", "dataclasses", "traceback"} & set(loaded)
+
+
+def test_package_namespace_resolves_each_public_name():
+    for name in kbx.__all__:
+        value = getattr(kbx, name)
+        assert value.__module__.startswith("kbx.")
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(kbx)
+    assert "cli" in dir(kbx) and "__version__" in dir(kbx)
+    with pytest.raises(AttributeError):
+        kbx.no_such_name
 
 
 def test_oracle_is_not_shipped_and_its_flag_is_gone(capsys):

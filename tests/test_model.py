@@ -1,3 +1,5 @@
+import pytest
+
 from kbx.model import (
     ABox,
     Atomic,
@@ -7,10 +9,12 @@ from kbx.model import (
     Constant,
     Exists,
     KnowledgeBase,
+    Mapping,
     Null,
     RoleAssertion,
     RoleInclusion,
     Signature,
+    Variable,
 )
 
 
@@ -52,3 +56,50 @@ def test_knowledge_base_is_hashable_and_comparable():
     same = KnowledgeBase((), ABox.make([ConceptAssertion(Atomic("F"), Constant("a"))]))
     assert kb == same
     assert hash(kb) == hash(same)
+
+    # Values of different classes are never equal, even with equal fields.
+    assert Constant("a") != Null("a")
+    assert Atomic("A") != Constant("A")
+
+    # Each value hashes as its field tuple does, so sets iterate in the same
+    # order, and no field can be assigned or deleted.
+    r = BasicRole("R", inverted=True)
+    fact = ConceptAssertion(Atomic("F"), Constant("a"))
+    sig = Signature.make(concepts=("F",), roles=("R",))
+    cases = [  # (value, its first field's name, its field tuple)
+        (sig, "concepts", (sig.concepts, sig.roles)),
+        (r, "name", ("R", True)),
+        (Atomic("F"), "name", ("F",)),
+        (Exists(r), "role", (r,)),
+        (ConceptInclusion(Atomic("F"), Exists(r)), "lhs", (Atomic("F"), Exists(r), False)),
+        (RoleInclusion(r, r, negated_rhs=True), "lhs", (r, r, True)),
+        (Constant("a"), "name", ("a",)),
+        (Null("n"), "name", ("n",)),
+        (Variable("y"), "name", ("y",)),
+        (fact, "concept", (Atomic("F"), Constant("a"))),
+        (RoleAssertion(r, Constant("a"), Null("n")), "role",
+         (BasicRole("R"), Null("n"), Constant("a"))),
+        (kb.abox, "assertions", ((fact,),)),
+        (kb, "tbox", ((), kb.abox)),
+        (Mapping(sig, Signature(), ()), "sigma1", (sig, Signature(), ())),
+    ]
+    for value, name, fields in cases:
+        assert hash(value) == hash(fields), value
+        assert getattr(value, name) == fields[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == fields[0]
+
+    # The classes that are ordered order by their field tuples.
+    assert BasicRole("R") < BasicRole("R", inverted=True) < BasicRole("S")
+    assert sorted([Exists(BasicRole("S")), Exists(r)]) == [Exists(r), Exists(BasicRole("S"))]
+    for cls in (Atomic, Constant, Null, Variable):
+        assert sorted([cls("b"), cls("a"), cls("c")]) == [cls("a"), cls("b"), cls("c")]
+        assert cls("a") <= cls("a") and cls("b") > cls("a") and cls("b") >= cls("b")
+    with pytest.raises(TypeError):
+        Constant("a") < Null("b")
+
+    assert repr(r) == "BasicRole(name='R', inverted=True)"
+    assert repr(fact) == "ConceptAssertion(concept=Atomic(name='F'), term=Constant(name='a'))"
