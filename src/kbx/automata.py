@@ -58,24 +58,24 @@ class FalseFormula(Record):
         return "false"
 
 
-class Atom(Record):
+class Atom(Record, fields=("direction", "state")):
     """An obligation at a neighbour: -1 moves up, 0 stays, i >= 1 descends."""
 
-    __slots__ = ("direction", "state")
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.direction},{self.state})"
 
 
-class And(Record):
-    __slots__ = ("parts",)
+class And(Record, fields=("parts",)):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "AND(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
-class Or(Record):
-    __slots__ = ("parts",)
+class Or(Record, fields=("parts",)):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "OR(" + ", ".join(str(p) for p in self.parts) + ")"
@@ -127,16 +127,16 @@ def disj(parts) -> Formula:
 # Automata as guarded case tables.
 
 
-class Guard(Record):
+class Guard(Record, fields=("kind", "symbols")):
     """Letter predicate attached to a transition case.
 
     `kind` is always, has, lacks, not_all, inds_empty or inds_eq.
     """
 
-    __slots__ = ("kind", "symbols")
+    __slots__ = ()
 
-    def __init__(self, kind: str, symbols: tuple = ()) -> None:
-        self._fill((kind, symbols))
+    def __new__(cls, kind: str, symbols: tuple = ()):
+        return tuple.__new__(cls, (kind, symbols))
 
     def test(self, letter: frozenset, individual_symbols: frozenset) -> bool:
         if self.kind == "always":
@@ -172,7 +172,13 @@ class Guard(Record):
 ALWAYS = Guard("always")
 
 
-class TreeAutomaton(Record):
+class TreeAutomaton(
+    Record,
+    fields=(
+        "name", "kind", "branching", "states", "initial", "buchi", "cases", "alphabet",
+        "individual_symbols", "kb", "padding_note",
+    ),
+):
     """An alternating tree automaton presented as a guarded case table.
 
     `transition(state, letter)` conjoins the formulas of every case whose
@@ -182,10 +188,7 @@ class TreeAutomaton(Record):
     (state, Guard, Formula) triples.
     """
 
-    __slots__ = (
-        "name", "kind", "branching", "states", "initial", "buchi", "cases", "alphabet",
-        "individual_symbols", "kb", "padding_note",
-    )
+    __slots__ = ()
 
     def transition(self, state: str, letter: frozenset) -> Formula:
         matched = [

@@ -48,8 +48,10 @@ def combined_tbox(*tboxes: TBox) -> TBox:
 
 
 def element_label(e) -> str:
-    """Stable rendering of interpretation elements (terms or witness paths)."""
-    if isinstance(e, tuple):
+    """Stable rendering of interpretation elements (terms or witness paths).
+
+    A path is a plain tuple; terms are records, which are tuples too."""
+    if type(e) is tuple:
         parts = [str(e[0])] + [f"w[{r}]" for r in e[1:]]
         return ".".join(parts)
     return str(e)
@@ -202,6 +204,11 @@ class CanonicalStructure:
             self.class_edges[rep] = ctx.sup_roles(rep)
             self.gen[rep] = ctx.generated(rep)
             todo.extend(self.gen[rep])
+        self.parents: dict = {}  # class -> the states that generate it
+        for s, children in self.gen.items():
+            for child in children:
+                self.parents.setdefault(child, []).append(s)
+        self._over: dict = {}
 
     def states(self):
         return list(self.individuals) + sorted(self.classes, key=str)
@@ -215,6 +222,17 @@ class CanonicalStructure:
         if sigma is None:
             return tp
         return frozenset(c for c in tp if concept_over(c, sigma))
+
+    def over(self, sigma: Signature | None) -> tuple[dict, dict]:
+        """Every state's ``state_type`` and every class's ``edge_roles`` over
+        ``sigma``, built on the first call for that signature."""
+        got = self._over.get(sigma)
+        if got is None:
+            got = self._over[sigma] = (
+                {s: self.state_type(s, sigma) for s in self.gen},
+                {rep: self.edge_roles(rep, sigma) for rep in self.classes},
+            )
+        return got
 
     def edge_roles(self, child_rep: BasicRole, sigma: Signature | None = None) -> frozenset:
         """All roles holding on a generating edge (parent, child), both orientations."""
@@ -275,8 +293,9 @@ def _unfold(c: CanonicalStructure, depth: int, sigma: Signature | None, elem) ->
         for r in roles
         if not r.inverted and (sigma is None or role_over(r, sigma))
     ]
-    names = {s: [b.name for b in c.state_type(s, sigma) if isinstance(b, Atomic)] for s in c.gen}
-    edges = {rep: [(r.name, r.inverted) for r in c.edge_roles(rep, sigma)] for rep in c.classes}
+    types, need = c.over(sigma)
+    names = {s: [b.name for b in tp if isinstance(b, Atomic)] for s, tp in types.items()}
+    edges = {rep: [(r.name, r.inverted) for r in roles] for rep, roles in need.items()}
     start = 0
     for _ in range(depth):
         end = len(states)

@@ -54,28 +54,30 @@ from .model import (
 from .reasoner import Reasoner, tbox_trivial
 
 
-class PositivityResult(Record):
-    __slots__ = ("ok", "clause", "detail")
+class PositivityResult(Record, fields=("ok", "clause", "detail")):
+    __slots__ = ()
 
-    def __init__(self, ok: bool, clause: str | None = None, detail: str | None = None) -> None:
-        self._fill((ok, clause, detail))
+    def __new__(cls, ok: bool, clause: str | None = None, detail: str | None = None):
+        return tuple.__new__(cls, (ok, clause, detail))
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-class SolutionVerdict(Record):
-    __slots__ = ("answer", "witness", "certificate", "counterexample", "reason")
+class SolutionVerdict(
+    Record, fields=("answer", "witness", "certificate", "counterexample", "reason")
+):
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         answer: str,  # "yes" | "no" | "unknown"
         witness: ABox | None = None,
         certificate: object = None,
         counterexample: str | None = None,
         reason: str | None = None,  # on "unknown": the cap that was hit
-    ) -> None:
-        self._fill((answer, witness, certificate, counterexample, reason))
+    ):
+        return tuple.__new__(cls, (answer, witness, certificate, counterexample, reason))
 
 
 def _prepare(kb1: KnowledgeBase, mapping: Mapping) -> tuple[Reasoner, CanonicalStructure]:

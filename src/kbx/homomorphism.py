@@ -65,12 +65,13 @@ def live_images(c: CanonicalStructure, f: FiniteInterpretation,
     they may map to a fact-free sink (recorded as ``None``) instead of a real
     element; their signature-visible descendants still need real images.
     """
+    types, _ = c.over(sigma)
     pin = {}
     for t in c.individuals:
         if isinstance(t, Constant):
             if t in f.constant_elems:
                 pin[t] = f.constant_elems[t]
-            elif c.state_type(t, sigma):
+            elif types[t]:
                 # A signature-visible constant must map to itself.
                 return None
 
@@ -79,7 +80,7 @@ def live_images(c: CanonicalStructure, f: FiniteInterpretation,
     pool = [(e, f.ttype(e)) for e in f.elements] + [(None, frozenset())]
     images: dict = {s: set() for s in c.gen}  # live images per state
     for t in c.individuals:
-        tp = c.state_type(t, sigma)
+        tp = types[t]
         if t in pin:
             if tp <= f.ttype(pin[t]):
                 images[t].add(pin[t])
@@ -90,7 +91,7 @@ def live_images(c: CanonicalStructure, f: FiniteInterpretation,
         else:
             images[t].update(e for e, have in pool if tp <= have)
     for rep in c.classes:
-        tp = c.state_type(rep, sigma)
+        tp = types[rep]
         images[rep].update(e for e, have in pool if tp <= have)
     if c.classes:
         # The scans have checked every type, so only a pair that needs
@@ -187,14 +188,12 @@ def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | N
     over the signature.  ``queue`` holds the pairs to check first; when a
     pair dies, only the pairs whose support it may have been are re-checked.
     The greatest fixpoint does not depend on the order.  State types and
-    neighbour roles are read once per visited state or element.
+    edge roles come from the structure's tables for the signature
+    (``CanonicalStructure.over``); neighbour roles are read once per
+    visited element.
     """
-    need = {rep: c.edge_roles(rep, sigma) for rep in c.classes}
-    parents: dict = {}
-    for s, children in c.gen.items():
-        for child in children:
-            parents.setdefault(child, []).append(s)
-    state_types: dict = {}
+    types, need = c.over(sigma)
+    parents = c.parents
     links: dict = {None: ()}  # element -> (neighbour, sigma-filtered roles)
 
     def linked(e) -> list:
@@ -206,10 +205,7 @@ def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | N
         return got
 
     def typed(s, e) -> bool:
-        tp = state_types.get(s)
-        if tp is None:
-            tp = state_types[s] = c.state_type(s, sigma)
-        return tp <= f.ttype(e) if e is not None else not tp
+        return types[s] <= f.ttype(e) if e is not None else not types[s]
 
     def supported(s, e) -> bool:
         for child in c.gen[s]:

@@ -1,91 +1,94 @@
 """Core syntactic objects: signatures, roles, concepts, axioms, ABoxes, KBs, mappings.
 
-Everything here is an immutable `Record` with structural equality.  Rendering
-methods produce the concrete text syntax understood by the parser in
-`kbx.syntax`; the parser and serializer rely on them being exact.
+Everything here is an immutable `Record`: a tuple of its fields with
+structural equality, hashed and built in C.  Rendering methods produce the
+concrete text syntax understood by the parser in `kbx.syntax`; the parser
+and serializer rely on them being exact.
 """
 
 from __future__ import annotations
 
-import operator
+from collections import _tuplegetter
 from typing import Iterable, Iterator, Union
 
-_set = object.__setattr__
+_new = tuple.__new__
+_eq = tuple.__eq__
+_ne = tuple.__ne__
 
 
-def _compare(op):
+def _compare(op, symbol):
     """An order on records of one class: their field tuples' order."""
 
     def compare(self, other):
         if other.__class__ is self.__class__:
-            return op(self._values, other._values)
-        return NotImplemented
+            return op(self, other)
+        raise TypeError(f"'{symbol}' not supported between instances of "
+                        f"'{type(self).__name__}' and '{type(other).__name__}'")
 
     return compare
 
 
-class Record:
-    """An immutable value whose fields are the names in its class's ``__slots__``.
+class Record(tuple):
+    """An immutable value: a tuple of the fields named by its class keyword
+    ``fields``, each read by name through a C descriptor.
 
-    A record keeps its field tuple next to its fields.  Records of one class
-    compare, order and hash as their field tuples do; records of different
-    classes are never equal.  The repr reads ``Name(field=value, ...)``.  The
-    base ``__init__`` takes every field, in order or by name; a class with
-    defaults or a normal form writes its own and passes the field tuple to
-    ``_fill``.
+    Every subclass declares ``__slots__ = ()``.  A record hashes, and records
+    of one class compare and order, as their field tuples do; a record never
+    equals a record of another class or a plain tuple, and is true even with
+    no fields.  The repr reads ``Name(field=value, ...)``.  A class without its own
+    ``__new__`` takes every field, in order or by name; one with defaults or
+    a normal form writes a ``__new__`` that returns
+    ``tuple.__new__(cls, fields)``.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ()
+    _fields: tuple = ()
 
-    def __init__(self, *values, **named) -> None:
-        fields = self.__slots__
-        if named:
-            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
-        if len(values) != len(fields) or named:
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
-        self._fill(values)
+    def __init_subclass__(cls, fields: tuple = ()) -> None:
+        cls._fields = fields
+        for i, name in enumerate(fields):
+            setattr(cls, name, _tuplegetter(i, None))
+        if "__new__" not in cls.__dict__:  # as namedtuple does: one parameter per field
+            args = "".join(f"{name}, " for name in fields)
+            cls.__new__ = staticmethod(eval(f"lambda cls, {args}: _new(cls, ({args}))"))
 
-    def _fill(self, values: tuple) -> None:
-        _set(self, "_values", values)
-        for f, value in zip(self.__slots__, values):
-            _set(self, f, value)
+    # Spelled out (every set and dict lookup runs them), with ``_eq`` and
+    # ``_ne`` bound at module level: the cheapest spelling measured.
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and _eq(self, other)
 
-    def __eq__(self, other):  # spelled out: every set and dict lookup runs it
-        if other.__class__ is self.__class__:
-            return self._values == other._values
-        return NotImplemented
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or _ne(self, other)
 
-    __lt__ = _compare(operator.lt)
-    __le__ = _compare(operator.le)
-    __gt__ = _compare(operator.gt)
-    __ge__ = _compare(operator.ge)
+    __hash__ = tuple.__hash__
+    __lt__ = _compare(tuple.__lt__, "<")
+    __le__ = _compare(tuple.__le__, "<=")
+    __gt__ = _compare(tuple.__gt__, ">")
+    __ge__ = _compare(tuple.__ge__, ">=")
 
-    def __hash__(self) -> int:
-        return hash(self._values)
+    def __bool__(self) -> bool:
+        return True
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values))
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
 
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class Signature(Record):
+class Signature(Record, fields=("concepts", "roles")):
     """A finite set of concept names plus a disjoint finite set of role names."""
 
-    __slots__ = ("concepts", "roles")
+    __slots__ = ()
 
-    def __init__(
-        self, concepts: frozenset[str] = frozenset(), roles: frozenset[str] = frozenset()
-    ) -> None:
+    def __new__(
+        cls, concepts: frozenset[str] = frozenset(), roles: frozenset[str] = frozenset()
+    ):
         overlap = concepts & roles
         if overlap:
             raise ValueError(f"names used as both concept and role: {sorted(overlap)}")
-        self._fill((concepts, roles))
+        return _new(cls, (concepts, roles))
 
     @staticmethod
     def make(concepts: Iterable[str] = (), roles: Iterable[str] = ()) -> "Signature":
@@ -95,13 +98,13 @@ class Signature(Record):
         return Signature(self.concepts | other.concepts, self.roles | other.roles)
 
 
-class BasicRole(Record):
+class BasicRole(Record, fields=("name", "inverted")):
     """A role name or its inverse (``P`` or ``P-``)."""
 
-    __slots__ = ("name", "inverted")
+    __slots__ = ()
 
-    def __init__(self, name: str, inverted: bool = False) -> None:
-        self._fill((name, inverted))
+    def __new__(cls, name: str, inverted: bool = False):
+        return _new(cls, (name, inverted))
 
     def inverse(self) -> "BasicRole":
         return BasicRole(self.name, not self.inverted)
@@ -110,19 +113,19 @@ class BasicRole(Record):
         return self.name + ("-" if self.inverted else "")
 
 
-class Atomic(Record):
+class Atomic(Record, fields=("name",)):
     """A concept name used as a basic concept."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.name
 
 
-class Exists(Record):
+class Exists(Record, fields=("role",)):
     """Existential restriction over a basic role (``exists R``)."""
 
-    __slots__ = ("role",)
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"exists {self.role}"
@@ -131,22 +134,22 @@ class Exists(Record):
 BasicConcept = Union[Atomic, Exists]
 
 
-class ConceptInclusion(Record):
-    __slots__ = ("lhs", "rhs", "negated_rhs")
+class ConceptInclusion(Record, fields=("lhs", "rhs", "negated_rhs")):
+    __slots__ = ()
 
-    def __init__(self, lhs: BasicConcept, rhs: BasicConcept, negated_rhs: bool = False) -> None:
-        self._fill((lhs, rhs, negated_rhs))
+    def __new__(cls, lhs: BasicConcept, rhs: BasicConcept, negated_rhs: bool = False):
+        return _new(cls, (lhs, rhs, negated_rhs))
 
     def __str__(self) -> str:
         neg = "not " if self.negated_rhs else ""
         return f"{self.lhs} [= {neg}{self.rhs}"
 
 
-class RoleInclusion(Record):
-    __slots__ = ("lhs", "rhs", "negated_rhs")
+class RoleInclusion(Record, fields=("lhs", "rhs", "negated_rhs")):
+    __slots__ = ()
 
-    def __init__(self, lhs: BasicRole, rhs: BasicRole, negated_rhs: bool = False) -> None:
-        self._fill((lhs, rhs, negated_rhs))
+    def __new__(cls, lhs: BasicRole, rhs: BasicRole, negated_rhs: bool = False):
+        return _new(cls, (lhs, rhs, negated_rhs))
 
     def __str__(self) -> str:
         neg = "not " if self.negated_rhs else ""
@@ -157,17 +160,17 @@ TBoxAxiom = Union[ConceptInclusion, RoleInclusion]
 TBox = tuple[TBoxAxiom, ...]
 
 
-class Constant(Record):
-    __slots__ = ("name",)
+class Constant(Record, fields=("name",)):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.name
 
 
-class Null(Record):
+class Null(Record, fields=("name",)):
     """A labeled null; rendered with a leading underscore."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"_{self.name}"
@@ -176,17 +179,17 @@ class Null(Record):
 Term = Union[Constant, Null]
 
 
-class Variable(Record):
+class Variable(Record, fields=("name",)):
     """A query variable; only meaningful inside query atoms, never in ABoxes."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"?{self.name}"
 
 
-class ConceptAssertion(Record):
-    __slots__ = ("concept", "term")
+class ConceptAssertion(Record, fields=("concept", "term")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if isinstance(self.concept, Exists):
@@ -194,7 +197,7 @@ class ConceptAssertion(Record):
         return f"{self.concept}({self.term})"
 
 
-class RoleAssertion(Record):
+class RoleAssertion(Record, fields=("role", "first", "second")):
     """A role membership fact.
 
     Assertions over an inverted role are normalized on construction:
@@ -202,12 +205,12 @@ class RoleAssertion(Record):
     forward role and serialization round-trips exactly.
     """
 
-    __slots__ = ("role", "first", "second")
+    __slots__ = ()
 
-    def __init__(self, role: BasicRole, first: Term, second: Term) -> None:
+    def __new__(cls, role: BasicRole, first: Term, second: Term):
         if role.inverted:
             role, first, second = role.inverse(), second, first
-        self._fill((role, first, second))
+        return _new(cls, (role, first, second))
 
     def __str__(self) -> str:
         return f"{self.role}({self.first}, {self.second})"
@@ -216,10 +219,10 @@ class RoleAssertion(Record):
 Assertion = Union[ConceptAssertion, RoleAssertion]
 
 
-class ABox(Record):
+class ABox(Record, fields=("assertions",)):
     """A finite set of assertions; extended iff some labeled null occurs."""
 
-    __slots__ = ("assertions",)
+    __slots__ = ()
 
     @staticmethod
     def make(assertions: Iterable[Assertion]) -> "ABox":
@@ -257,14 +260,14 @@ class ABox(Record):
 EMPTY_ABOX = ABox(())
 
 
-class KnowledgeBase(Record):
-    __slots__ = ("tbox", "abox")
+class KnowledgeBase(Record, fields=("tbox", "abox")):
+    __slots__ = ()
 
 
-class Mapping(Record):
+class Mapping(Record, fields=("sigma1", "sigma2", "t12")):
     """A source signature, a disjoint target signature, and bridging axioms."""
 
-    __slots__ = ("sigma1", "sigma2", "t12")
+    __slots__ = ()
 
 
 def concept_over(c: BasicConcept, sig: Signature) -> bool:

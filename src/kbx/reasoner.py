@@ -36,10 +36,10 @@ from .model import (
 )
 
 
-class WitnessClass(Record):
+class WitnessClass(Record, fields=("representative", "members")):
     """An equivalence class of mutually subsuming roles, named by its least member."""
 
-    __slots__ = ("representative", "members")
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"w[{self.representative}]"

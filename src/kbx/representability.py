@@ -45,7 +45,7 @@ class PreconditionViolated(Exception):
     """An operation was invoked outside its stated precondition."""
 
 
-class InstanceQuery(Record):
+class InstanceQuery(Record, fields=("concept_atoms", "role_atoms")):
     """A conjunctive query with constants and at most one existential variable.
 
     Concept atoms pair a basic concept with a term; an existential concept in
@@ -53,7 +53,7 @@ class InstanceQuery(Record):
     atoms pair a basic role with two terms.
     """
 
-    __slots__ = ("concept_atoms", "role_atoms")
+    __slots__ = ()
 
     def variables(self) -> list:
         seen: dict = {}
@@ -76,27 +76,27 @@ class InstanceQuery(Record):
         return body
 
 
-class Counterexample(Record):
+class Counterexample(Record, fields=("abox", "query", "reason")):
     """Source data and a target query on which the two sides disagree."""
 
-    __slots__ = ("abox", "query", "reason")
+    __slots__ = ()
 
     def __str__(self) -> str:
         facts = ", ".join(str(a) for a in self.abox.assertions)
         return f"data {{{facts}}}, query {self.query}: {self.reason}"
 
 
-class RepresentationVerdict(Record):
-    __slots__ = ("answer", "counterexample", "tbox", "reason")
+class RepresentationVerdict(Record, fields=("answer", "counterexample", "tbox", "reason")):
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         answer: str,  # "yes" or "no"
         counterexample: Optional[Counterexample] = None,
         tbox: Optional[TBox] = None,
         reason: Optional[str] = None,
-    ) -> None:
-        self._fill((answer, counterexample, tbox, reason))
+    ):
+        return tuple.__new__(cls, (answer, counterexample, tbox, reason))
 
 
 _PROBE = Constant("o")
@@ -132,7 +132,7 @@ def _require_valid(mapping: Mapping, t1: TBox, t2: Optional[TBox]) -> None:
         raise PreconditionViolated("; ".join(problems))
 
 
-class _Kind(Record):
+class _Kind(Record, fields=("names", "sources", "derives", "consistent", "axiom")):
     """Basic concepts or basic roles: the terms of that kind on either side,
     and how to relate and join two of them.
 
@@ -143,7 +143,7 @@ class _Kind(Record):
     context at hand.  ``axiom`` is ConceptInclusion or RoleInclusion.
     """
 
-    __slots__ = ("names", "sources", "derives", "consistent", "axiom")
+    __slots__ = ()
 
 
 class _Decision:

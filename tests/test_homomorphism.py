@@ -238,3 +238,24 @@ def test_anchored_search_matches_the_naive_embedding():
             found += 1
             assert verify_embedding_into_regular(f, c, h, sigma)
     assert 100 <= found <= 270, found
+
+
+def test_refinement_reads_edge_roles_once_per_signature():
+    """``live_images`` and every ``shrink_images`` after it on one structure
+    share the structure's tables: each class's edge roles are read once."""
+    rng = random.Random(5)
+    checked = 0
+    while checked < 30:
+        c, f, sigma = _random_pair(rng)
+        calls = []
+        edge_roles = c.edge_roles
+        c.edge_roles = lambda rep, sig=None: calls.append(rep) or edge_roles(rep, sig)
+        images = live_images(c, f, sigma)
+        if images is None or not c.classes:
+            continue
+        for fact in [*f.concept_facts(), *f.role_facts()]:
+            smaller = f.without(fact)
+            images = shrink_images(c, smaller, images, fact[1:], sigma)
+            f = smaller
+        assert sorted(calls, key=str) == sorted(c.classes, key=str)
+        checked += 1

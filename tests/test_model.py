@@ -1,5 +1,11 @@
+import copy
+import pickle
+
 import pytest
 
+from kbx.automata import FalseFormula, TrueFormula
+from kbx.canonical import element_label
+from kbx.exchange import SolutionVerdict
 from kbx.model import (
     ABox,
     Atomic,
@@ -11,11 +17,13 @@ from kbx.model import (
     KnowledgeBase,
     Mapping,
     Null,
+    Record,
     RoleAssertion,
     RoleInclusion,
     Signature,
     Variable,
 )
+from kbx.representability import RepresentationVerdict
 
 
 def test_role_inverse_is_an_involution():
@@ -103,3 +111,46 @@ def test_knowledge_base_is_hashable_and_comparable():
 
     assert repr(r) == "BasicRole(name='R', inverted=True)"
     assert repr(fact) == "ConceptAssertion(concept=Atomic(name='F'), term=Constant(name='a'))"
+
+
+def test_records_are_tuples_that_keep_their_class():
+    r = BasicRole("R")
+    values = [
+        Constant("a"), Null("a"), Variable("a"), Atomic("a"), r, Exists(r),
+        RoleAssertion(BasicRole("R", inverted=True), Constant("a"), Null("n")),
+        ConceptAssertion(Atomic("F"), Constant("a")), Signature.make(["F"], ["R"]),
+        KnowledgeBase((), ABox(())), TrueFormula(), FalseFormula(),
+        SolutionVerdict("unknown", reason="cap"), RepresentationVerdict("no"),
+    ]
+    for value in values:
+        fields = tuple(value)
+        assert value != fields and fields != value, value
+        assert not value == fields and not fields == value, value
+        assert hash(value) == hash(fields), value
+        with pytest.raises(TypeError):
+            value < fields
+        with pytest.raises(TypeError):
+            fields < value
+        for other in values:
+            same = value is other
+            assert (value == other) is same and (value != other) is not same
+            if other.__class__ is not value.__class__:
+                with pytest.raises(TypeError):
+                    value < other
+        assert bool(value)
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin.__class__ is value.__class__ and twin == value, value
+    # The role assertion above was stored the other way round, and stays so.
+    assert pickle.loads(pickle.dumps(values[6])).role == BasicRole("R")
+
+    # Fields that are equal across classes: still not equal, != holds both ways.
+    assert Constant("a") != Null("a") and Null("a") != Constant("a")
+    assert Atomic("a") != Constant("a") and Exists(r) != Exists(r.inverse())
+    assert Record.__hash__ is tuple.__hash__
+    assert all(cls.__dictoffset__ == 0 for cls in Record.__subclasses__())
+
+    assert element_label(Constant("a")) == "a"
+    assert element_label(Null("n")) == "_n"
+    path = (Constant("a"), r, r.inverse())  # a path ends in witness-class representatives
+    assert element_label(path) == "a.w[R].w[R-]"
+    assert element_label(7) == "7"
