@@ -11,12 +11,12 @@ and seed).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .canonical import InconsistentKB, build_canonical, element_label, materialize
 from .exchange import (
@@ -33,7 +33,6 @@ from .representability import (
 )
 from .syntax import ParseError, parse_kb, parse_mapping, serialize
 
-DEFAULT_DEPTH_CAP = 6
 _EXIT = {"yes": 0, "no": 1, "unknown": 2, "error": 3}
 
 
@@ -47,7 +46,10 @@ def _load(path: str, parser, inputs: dict):
             data = fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    inputs[os.path.basename(path)] = {
+    key, alias = os.path.basename(path), path
+    while inputs.get(key, {"path": path})["path"] != path:  # the key names another file
+        key, alias = alias, os.path.join(os.curdir, alias)
+    inputs[key] = {
         "path": path,
         "sha256": hashlib.sha256(data).hexdigest(),
     }
@@ -74,58 +76,70 @@ def _serialize_tbox(tbox) -> str:
 def _non_negative(text: str) -> int:
     """A flag value that must be a non-negative integer (else a usage error)."""
     if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text}")
+        raise ValueError(f"not a non-negative integer: {text}")
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="kbx",
-        description="Knowledge-base exchange: universal solutions, "
-        "representing target TBoxes, validating automata.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+# command -> (help line, the words it needs, optional flag -> (default, converter));
+# a needed "--flag" takes a FILE.  Every command also takes --json and --seed N.
+_KB_MAP = ("--kb", "--mapping")
+COMMANDS = {
+    "consistency": ("decide knowledge-base consistency", ("--kb",), {}),
+    "canonical": ("truncate the canonical model", ("--kb",), {"--depth": (3, _non_negative)}),
+    "usol-exists": ("does a null-free universal solution exist?", _KB_MAP, {}),
+    "usol-exists-ext": ("does a universal solution with labeled nulls exist?", _KB_MAP,
+                        {"--depth-cap": (6, _non_negative)}),
+    "usol-check": ("is the candidate a universal solution?", (*_KB_MAP, "--candidate"), {}),
+    "rep-check": ("does the target TBox represent the source TBox?", (*_KB_MAP, "--t2"), {}),
+    "rep-exists": ("does any representing target TBox exist?", _KB_MAP, {}),
+    "rep-synth": ("synthesize a representing target TBox", _KB_MAP, {}),
+    "automata": ("dump the automata over the KB's canonical model", ("dump", "--kb"), {}),
+}
 
-    def common(sp, mapping: bool = False):
-        sp.add_argument("--kb", required=True, metavar="FILE", help="knowledge-base file")
-        if mapping:
-            sp.add_argument("--mapping", required=True, metavar="FILE", help="mapping file")
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        sp.add_argument("--seed", type=int, default=None, help="echoed into the report")
 
-    sp = sub.add_parser("consistency", help="decide knowledge-base consistency")
-    common(sp)
-    sp = sub.add_parser("canonical", help="materialize a canonical-model truncation")
-    common(sp)
-    sp.add_argument("--depth", type=_non_negative, default=3, help="truncation depth (default 3)")
-    sp = sub.add_parser(
-        "usol-exists", help="does a null-free universal solution exist?"
-    )
-    common(sp, mapping=True)
-    sp = sub.add_parser(
-        "usol-exists-ext", help="does a universal solution with labeled nulls exist?"
-    )
-    common(sp, mapping=True)
-    sp.add_argument(
-        "--depth-cap",
-        type=_non_negative,
-        default=DEFAULT_DEPTH_CAP,
-        help=f"search depth cap (default {DEFAULT_DEPTH_CAP})",
-    )
-    sp = sub.add_parser("usol-check", help="is the candidate a universal solution?")
-    common(sp, mapping=True)
-    sp.add_argument("--candidate", required=True, metavar="FILE", help="candidate target KB")
-    sp = sub.add_parser("rep-check", help="does the target TBox represent the source TBox?")
-    common(sp, mapping=True)
-    sp.add_argument("--t2", required=True, metavar="FILE", help="target TBox (KB file)")
-    sp = sub.add_parser("rep-exists", help="does any representing target TBox exist?")
-    common(sp, mapping=True)
-    sp = sub.add_parser("rep-synth", help="synthesize a representing target TBox")
-    common(sp, mapping=True)
-    sp = sub.add_parser("automata", help="automata over the KB's canonical model")
-    sp.add_argument("action", choices=["dump"], help="dump: stable text listing")
-    common(sp)
-    return p
+def _usage(command: str | None, error: str | None = None) -> int:
+    """Prints the usage of ``command``, or of every command, and returns the exit
+    code: 0 for a help on stdout, 3 for a usage ``error`` on stderr."""
+    rows = ["usage:"]
+    for name in [command] if command else COMMANDS:
+        text, needs, options = COMMANDS[name]
+        words = [f"{word} FILE" if word[0] == "-" else word for word in needs]
+        words += [f"[{flag} N, default {d}]" for flag, (d, _) in options.items()]
+        rows += [" ".join(["  kbx", name, *words, "[--seed N] [--json]"]), f"      {text}"]
+    rows += [f"kbx: error: {error}"] if error else []
+    print("\n".join(rows), file=sys.stderr if error else sys.stdout)
+    return 3 if error else 0
+
+
+def read_args(argv) -> SimpleNamespace | int:
+    """The fields of the command ``argv`` names, or the exit code once ``-h``/``--help``
+    or a command line that does not fit ``COMMANDS`` has printed its usage."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return _usage(None)
+    if command not in COMMANDS:
+        return _usage(None, f"unknown command: {command}" if argv else "no command given")
+    _, needs, options = COMMANDS[command]
+    flags = {**{w: (None, str) for w in needs if w[0] == "-"}, **options, "--seed": (None, int)}
+    given, tokens = {"--json": False}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            return _usage(command)
+        if flag in flags:  # the token after a flag is its value; the last repeat wins
+            try:
+                given[flag] = flags[flag][1](value if eq else next(tokens))
+            except (StopIteration, ValueError) as exc:
+                return _usage(command, f"{flag}: {str(exc) or 'a value is expected'}")
+        elif token == "--json" or token in needs and token not in given:
+            given[token] = True
+        else:
+            return _usage(command, f"unrecognized argument: {token}")
+    if missing := [word for word in needs if word not in given]:
+        return _usage(command, "required: " + ", ".join(missing))
+    words = [command, *(word for word in needs if word not in flags)]
+    fields = {flag[2:].replace("-", "_"): given.get(flag, d) for flag, (d, _) in flags.items()}
+    return SimpleNamespace(command=" ".join(words), json=given["--json"], **fields)
 
 
 def _error_fields(reason: str | None) -> dict:
@@ -181,7 +195,7 @@ def _dispatch(args, inputs: dict) -> dict:
         )
         return out
 
-    if args.command == "automata":
+    if args.command == "automata dump":
         from .automata import build_acan, build_afin, build_amod, dump_automaton
 
         kb = _load(args.kb, parse_kb, inputs)
@@ -242,12 +256,9 @@ def _dispatch(args, inputs: dict) -> dict:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; fold into the input-error code.
-        return 3 if exc.code not in (0, None) else 0
+    args = read_args(argv)
+    if isinstance(args, int):
+        return args
     inputs: dict = {}
     started = time.perf_counter()
     try:
@@ -261,9 +272,8 @@ def run(argv) -> int:
         fields = _error_fields(f"internal error: {type(exc).__name__}: {exc}")
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
-    command = args.command if args.command != "automata" else f"automata {args.action}"
     report = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "seed": args.seed,
         "timing_ms": None,  # kept out of JSON so reports are byte-deterministic
@@ -272,7 +282,7 @@ def run(argv) -> int:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(f"command: {command}")
+        print(f"command: {args.command}")
         print(f"answer: {fields['answer']}")
         for key in ("reason", "counterexample", "certificate", "recheck"):
             if fields[key] is not None:

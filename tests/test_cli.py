@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through ``cli.run``."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -64,6 +65,42 @@ def test_json_report_schema_and_determinism(capsys):
     cli.run(["consistency", "--kb", path("ex1_kb"), "--seed", "7", "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_inputs_sharing_a_basename_keep_each_digest(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, source in (
+        ("coll/a/x", "ex1_kb"), ("coll/m", "ex1_map"), ("coll/b/x", "ex1_cand"),
+        ("x", "ex1_kb"), ("coll/x", "ex1_map"),
+    ):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / f"{name}.kbx").write_bytes((CORPUS / f"{source}.kbx").read_bytes())
+
+    def inputs(kb, mapping, candidate):
+        _, report = run_json(
+            capsys, "usol-check", "--kb", kb, "--mapping", mapping, "--candidate", candidate
+        )
+        return report["inputs"]
+
+    def entry(given):
+        return {"path": given, "sha256": hashlib.sha256(Path(given).read_bytes()).hexdigest()}
+
+    # The mapping is read first, then the source KB, then the candidate.
+    assert inputs("coll/a/x.kbx", "coll/m.kbx", "coll/b/x.kbx") == {
+        "m.kbx": entry("coll/m.kbx"),
+        "x.kbx": entry("coll/a/x.kbx"),
+        "coll/b/x.kbx": entry("coll/b/x.kbx"),
+    }
+    # The same path given twice is one entry.
+    assert inputs("x.kbx", "coll/m.kbx", "x.kbx") == {
+        "m.kbx": entry("coll/m.kbx"), "x.kbx": entry("x.kbx"),
+    }
+    # A path that is itself the key of another path still gets a key of its own.
+    assert inputs("x.kbx", "coll/x.kbx", "coll/b/x.kbx") == {
+        "x.kbx": entry("coll/x.kbx"),
+        os.path.join(os.curdir, "x.kbx"): entry("x.kbx"),
+        "coll/b/x.kbx": entry("coll/b/x.kbx"),
+    }
 
 
 def test_usol_check_verdicts(capsys):
@@ -188,6 +225,67 @@ def test_usage_errors_exit_3(capsys):
         assert run(capsys, *argv) == (3, ""), argv
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["no-such-command"],
+    ["--json"],
+    ["consistency", "--kb", path("ex1_kb"), "--bogus"],
+    ["consistency", "--kb", path("ex1_kb"), "stray"],
+    ["consistency", "--kb", path("ex1_kb"), "--json=1"],
+    ["consistency", "--kb"],
+    ["usol-exists", "--kb", path("ex3_kb"), "--mapping"],
+    ["usol-check", "--kb", path("ex1_kb"), "--mapping", path("ex1_map")],
+    ["consistency", "--seed", "7"],
+    ["consistency", "--kb", path("ex1_kb"), "--seed", "seven"],
+    ["canonical", "--kb", path("ex4_kb"), "--depth=two"],
+    ["usol-exists-ext", "--kb", path("ex3_kb"), "--mapping", path("ex3_map"), "--depth-cap", ""],
+    ["automata", "--kb", path("ex1_kb")],
+    ["automata", "load", "--kb", path("ex1_kb")],
+    ["automata", "dump", "dump", "--kb", path("ex1_kb")],
+])
+def test_usage_error_matrix(capsys, argv):
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("kbx: error:")]
+    assert len(errors) == 1, captured.err
+    assert captured.err.startswith("usage:")
+
+
+def test_help_names_every_command_and_flag(capsys):
+    for argv in (["--help"], ["-h"]):
+        assert cli.run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert all(f" kbx {command} " in captured.out for command in cli.COMMANDS)
+    for command, (text, required, options) in cli.COMMANDS.items():
+        for argv in ([command, "--help"], [command, "--kb", path("ex1_kb"), "-h"]):
+            assert cli.run(argv) == 0, argv
+            out = capsys.readouterr().out
+            assert text in out
+            for word in (*required, *options, "--seed", "--json"):
+                assert word in out, (command, word)
+
+
+def test_flag_forms_and_repeats(capsys):
+    kb = path("ex4_kb")
+    code, spaced = run(capsys, "canonical", "--kb", kb, "--depth", "2", "--json")
+    assert code == 0
+    for argv in (
+        ["canonical", f"--kb={kb}", "--depth=2", "--json"],
+        ["canonical", "--depth", "5", "--kb", "nope.kbx", "--json", f"--kb={kb}", "--depth=2"],
+    ):
+        assert run(capsys, *argv) == (0, spaced), argv
+    code, report = run_json(capsys, "consistency", "--kb", path("ex1_kb"), "--seed", "-5")
+    assert code == 0 and report["seed"] == -5
+
+
+def test_flag_abbreviations_are_refused(capsys):
+    argv = ["usol-exists", "--kb", path("ex3_kb"), "--map", path("ex3_map")]
+    assert run(capsys, *argv) == (3, "")
+    assert run(capsys, "canonical", "--kb", path("ex4_kb"), "--dep", "2") == (3, "")
+
+
 def test_automata_dump_is_byte_stable(capsys):
     cli.run(["automata", "dump", "--kb", path("ex1_kb"), "--json"])
     first = capsys.readouterr().out
@@ -217,6 +315,17 @@ def test_internal_fault_is_an_error_not_a_verdict(capsys, monkeypatch):
     assert "Traceback" in captured.err and "injected fault" in captured.err
 
 
+def fresh_python(script):
+    """The stdout of ``script`` run in a new interpreter that imports this ``kbx``."""
+    src = str(Path(kbx.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
 def test_cli_import_leaves_automata_dataclasses_and_traceback_unloaded():
     """A fresh ``import kbx`` loads no submodule, and ``import kbx.cli`` loads
     neither the automata nor the standard modules only a fault or ``automata
@@ -229,16 +338,26 @@ def test_cli_import_leaves_automata_dataclasses_and_traceback_unloaded():
         "import kbx.cli\n"
         "print(json.dumps([bare, sorted(set(sys.modules) - before)]))\n"
     )
-    src = str(Path(kbx.__file__).resolve().parents[1])
-    path_entries = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    bare, loaded = json.loads(proc.stdout)
+    bare, loaded = json.loads(fresh_python(script))
     assert bare == []
     assert "kbx.cli" in loaded and "kbx.exchange" in loaded
     assert not {"kbx.automata", "dataclasses", "traceback"} & set(loaded)
+
+
+def test_cli_run_leaves_argparse_gettext_and_locale_unloaded():
+    """Reading a command line and writing its report need no argument-parsing
+    or translation machinery."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "import kbx.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = kbx.cli.run(['consistency', '--kb', {path('ex1_kb')!r}, '--json'])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    code, loaded = json.loads(fresh_python(script))
+    assert code == 0
+    assert not {"argparse", "gettext", "locale"} & set(loaded)
 
 
 def test_package_namespace_resolves_each_public_name():
