@@ -22,7 +22,7 @@ _SUBMODULE = {
         "canonical": "CanonicalStructure FiniteInterpretation InconsistentKB "
         "build_canonical build_vabox closure_abox materialize",
         "exchange": "SolutionVerdict is_sigma2_positive is_universal_solution "
-        "universal_solution_extended universal_solution_plain",
+        "universal_solution_extended universal_solution_plain verify_solution",
         "model": "ABox Atomic BasicRole ConceptAssertion ConceptInclusion Constant Exists "
         "KnowledgeBase Mapping Null RoleAssertion RoleInclusion Signature Variable",
         "reasoner": "kb_consistent tbox_trivial",

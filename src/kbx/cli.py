@@ -1,8 +1,11 @@
 """Command-line interface: parse inputs, run a decision, report a verdict.
 
 Exit codes: 0 = yes, 1 = no, 2 = unknown, 3 = error (an input error, a broken
-precondition, a ``yes`` whose witness fails its recheck, or an internal fault;
-none of these is ever reported as a verdict).
+precondition, a ``yes`` whose witness fails its recheck, exhausted memory or
+an internal fault; none of these is ever reported as a verdict).
+A ``yes`` of ``usol-exists`` or ``usol-exists-ext`` is rechecked by
+``verify_solution``, which verifies its certificate instead of deciding again,
+and one of ``rep-exists`` or ``rep-synth`` by the representation decider.
 Reports carry the answer, input digests, any witness or counterexample, and a
 certificate summary; ``--json`` switches to a byte-deterministic JSON report
 (timing is reported as text only, so JSON output depends only on the inputs
@@ -23,6 +26,7 @@ from .exchange import (
     is_universal_solution,
     universal_solution_extended,
     universal_solution_plain,
+    verify_solution,
 )
 from .model import EMPTY_ABOX, KnowledgeBase
 from .reasoner import kb_consistent
@@ -67,10 +71,6 @@ def _cert_summary(cert) -> str | None:
         return None
     table, h = cert
     return f"simulation table with {len(table)} entries; embedding of {len(h)} elements"
-
-
-def _serialize_tbox(tbox) -> str:
-    return serialize(KnowledgeBase(tuple(tbox), EMPTY_ABOX))
 
 
 def _non_negative(text: str) -> int:
@@ -218,7 +218,7 @@ def _dispatch(args, inputs: dict) -> dict:
         out["certificate"] = _cert_summary(verdict.certificate)
         if verdict.answer == "yes":
             out["witness"] = serialize(verdict.witness)
-            _recheck(out, is_universal_solution(kb1, mapping, KnowledgeBase((), verdict.witness)))
+            _recheck(out, verify_solution(kb1, mapping, verdict.witness, verdict.certificate))
         return out
 
     if args.command == "usol-check":
@@ -248,7 +248,7 @@ def _dispatch(args, inputs: dict) -> dict:
                 else "no representing target TBox exists"
             )
             return out
-        out["witness"] = _serialize_tbox(verdict.tbox)
+        out["witness"] = serialize(KnowledgeBase(tuple(verdict.tbox), EMPTY_ABOX))
         _recheck(out, is_ucq_representation(mapping, kb1.tbox, verdict.tbox))
         return out
 
@@ -263,6 +263,10 @@ def run(argv) -> int:
     started = time.perf_counter()
     try:
         fields = _dispatch(args, inputs)
+    except MemoryError:
+        # The traceback's frames hold what ran out; the report is built once
+        # this block has let them go.
+        fields = None
     except (InputError, InconsistentKB, PreconditionViolated) as exc:
         fields = _error_fields(str(exc))
     except Exception as exc:  # an internal fault must never read as a verdict
@@ -270,6 +274,8 @@ def run(argv) -> int:
 
         traceback.print_exc(file=sys.stderr)
         fields = _error_fields(f"internal error: {type(exc).__name__}: {exc}")
+    if fields is None:
+        fields = _error_fields("out of memory")
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
     report = {
@@ -296,7 +302,14 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+    except Exception:  # a fault that escapes ``run`` is still no verdict
+        try:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            sys.exit(3)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,9 @@ structure and the canonical model, then decides all three questions:
 as structures rather than ABoxes, minimising the shallowest one that passes.
 A truncation T_d maps into the canonical model U by inclusion and lies inside
 T_{d+1}, so "U maps into T_d" is monotone in d and galloping finds that depth.
+A yes carries its two embeddings as a certificate, and `verify_solution`
+checks them a second time with the clause-by-clause verifiers of
+`homomorphism`, which run none of the searches that found them.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .homomorphism import (
     embeds_regular_into_finite,
     live_images,
     shrink_images,
+    verify_embedding_into_regular,
+    verify_simulation,
 )
 from .model import (
     ABox,
@@ -104,22 +109,15 @@ def is_sigma2_positive(
     source, u = prepared if prepared is not None else _prepare(kb1, mapping)
     sigma2 = mapping.sigma2
 
-    def in_target(state) -> bool:
-        if isinstance(state, Constant):
-            return True
-        return bool(u.state_type(state, sigma2))
+    visible, _ = u.over(sigma2)
 
-    # Concepts realized at some target-visible element.
-    realized_target: set = set()
-    realized_all: set = set()
-    for t in u.individuals:
-        realized_all |= u.individual_types[t]
-        if in_target(t):
-            realized_target |= u.individual_types[t]
-    for rep in u.classes:
-        realized_all |= u.class_types[rep]
-        if in_target(rep):
-            realized_target |= u.class_types[rep]
+    def in_target(state) -> bool:
+        return isinstance(state, Constant) or bool(visible[state])
+
+    # Concepts realized anywhere, and at some target-visible element.
+    types = {**u.individual_types, **u.class_types}
+    realized_all = set().union(*types.values())
+    realized_target = set().union(*(tp for s, tp in types.items() if in_target(s)))
 
     for (b, c) in sorted(source.concept_clashes, key=str):
         if b in realized_target and c in realized_target:
@@ -184,11 +182,7 @@ def is_sigma2_positive(
                     f"({where}) towards target-visible elements",
                 )
 
-    realized_roles: set = set()
-    for roles in u.individual_roles.values():
-        realized_roles |= roles
-    for rep in u.classes:
-        realized_roles |= u.edge_roles(rep)
+    realized_roles = set().union(*u.individual_roles.values(), *u.class_edges.values())
     for ax in mapping.t12:
         if not ax.negated_rhs:
             continue
@@ -223,38 +217,46 @@ def _positive(
 
 
 def _membership(u: CanonicalStructure, abox: ABox, sigma) -> SolutionVerdict:
-    """``_embeddings`` of the Herbrand structure of ``abox``, which is the
-    witness of a yes."""
-    verdict = _embeddings(u, build_vabox(abox), sigma)
-    if verdict.answer != "yes":
-        return verdict
-    return SolutionVerdict("yes", abox, verdict.certificate)
-
-
-def _embeddings(u: CanonicalStructure, v: FiniteInterpretation, sigma) -> SolutionVerdict:
-    """Whether ``v`` and the canonical model ``u`` map into each other over
-    ``sigma``; the certificate of a yes is the (simulation table, embedding)
-    pair."""
+    """Whether the Herbrand structure of ``abox`` and the canonical model ``u``
+    map into each other over ``sigma``; a yes has ``abox`` as its witness and
+    the (simulation table, embedding) pair as its certificate."""
+    v = build_vabox(abox)
     table = embeds_regular_into_finite(u, v, sigma)
     if table is None:
-        return SolutionVerdict(
-            "no",
-            counterexample=(
-                "the canonical model of source plus mapping does not map "
-                "into the candidate's Herbrand structure over the target "
-                "signature"
-            ),
-        )
+        return SolutionVerdict("no", counterexample=(
+            "the canonical model of source plus mapping does not map into the "
+            "candidate's Herbrand structure over the target signature"
+        ))
     h = embeds_finite_into_regular(v, u, sigma)
     if h is None:
-        return SolutionVerdict(
-            "no",
-            counterexample=(
-                "the candidate's Herbrand structure does not map back into "
-                "the canonical model over the target signature"
-            ),
-        )
-    return SolutionVerdict("yes", certificate=(table, h))
+        return SolutionVerdict("no", counterexample=(
+            "the candidate's Herbrand structure does not map back into the "
+            "canonical model over the target signature"
+        ))
+    return SolutionVerdict("yes", abox, (table, h))
+
+
+def verify_solution(kb1: KnowledgeBase, mapping: Mapping, witness: ABox,
+                    certificate) -> SolutionVerdict:
+    """Check a universal-solution yes a second time without deciding again.
+
+    Fresh contexts for source and mapping (``_positive``) and the Herbrand
+    structure of ``witness`` are built, and the (simulation table, embedding)
+    ``certificate`` goes through ``verify_simulation`` and
+    ``verify_embedding_into_regular`` over the target signature.  A ``no``
+    names the verifier that rejects it.
+    """
+    u, refusal = _positive(kb1, mapping)
+    if refusal is not None:
+        return refusal
+    (table, h), v = certificate, build_vabox(witness)
+    if not verify_simulation(u, v, table, mapping.sigma2):
+        rejection = "verify_simulation rejects the simulation table"
+    elif not verify_embedding_into_regular(v, u, h, mapping.sigma2):
+        rejection = "verify_embedding_into_regular rejects the embedding"
+    else:
+        return SolutionVerdict("yes", witness, certificate)
+    return SolutionVerdict("no", counterexample=rejection)
 
 
 def _interpretation_to_abox(f: FiniteInterpretation, sigma) -> ABox:

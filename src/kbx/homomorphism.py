@@ -16,7 +16,9 @@ component, the order to place its elements in, and for each element the
 neighbour that reached it, next to whose image it is placed.  A component
 with constants starts from them alone.  Both searches, this one and
 ``choose_images``' choice of one image per individual, run the same
-depth-first loop, ``_search``.
+depth-first loop, ``_search``.  The two verifiers run neither search nor
+``_refine``: ``exchange.verify_solution`` calls them on the certificate of
+a yes, for the CLI's recheck.
 """
 
 from __future__ import annotations
@@ -30,11 +32,9 @@ from .canonical import (
 )
 from .model import Atomic, BasicRole, Constant, Signature, role_over
 
-SimulationTable = frozenset
-
 
 def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
-                               sigma: Signature | None = None) -> SimulationTable | None:
+                               sigma: Signature | None = None) -> frozenset | None:
     """Simulation witnessing a homomorphism from the full (possibly infinite)
     canonical model into a finite interpretation.
 
@@ -48,7 +48,7 @@ def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
         return None
     table = {(t, choice[t]) for t in c.individuals}
     table |= {(rep, e) for rep in c.classes for e in images[rep]}
-    return SimulationTable(table)
+    return frozenset(table)
 
 
 def live_images(c: CanonicalStructure, f: FiniteInterpretation,
@@ -124,12 +124,6 @@ def choose_images(c: CanonicalStructure, f: FiniteInterpretation, images: dict,
     order, trying each one's live images by label; a role requirement is
     checked once both its ends are chosen.
     """
-
-    def rtype(e1, e2) -> frozenset:
-        if e1 is None or e2 is None:
-            return frozenset()
-        return f.rtype(e1, e2, sigma)
-
     inds = list(c.individuals)
     level = {t: i for i, t in enumerate(inds)}
     reqs_at: dict = {t: [] for t in inds}
@@ -144,7 +138,7 @@ def choose_images(c: CanonicalStructure, f: FiniteInterpretation, images: dict,
         return sorted(images[t], key=lambda e: (e is None, "" if e is None else element_label(e)))
 
     def fits(t, choice) -> bool:
-        return all(need <= rtype(choice[t1], choice[t2]) for (t1, t2, need) in reqs_at[t])
+        return all(need <= f.rtype(choice[t1], choice[t2]) for (t1, t2, need) in reqs_at[t])
 
     choice: dict = {}
     return choice if _search(inds, choice, by_label, fits) else None
@@ -232,55 +226,48 @@ def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | N
 
 
 def verify_simulation(c: CanonicalStructure, f: FiniteInterpretation,
-                      table: SimulationTable, sigma: Signature | None = None) -> bool:
+                      table: frozenset, sigma: Signature | None = None) -> bool:
     """Re-check a simulation certificate clause by clause.
 
-    Each individual must appear exactly once (its chosen image, pinned for
-    constants); witness-class pairs may be plentiful.  A ``None`` image is the
-    fact-free sink and is only admissible for signature-invisible states.
+    Every pair joins a state of ``c`` to an element of ``f`` or to ``None``,
+    the fact-free sink, whose type covers no signature-visible state.  Each
+    individual appears exactly once (its chosen image, pinned for
+    constants); witness-class pairs may be plentiful.  Each pair's element
+    covers the state's type and supports every child class: among its
+    neighbours when the child's edge shows a role over the signature, by
+    any pair of the child otherwise.  The role facts between individuals
+    hold between their images.
     """
-
-    def ttype(e) -> frozenset:
-        return f.ttype(e, sigma) if e is not None else frozenset()
-
-    def rtype(e1, e2) -> frozenset:
-        if e1 is None or e2 is None:
-            return frozenset()
-        return f.rtype(e1, e2, sigma)
-
-    pool = list(f.elements) + [None]
-    pairs = set(table)
-    images: dict = {}
-    for (s, e) in pairs:
-        if not isinstance(s, BasicRole):
-            if s in images:
-                return False
-            images[s] = e
+    types, need = c.over(sigma)
+    elements = set(f.elements)
+    images: dict = {s: set() for s in c.gen}
+    for s, e in table:
+        if s not in images or e is not None and e not in elements:
+            return False
+        images[s].add(e)
+    chosen = {}
     for t in c.individuals:
-        if t not in images:
+        if len(images[t]) != 1:
             return False
-        if isinstance(t, Constant):
-            if images[t] is None:
-                if t in f.constant_elems:
+        (chosen[t],) = images[t]
+        if isinstance(t, Constant) and chosen[t] != f.constant_elems.get(t):
+            return False
+    for s, es in images.items():
+        for e in es:
+            if not types[s] <= (f.ttype(e) if e is not None else frozenset()):
+                return False
+            for child in c.gen[s]:
+                live = images[child]
+                if need[child]:
+                    if not any(e2 in live and need[child] <= f.rtype(e, e2)
+                               for e2 in f.neighbours(e)):
+                        return False
+                elif not live:
                     return False
-            elif images[t] != f.constant_elems.get(t):
-                return False
-    need = {rep: c.edge_roles(rep, sigma) for rep in c.classes}
-    for (s, e) in pairs:
-        if not c.state_type(s, sigma) <= ttype(e):
-            return False
-        for child in c.gen[s]:
-            if not any(
-                (child, e2) in pairs and need[child] <= rtype(e, e2)
-                for e2 in pool
-            ):
-                return False
     for (t1, t2), roles in c.individual_roles.items():
-        have = rtype(images[t1], images[t2])
-        for r in roles:
-            if sigma is None or role_over(r, sigma):
-                if r not in have:
-                    return False
+        have = f.rtype(chosen[t1], chosen[t2])
+        if any(sigma is None or role_over(r, sigma) for r in roles - have):
+            return False
     return True
 
 
@@ -375,22 +362,26 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
 
 def verify_embedding_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
                                   h: dict, sigma: Signature | None = None) -> bool:
-    """Independent re-check of a finite-into-canonical homomorphism."""
-    if any(e not in h for e in f.elements):
+    """Re-check a finite-into-canonical homomorphism clause by clause: every
+    element goes to a path of ``c`` (an individual or a class, then one
+    generated class per step), each constant to itself, and every fact over
+    the signature onto a fact of ``c``."""
+
+    def in_model(path) -> bool:
+        return (type(path) is tuple and len(path) > 0 and path[0] in c.gen
+                and all(b in c.gen[a] for a, b in zip(path, path[1:])))
+
+    if any(e not in h or not in_model(h[e]) for e in f.elements):
         return False
     for const, e in f.constant_elems.items():
         if h[e] != (const,):
             return False
-    for n, ext in f.concept_ext.items():
-        if sigma is not None and n not in sigma.concepts:
-            continue
-        for e in ext:
-            if Atomic(n) not in ttype_at(c, h[e]):
-                return False
-    for n, ext in f.role_ext.items():
-        if sigma is not None and n not in sigma.roles:
-            continue
-        for (e1, e2) in ext:
-            if BasicRole(n) not in rtype_edge(c, h[e1], h[e2]):
-                return False
-    return True
+    return all(
+        Atomic(n) in ttype_at(c, h[e])
+        for n, ext in f.concept_ext.items() if sigma is None or n in sigma.concepts
+        for e in ext
+    ) and all(
+        BasicRole(n) in rtype_edge(c, h[e1], h[e2])
+        for n, ext in f.role_ext.items() if sigma is None or n in sigma.roles
+        for e1, e2 in ext
+    )

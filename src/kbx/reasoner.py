@@ -14,7 +14,9 @@ time a decision asks for one.  Each decision builds the contexts it needs and
 drops them when it returns, so no cache outlives a call: `CanonicalStructure`
 builds (or is handed) the context of its KB's TBox, `exchange` reuses the
 structure's, and `representability` builds one per TBox it reasons over.  A
-certificate recheck is a decision of its own and builds its own contexts.
+certificate recheck builds its own contexts too: a solution's, to verify its
+certificate (`exchange.verify_solution`), and a synthesized TBox's, to decide
+its representation again.
 The module-level `kb_consistent` is an uncached one-shot wrapper for the
 CLI's `consistency` command.
 """
@@ -45,10 +47,10 @@ class WitnessClass(Record, fields=("representative", "members")):
         return f"w[{self.representative}]"
 
 
-def _reachable(start, successors) -> frozenset:
-    """``start`` and every node reachable from it along ``successors``."""
-    seen = {start}
-    todo = [start]
+def _reachable(starts, successors) -> frozenset:
+    """``starts`` and every node reachable from them along ``successors``."""
+    seen = set(starts)
+    todo = list(seen)
     while todo:
         for nxt in successors(todo.pop()):
             if nxt not in seen:
@@ -98,7 +100,7 @@ class Reasoner:
         """Every basic role the positive axioms derive from ``r``, itself included."""
         got = self._sup_roles.get(r)
         if got is None:
-            got = self._sup_roles[r] = _reachable(r, lambda x: self._role_edges.get(x, ()))
+            got = self._sup_roles[r] = _reachable((r,), lambda x: self._role_edges.get(x, ()))
         return got
 
     def sup_concepts(self, c: BasicConcept) -> frozenset[BasicConcept]:
@@ -106,7 +108,7 @@ class Reasoner:
         included; ``exists R`` also reaches ``exists S`` for each super-role S."""
         got = self._sup_concepts.get(c)
         if got is None:
-            got = self._sup_concepts[c] = _reachable(c, self._concept_successors)
+            got = self._sup_concepts[c] = _reachable((c,), self._concept_successors)
         return got
 
     def _concept_successors(self, c: BasicConcept):
@@ -162,36 +164,27 @@ class Reasoner:
     def _edge_clash(self, roles: frozenset) -> bool:
         return any(a in roles and b in roles for a, b in self.role_clashes)
 
-    def _reachable_tail_reps(self, root_type: frozenset) -> set[BasicRole]:
+    def _reachable_tail_reps(self, root_type: frozenset) -> frozenset[BasicRole]:
         """Witness-class representatives reachable by chasing existentials.
 
         Deliberately ignores the satisfaction/minimality side conditions of the
         generating relation: extra classes never fabricate clashes because their
         types are subsumed by the types of the elements that actually absorb them.
         """
-        todo = [self.rep_of(c.role) for c in root_type if isinstance(c, Exists)]
-        seen: set[BasicRole] = set()
-        while todo:
-            rep = todo.pop()
-            if rep in seen:
-                continue
-            seen.add(rep)
-            for c in self.sup_concepts(Exists(rep.inverse())):
-                if isinstance(c, Exists):
-                    nxt = self.rep_of(c.role)
-                    if nxt not in seen:
-                        todo.append(nxt)
-        return seen
+        return _reachable(
+            {self.rep_of(c.role) for c in root_type if isinstance(c, Exists)},
+            lambda rep: [
+                self.rep_of(c.role)
+                for c in self.sup_concepts(Exists(rep.inverse())) if isinstance(c, Exists)
+            ],
+        )
 
     def _chase_consistent(self, root_types: list, root_edges: list) -> bool:
         if any(self._type_clash(t) for t in root_types):
             return False
         if any(self._edge_clash(e) for e in root_edges):
             return False
-        reachable: set[BasicRole] = set()
-        for t in root_types:
-            reachable |= self._reachable_tail_reps(t)
-        for rep in reachable:
+        for rep in self._reachable_tail_reps(frozenset().union(*root_types)):
             if self._type_clash(self.sup_concepts(Exists(rep.inverse()))):
                 return False
             if self._edge_clash(self.sup_roles(rep)):

@@ -13,7 +13,7 @@ import pytest
 from conftest import CORPUS
 
 import kbx
-from kbx import cli, exchange
+from kbx import cli, exchange, homomorphism
 from kbx.model import EMPTY_ABOX
 
 
@@ -315,14 +315,18 @@ def test_internal_fault_is_an_error_not_a_verdict(capsys, monkeypatch):
     assert "Traceback" in captured.err and "injected fault" in captured.err
 
 
-def fresh_python(script):
-    """The stdout of ``script`` run in a new interpreter that imports this ``kbx``."""
+def fresh_process(script):
+    """``script`` run to its end in a new interpreter that imports this ``kbx``."""
     src = str(Path(kbx.__file__).resolve().parents[1])
     path_entries = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+
+def fresh_python(script):
+    """The stdout of ``script``, which must succeed, run by ``fresh_process``."""
+    proc = fresh_process(script)
+    proc.check_returncode()
     return proc.stdout
 
 
@@ -444,3 +448,48 @@ def test_a_witness_failing_its_final_check_is_an_error(capsys, monkeypatch):
     assert report["answer"] == "error"
     assert "RuntimeError" in report["reason"]
     assert report["witness"] is None and report["certificate"] is None
+
+
+def test_a_search_fault_fails_the_certificate_recheck(capsys, monkeypatch):
+    """With the simulation's refinement switched off, the decision calls the
+    closure ABox of ex3 a solution; the verifiers, which run no search,
+    reject its certificate."""
+    monkeypatch.setattr(homomorphism, "_refine", lambda *_args: None)
+    code, report = run_json(
+        capsys, "usol-exists", "--kb", path("ex3_kb"), "--mapping", path("ex3_map")
+    )
+    assert code == 3
+    assert report["answer"] == "error"
+    assert report["recheck"] == "failed"
+    assert report["reason"] == "recheck failed: verify_simulation rejects the simulation table"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_memory_exhaustion_exits_3():
+    """A decider that allocates in small pieces until its address-space
+    limit (set in the child only, 150 MB above its size) gets
+    ``MemoryError`` with almost nothing left: the exit code is 3, never a
+    verdict's, and stdout is empty or a report of ``error``."""
+    script = (
+        "import os, resource, sys\n"
+        "from kbx import cli\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    size = int(fh.read().split()[0]) * os.sysconf('SC_PAGE_SIZE') + (150 << 20)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    size = min(size, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size, hard))\n"
+        "def hog(*_args):\n"
+        "    blocks = []\n"
+        "    while True:\n"
+        "        blocks.append(bytes(1000))\n"
+        "cli.universal_solution_plain = hog\n"
+        f"sys.argv = ['kbx', 'usol-exists', '--kb', {path('ex1_kb')!r},"
+        f" '--mapping', {path('ex1_map')!r}, '--json']\n"
+        "cli.main()\n"
+    )
+    proc = fresh_process(script)
+    assert proc.returncode == 3, (proc.returncode, proc.stderr[-2000:])
+    if proc.stdout:
+        report = json.loads(proc.stdout)
+        assert report["answer"] == "error" and report["reason"] == "out of memory"

@@ -5,7 +5,7 @@ from collections import Counter
 
 from conftest import load_kb, load_mapping
 from oracle import naive_minimize_witness, naive_simulation
-from reductions import qbf_family, qbf_instance
+from reductions import coloring_instance, qbf_family, qbf_instance
 
 from kbx import exchange
 from kbx.canonical import (
@@ -28,6 +28,7 @@ from kbx.exchange import (
     is_universal_solution,
     universal_solution_extended,
     universal_solution_plain,
+    verify_solution,
 )
 from kbx.homomorphism import (
     embeds_finite_into_regular,
@@ -38,6 +39,7 @@ from kbx.homomorphism import (
 from kbx.model import (
     ABox,
     Atomic,
+    BasicRole,
     ConceptAssertion,
     Constant,
     KnowledgeBase,
@@ -108,6 +110,95 @@ def test_yes_certificates_recheck_independently():
     witness = build_vabox(verdict.witness)
     assert verify_simulation(source, witness, table, mapping.sigma2)
     assert verify_embedding_into_regular(witness, source, h, mapping.sigma2)
+    assert verify_solution(kb, mapping, verdict.witness, verdict.certificate).answer == "yes"
+
+
+def _certified(kb, mapping, candidate):
+    """The canonical structure, the candidate's Herbrand structure and the
+    certificate of a yes of the membership check."""
+    verdict = is_universal_solution(kb, mapping, candidate)
+    assert verdict.answer == "yes"
+    return _prepare(kb, mapping)[1], build_vabox(candidate.abox), verdict.certificate
+
+
+def test_verify_simulation_rejects_each_tampered_certificate():
+    """A yes certificate, changed in one place, fails the verifier: each
+    change breaks one clause and leaves the others holding."""
+    a, b, n1 = Constant("a"), Constant("b"), Null("n1")
+    cases = []  # (what, u, sigma, (v, table) of the yes, (v, table) tampered)
+
+    # a and b each need a P-successor; the pair at a's goes, b's remains.
+    two = parse_kb("kb { roles { P } tbox { A [= exists P; } abox { A(a); A(b); } }")
+    mapping = load_mapping("plain/plain_role_map")
+    closure = KnowledgeBase((), closure_abox(two, mapping.t12, mapping.sigma2))
+    u, v, (table, _) = _certified(two, mapping, closure)
+    (succ,) = v.neighbours(a)
+    needed = (BasicRole("P"), succ)
+    assert needed in table
+    cases.append(("a class pair its parent needs is dropped",
+                  u, mapping.sigma2, (v, table), (v, table - {needed})))
+
+    twins = parse_kb("kb { tbox { } abox { F(a); F(b); } }")
+    mapping = load_mapping("ex1_map")
+    candidate = parse_kb("kb { tbox { } abox { Fp(a); Fp(b); } }")
+    u, v, (table, _) = _certified(twins, mapping, candidate)
+    assert table == {(a, a), (b, b)}
+    cases.append(("an individual has two images",
+                  u, mapping.sigma2, (v, table), (v, table | {(a, b)})))
+    cases.append(("a constant leaves its own element",
+                  u, mapping.sigma2, (v, table), (v, {(a, b), (b, b)})))
+    cases.append(("a concept that an image needs is dropped",
+                  u, mapping.sigma2, (v, table), (v.without(("Fp", a)), table)))
+
+    mapping = load_mapping("ex3_map")
+    u, v, (table, _) = _certified(load_kb("ex3_kb"), mapping, load_kb("ex3_cand"))
+    assert table == {(a, None), (BasicRole("S"), n1)}
+    cases.append(("a constant the witness lacks takes a real element",
+                  u, mapping.sigma2, (v, table), (v, table - {(a, None)} | {(a, n1)})))
+
+    # Every vertex of the triangle keeps its roles when one of its edges goes.
+    kb, mapping, coloured = coloring_instance(2, [(0, 1)])
+    u, v, (table, _) = _certified(kb, mapping, coloured)
+    c0, c1 = sorted(u.individuals, key=str)[:2]
+    cases.append(("a pair between individuals that a role needs is dropped",
+                  u, mapping.sigma2, (v, table), (v.without(("Ep", c0, c1)), table)))
+
+    for what, u, sigma, (v, table), (bad_v, bad_table) in cases:
+        assert verify_simulation(u, v, table, sigma), what
+        assert not verify_simulation(u, bad_v, bad_table, sigma), what
+
+
+def test_verify_embedding_rejects_a_role_fact_sent_onto_a_non_edge():
+    kb, mapping, coloured = coloring_instance(2, [(0, 1)])
+    u, v, (_, h) = _certified(kb, mapping, coloured)
+    assert verify_embedding_into_regular(v, u, h, mapping.sigma2)
+    v0, v1 = Null("v0"), Null("v1")
+    assert h[v0] != h[v1]
+    assert not verify_embedding_into_regular(v, u, {**h, v1: h[v0]}, mapping.sigma2)
+
+
+def test_verify_embedding_rejects_a_path_outside_the_model():
+    """``a.w[S].w[S]`` ends in the class of ``n1``'s image, but ``w[S]``
+    generates nothing, so no element of the model has that path."""
+    u, v, (_, h) = _certified(load_kb("ex3_kb"), load_mapping("ex3_map"), load_kb("ex3_cand"))
+    sigma = load_mapping("ex3_map").sigma2
+    s = BasicRole("S")
+    assert verify_embedding_into_regular(v, u, h, sigma)
+    assert verify_embedding_into_regular(v, u, {Null("n1"): (Constant("a"), s)}, sigma)
+    assert not verify_embedding_into_regular(v, u, {Null("n1"): (Constant("a"), s, s)}, sigma)
+
+
+def test_verify_solution_names_the_verifier_that_rejects():
+    kb, mapping = load_kb("ex3_kb"), load_mapping("ex3_map")
+    verdict = universal_solution_extended(kb, mapping)
+    table, h = verdict.certificate
+    a, n1, s = Constant("a"), Null("n1"), BasicRole("S")
+    assert verify_solution(kb, mapping, verdict.witness, (table, h)) == verdict
+    bad_table = verify_solution(kb, mapping, verdict.witness, ({(a, n1), (s, n1)}, h))
+    assert bad_table.answer == "no" and "verify_simulation" in bad_table.counterexample
+    bad_h = verify_solution(kb, mapping, verdict.witness, (table, {n1: (a, s, s)}))
+    assert bad_h.answer == "no"
+    assert "verify_embedding_into_regular" in bad_h.counterexample
 
 
 def test_extended_search_respects_depth_cap():
