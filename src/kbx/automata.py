@@ -390,11 +390,11 @@ def build_acan(kb: KnowledgeBase) -> TreeAutomaton:
         parts = []
         for r2 in s.roles:
             sym = _rol_sym(r2)
-            parts.append(Atom(0, star(sym) if ctx.derives_role(r, r2) else nstar(sym)))
+            parts.append(Atom(0, star(sym) if ctx.derives(r, r2) else nstar(sym)))
         tail = Exists(r.inverse())
         for b in s.concepts:
             sym = _con_sym(b)
-            parts.append(Atom(0, star(sym) if ctx.derives_concept(tail, b) else nstar(sym)))
+            parts.append(Atom(0, star(sym) if ctx.derives(tail, b) else nstar(sym)))
         generated = set(ctx.generated(r))
         for r2 in s.roles:
             parts.append(Atom(0, qex(r2) if r2 in generated else qng(r2)))
@@ -500,14 +500,14 @@ def build_amod(kb: KnowledgeBase) -> TreeAutomaton:
     # Role label at an anonymous node: implied super-roles hold on the same
     # edge and both endpoints get their existential memberships.
     for r in s.roles:
-        parts = [Atom(0, q(_rol_sym(r2))) for r2 in sorted(ctx.sup_roles(r), key=str)]
+        parts = [Atom(0, q(_rol_sym(r2))) for r2 in sorted(ctx.sup(r), key=str)]
         parts.append(Atom(0, q(_con_sym(Exists(r.inverse())))))
         parts.append(Atom(-1, q(_con_sym(Exists(r)))))
         cases.append((q(_rol_sym(r)), Guard("inds_empty"), conj(parts)))
 
     # Concept membership propagates to all implied concepts.
     for b in s.concepts:
-        parts = [Atom(0, q(_con_sym(b2))) for b2 in sorted(ctx.sup_concepts(b), key=str)]
+        parts = [Atom(0, q(_con_sym(b2))) for b2 in sorted(ctx.sup(b), key=str)]
         cases.append((q(_con_sym(b)), ALWAYS, conj(parts)))
 
     # Honest recording: every visited obligation must find its symbol present

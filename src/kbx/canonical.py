@@ -28,7 +28,7 @@ from .model import (
     concept_over,
     role_over,
 )
-from .reasoner import Reasoner, WitnessClass
+from .reasoner import Reasoner
 
 
 class InconsistentKB(Exception):
@@ -176,7 +176,6 @@ class CanonicalStructure:
     def __init__(self, kb: KnowledgeBase, ctx: Reasoner):
         """``ctx`` must be the context of ``kb.tbox``; `build_canonical` makes
         one when its caller has none."""
-        self.kb = kb
         self.reasoner = ctx
         self.individuals: tuple[Term, ...] = tuple(kb.abox.all_terms())
         self.individual_types: dict[Term, frozenset] = ctx.term_types(kb.abox)
@@ -191,19 +190,19 @@ class CanonicalStructure:
             reps = {ctx.rep_of(r) for r in ctx.minimal_roles(cands) if r not in satisfied[t]}
             self.gen[t] = tuple(sorted(reps, key=str))
 
-        self.classes: dict[BasicRole, WitnessClass] = {}
         self.class_types: dict[BasicRole, frozenset] = {}
         self.class_edges: dict[BasicRole, frozenset] = {}
         todo = [r for t in self.individuals for r in self.gen[t]]
         while todo:
             rep = todo.pop()
-            if rep in self.classes:
+            if rep in self.class_types:
                 continue
-            self.classes[rep] = ctx.witness_class(rep)
-            self.class_types[rep] = ctx.sup_concepts(Exists(rep.inverse()))
-            self.class_edges[rep] = ctx.sup_roles(rep)
+            self.class_types[rep] = ctx.sup(Exists(rep.inverse()))
+            self.class_edges[rep] = ctx.sup(rep)
             self.gen[rep] = ctx.generated(rep)
             todo.extend(self.gen[rep])
+        # The reachable classes' representatives, in the order they were found.
+        self.classes = self.class_types.keys()
         self.parents: dict = {}  # class -> the states that generate it
         for s, children in self.gen.items():
             for child in children:
@@ -235,10 +234,9 @@ class CanonicalStructure:
         return got
 
     def edge_roles(self, child_rep: BasicRole, sigma: Signature | None = None) -> frozenset:
-        """All roles holding on a generating edge (parent, child), both orientations."""
-        roles = self.class_edges.get(child_rep)
-        if roles is None:  # not a class of this structure
-            roles = self.reasoner.sup_roles(child_rep)
+        """All roles holding on a generating edge (parent, child) into the
+        class ``child_rep`` of this structure, both orientations."""
+        roles = self.class_edges[child_rep]
         if sigma is None:
             return roles
         return frozenset(r for r in roles if role_over(r, sigma))

@@ -1,15 +1,17 @@
 """Structural reasoning over DL-Lite_R TBoxes: closures, entailment, consistency.
 
-The positive fragment of a TBox induces a reflexive-transitive subsumption
-closure on roles (closed under inversion) and one on basic concepts (absorbing
-role subsumption into existentials).  Disjointness axioms are normalized into
+The positive fragment of a TBox induces one reflexive-transitive subsumption
+closure over basic concepts and basic roles: a digraph with an edge for each
+positive inclusion, where a role inclusion, read in both orientations, also
+joins ``exists sub`` to ``exists sup``.  A role reaches only roles and a
+concept only basic concepts.  Disjointness axioms are normalized into
 symmetric clash pair sets.  Consistency of small KBs reduces to checking each
 co-asserted pair of concepts/roles against the TBox, which in turn reduces to a
 clash scan over the (finitely many) witness classes reachable from the pair.
 
-A `Reasoner` is that compiled form of one TBox: its axioms indexed once,
-both clash pair sets, and memos of each concept's and role's closure, of
-witness classes, generated classes and pair consistency, filled in the first
+A `Reasoner` is that compiled form of one TBox: its edges indexed once,
+both clash pair sets, and memos of each node's closure, of witness-class
+representatives, generated classes and pair consistency, filled in the first
 time a decision asks for one.  Each decision builds the contexts it needs and
 drops them when it returns, so no cache outlives a call: `CanonicalStructure`
 builds (or is handed) the context of its KB's TBox, `exchange` reuses the
@@ -30,21 +32,11 @@ from .model import (
     ConceptAssertion,
     Exists,
     KnowledgeBase,
-    Record,
     RoleAssertion,
     RoleInclusion,
     TBox,
     Term,
 )
-
-
-class WitnessClass(Record, fields=("representative", "members")):
-    """An equivalence class of mutually subsuming roles, named by its least member."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"w[{self.representative}]"
 
 
 def _reachable(starts, successors) -> frozenset:
@@ -60,7 +52,7 @@ def _reachable(starts, successors) -> frozenset:
 
 
 class Reasoner:
-    """The compiled positive closure and clash pairs of one TBox.
+    """The compiled subsumption graph and clash pairs of one TBox.
 
     Immutable in what it answers.  The closure of a concept or role is
     computed the first time it is asked for; that and the other memos only
@@ -69,8 +61,7 @@ class Reasoner:
 
     def __init__(self, tbox: TBox):
         self.tbox = tbox
-        self._role_edges: dict = {}
-        self._concept_edges: dict = {}
+        self._edges: dict = {}
         concept_clashes: set = set()
         role_clashes: set = set()
         for ax in tbox:
@@ -80,68 +71,51 @@ class Reasoner:
                     if ax.negated_rhs:
                         role_clashes.update(((sub, sup), (sup, sub)))
                     else:
-                        self._role_edges.setdefault(sub, set()).add(sup)
+                        self._edges.setdefault(sub, set()).add(sup)
+                        self._edges.setdefault(Exists(sub), set()).add(Exists(sup))
             elif ax.negated_rhs:
                 concept_clashes.update(((ax.lhs, ax.rhs), (ax.rhs, ax.lhs)))
             else:
-                self._concept_edges.setdefault(ax.lhs, set()).add(ax.rhs)
+                self._edges.setdefault(ax.lhs, set()).add(ax.rhs)
         self.concept_clashes: frozenset = frozenset(concept_clashes)
         self.role_clashes: frozenset = frozenset(role_clashes)
-        self._sup_roles: dict = {}
-        self._sup_concepts: dict = {}
-        self._classes: dict = {}
+        self._sup: dict = {}
+        self._reps: dict = {}
         self._generated: dict = {}
-        self._pair_concepts: dict = {}
-        self._pair_roles: dict = {}
+        self._pairs: dict = {}
 
     # -- closures --------------------------------------------------------------
 
-    def sup_roles(self, r: BasicRole) -> frozenset[BasicRole]:
-        """Every basic role the positive axioms derive from ``r``, itself included."""
-        got = self._sup_roles.get(r)
+    def sup(self, x: BasicConcept | BasicRole) -> frozenset:
+        """Every basic concept or basic role the positive axioms derive from
+        ``x``, itself included: only roles from a role, only basic concepts
+        from a concept."""
+        got = self._sup.get(x)
         if got is None:
-            got = self._sup_roles[r] = _reachable((r,), lambda x: self._role_edges.get(x, ()))
+            got = self._sup[x] = _reachable((x,), lambda y: self._edges.get(y, ()))
         return got
 
-    def sup_concepts(self, c: BasicConcept) -> frozenset[BasicConcept]:
-        """Every basic concept the positive axioms derive from ``c``, itself
-        included; ``exists R`` also reaches ``exists S`` for each super-role S."""
-        got = self._sup_concepts.get(c)
-        if got is None:
-            got = self._sup_concepts[c] = _reachable((c,), self._concept_successors)
-        return got
-
-    def _concept_successors(self, c: BasicConcept):
-        out = self._concept_edges.get(c, ())
-        if isinstance(c, Exists):
-            out = {*out, *(Exists(s) for s in self.sup_roles(c.role))}
-        return out
-
-    def derives_concept(self, sub: BasicConcept, sup: BasicConcept) -> bool:
-        """Positive concept subsumption: sub is below sup in the closure."""
-        return sup in self.sup_concepts(sub)
-
-    def derives_role(self, sub: BasicRole, sup: BasicRole) -> bool:
-        """Positive role subsumption, closed under inversion."""
-        return sup in self.sup_roles(sub)
+    def derives(self, sub: BasicConcept | BasicRole, sup: BasicConcept | BasicRole) -> bool:
+        """Positive subsumption: sub is below sup in the closure."""
+        return sup in self.sup(sub)
 
     # -- witness classes -------------------------------------------------------
 
-    def witness_class(self, role: BasicRole) -> WitnessClass:
-        got = self._classes.get(role)
-        if got is None:
-            members = frozenset(s for s in self.sup_roles(role) if self.derives_role(s, role))
-            got = self._classes[role] = WitnessClass(min(members, key=str), members)
-        return got
-
     def rep_of(self, role: BasicRole) -> BasicRole:
-        return self.witness_class(role).representative
+        """The least member of ``role``'s witness class, the roles that
+        ``role`` derives and that derive it."""
+        got = self._reps.get(role)
+        if got is None:
+            got = self._reps[role] = min(
+                (s for s in self.sup(role) if self.derives(s, role)), key=str
+            )
+        return got
 
     def minimal_roles(self, cands) -> list[BasicRole]:
         """The roles of ``cands`` with no strictly smaller role among ``cands``."""
         return [
             r for r in cands
-            if all(self.rep_of(s) == self.rep_of(r) for s in cands if self.derives_role(s, r))
+            if all(self.rep_of(s) == self.rep_of(r) for s in cands if self.derives(s, r))
         ]
 
     def generated(self, rep: BasicRole) -> tuple[BasicRole, ...]:
@@ -149,7 +123,7 @@ class Reasoner:
         basic role, whether or not its class is reachable from some ABox."""
         got = self._generated.get(rep)
         if got is None:
-            tail = self.sup_concepts(Exists(rep.inverse()))
+            tail = self.sup(Exists(rep.inverse()))
             back_rep = self.rep_of(rep.inverse())
             cands = {c.role for c in tail if isinstance(c, Exists)}
             reps = {self.rep_of(r) for r in self.minimal_roles(cands)} - {back_rep}
@@ -175,7 +149,7 @@ class Reasoner:
             {self.rep_of(c.role) for c in root_type if isinstance(c, Exists)},
             lambda rep: [
                 self.rep_of(c.role)
-                for c in self.sup_concepts(Exists(rep.inverse())) if isinstance(c, Exists)
+                for c in self.sup(Exists(rep.inverse())) if isinstance(c, Exists)
             ],
         )
 
@@ -185,42 +159,33 @@ class Reasoner:
         if any(self._edge_clash(e) for e in root_edges):
             return False
         for rep in self._reachable_tail_reps(frozenset().union(*root_types)):
-            if self._type_clash(self.sup_concepts(Exists(rep.inverse()))):
+            if self._type_clash(self.sup(Exists(rep.inverse()))):
                 return False
-            if self._edge_clash(self.sup_roles(rep)):
+            if self._edge_clash(self.sup(rep)):
                 return False
         return True
 
-    def pair_consistent_concepts(self, b: BasicConcept, c: BasicConcept) -> bool:
-        """Whether asserting both concepts of one fresh individual is consistent."""
-        got = self._pair_concepts.get((b, c))
+    def pair_consistent(self, x: BasicConcept | BasicRole, y: BasicConcept | BasicRole) -> bool:
+        """Whether asserting both concepts of one fresh individual, or both
+        roles of one fresh individual pair, is consistent."""
+        got = self._pairs.get((x, y))
         if got is None:
-            root = self.sup_concepts(b) | self.sup_concepts(c)
-            got = self._pair_concepts[(b, c)] = self._chase_consistent([root], [])
-        return got
-
-    def pair_consistent_roles(self, r: BasicRole, q: BasicRole) -> bool:
-        """Whether asserting both roles of one fresh individual pair is consistent."""
-        got = self._pair_roles.get((r, q))
-        if got is None:
-            edge = self.sup_roles(r) | self.sup_roles(q)
-            t1 = self.sup_concepts(Exists(r)) | self.sup_concepts(Exists(q))
-            t2 = self.sup_concepts(Exists(r.inverse())) | self.sup_concepts(Exists(q.inverse()))
-            got = self._pair_roles[(r, q)] = self._chase_consistent([t1, t2], [edge])
+            if isinstance(x, BasicRole):
+                t1 = self.sup(Exists(x)) | self.sup(Exists(y))
+                t2 = self.sup(Exists(x.inverse())) | self.sup(Exists(y.inverse()))
+                types, edges = [t1, t2], [self.sup(x) | self.sup(y)]
+            else:
+                types, edges = [self.sup(x) | self.sup(y)], []
+            got = self._pairs[(x, y)] = self._chase_consistent(types, edges)
         return got
 
     def consistent(self, abox: ABox) -> bool:
         """Consistency of the ABox under this TBox, via pairwise checks of
         co-asserted concepts and roles."""
-        for concepts in _asserted_concepts(abox).values():
-            cs = sorted(concepts, key=str)
-            for i, b in enumerate(cs):
-                if not all(self.pair_consistent_concepts(b, c) for c in cs[i:]):
-                    return False
-        for roles in _asserted_roles(abox).values():
-            rs = sorted(roles, key=str)
-            for i, r in enumerate(rs):
-                if not all(self.pair_consistent_roles(r, q) for q in rs[i:]):
+        for group in (*_asserted_concepts(abox).values(), *_asserted_roles(abox).values()):
+            xs = sorted(group, key=str)
+            for i, x in enumerate(xs):
+                if not all(self.pair_consistent(x, y) for y in xs[i:]):
                     return False
         return True
 
@@ -229,14 +194,14 @@ class Reasoner:
     def term_types(self, abox: ABox) -> dict:
         """Every basic concept entailed of each term of the ABox."""
         return {
-            t: frozenset().union(*(self.sup_concepts(b) for b in concepts))
+            t: frozenset().union(*(self.sup(b) for b in concepts))
             for t, concepts in _asserted_concepts(abox).items()
         }
 
     def pair_roles(self, abox: ABox) -> dict:
         """Every basic role entailed of each asserted term pair, both orientations."""
         return {
-            pair: frozenset().union(*(self.sup_roles(r) for r in roles))
+            pair: frozenset().union(*(self.sup(r) for r in roles))
             for pair, roles in _asserted_roles(abox).items()
         }
 

@@ -113,10 +113,6 @@ _FRESH1 = Constant("c1")
 _Y = Variable("y")
 
 
-def _source_signature(mapping: Mapping, t1: TBox) -> Signature:
-    return mapping.sigma1.union(signature_of(t1))
-
-
 def _require_valid(mapping: Mapping, t1: TBox, t2: Optional[TBox]) -> None:
     problems = validate_mapping(mapping)
     s1 = mapping.sigma1
@@ -132,15 +128,14 @@ def _require_valid(mapping: Mapping, t1: TBox, t2: Optional[TBox]) -> None:
         raise PreconditionViolated("; ".join(problems))
 
 
-class _Kind(Record, fields=("names", "sources", "derives", "consistent", "axiom")):
+class _Kind(Record, fields=("names", "sources", "live", "axiom")):
     """Basic concepts or basic roles: the terms of that kind on either side,
-    and how to relate and join two of them.
+    and how to join two of them.
 
     ``names`` and ``sources`` list every basic term of this kind over the
-    target and over the source signature.  ``derives`` (derives_concept or
-    derives_role) and ``consistent`` (pair_consistent_concepts or
-    pair_consistent_roles) are unbound ``Reasoner`` methods, called with the
-    context at hand.  ``axiom`` is ConceptInclusion or RoleInclusion.
+    target and over the source signature, and ``live`` the sources that are
+    consistent with the source TBox plus the mapping.  ``axiom`` is
+    ConceptInclusion or RoleInclusion.
     """
 
     __slots__ = ()
@@ -150,33 +145,38 @@ class _Decision:
     """Everything one representability decision reasons with: a context for
     each TBox involved, compiled once, the canonical probes built from them,
     and the safety verdicts found so far.  It lives for one decision only.
+
+    The source side has three contexts: the source TBox ``t1``, the mapping
+    ``t12`` and their union ``comb``.  A candidate ``t2`` adds one target
+    context ``tgt``, of ``t2`` plus the positive mapping axioms, which gives
+    the target side's derivations, probes and satisfiability.
     """
 
     def __init__(self, mapping: Mapping, t1: TBox, t2: Optional[TBox] = None):
         t12 = mapping.t12
-        src_sig = _source_signature(mapping, t1)
+        src_sig = mapping.sigma1.union(signature_of(t1))
         self.tgt_sig = mapping.sigma2
         self.t1 = Reasoner(t1)
         self.t12 = Reasoner(t12)
-        self.comb = Reasoner(combined_tbox(t1, t12))
+        self.comb = comb = Reasoner(combined_tbox(t1, t12))
         if t2 is not None:
             self.tgt_sig = self.tgt_sig.union(signature_of(t2))
-            self.tgt_derive = Reasoner(combined_tbox(t2, t12))
             # Negated mapping axioms only constrain source-side facts, so they
             # can never fire on translated data; satisfiability on the target
             # side is therefore measured against t2 plus the positive mapping
-            # axioms.
-            self.tgt_consist = Reasoner(combined_tbox(t2, positive_part(t12)))
+            # axioms.  Closures read only positive axioms, so derivations and
+            # probes are the same as under t2 plus the whole mapping.
+            self.tgt = Reasoner(combined_tbox(t2, positive_part(t12)))
         self._probes: dict = {}
         self._safe: dict = {}
-        self.concepts = _Kind(
-            all_basic_concepts(self.tgt_sig), all_basic_concepts(src_sig),
-            Reasoner.derives_concept, Reasoner.pair_consistent_concepts, ConceptInclusion,
+
+        def kind(names, sources, axiom) -> _Kind:
+            return _Kind(names, sources, [b for b in sources if comb.pair_consistent(b, b)], axiom)
+
+        self.concepts = kind(
+            all_basic_concepts(self.tgt_sig), all_basic_concepts(src_sig), ConceptInclusion
         )
-        self.roles = _Kind(
-            all_basic_roles(self.tgt_sig), all_basic_roles(src_sig),
-            Reasoner.derives_role, Reasoner.pair_consistent_roles, RoleInclusion,
-        )
+        self.roles = kind(all_basic_roles(self.tgt_sig), all_basic_roles(src_sig), RoleInclusion)
 
     def probe(self, ctx: Reasoner, concept: BasicConcept) -> CanonicalStructure:
         """Canonical structure of ``ctx``'s TBox over the single fact ``concept(o)``."""
@@ -195,14 +195,6 @@ class _Decision:
             got = self._safe[key] = check(self, kind, lhs, rhs)
         return got
 
-    def consistent_sources(self):
-        """``(kind, term)`` for every source term consistent with the source
-        TBox and mapping, concepts first."""
-        for kind in (self.concepts, self.roles):
-            for b in kind.sources:
-                if kind.consistent(self.comb, b, b):
-                    yield kind, b
-
 
 # ---------------------------------------------------------------------------
 # Safety of a single target axiom over all translated source data.
@@ -219,9 +211,9 @@ def _inclusion_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
         return True
     comb = d.comb
     for b in kind.sources:
-        if not kind.consistent(d.t1, b, b):
+        if not d.t1.pair_consistent(b, b):
             continue
-        if kind.derives(comb, b, lhs) and not kind.derives(comb, b, rhs):
+        if comb.derives(b, lhs) and not comb.derives(b, rhs):
             return False
     if kind is d.roles:
         # A role inclusion also moves the existentials at both ends.
@@ -232,10 +224,8 @@ def _inclusion_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
         # The lhs can also fire at a fresh witness created for an incoming
         # edge of its role; that witness must then already carry the rhs.
         back = lhs.role.inverse()
-        for b in kind.sources:
-            if not comb.pair_consistent_concepts(b, b):
-                continue
-            if not comb.derives_concept(b, Exists(back)):
+        for b in kind.live:
+            if not comb.derives(b, Exists(back)):
                 continue
             probe = d.probe(comb, b)
             if not any(
@@ -249,14 +239,12 @@ def _inclusion_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
 def _disjointness_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
     comb = d.comb
     for b, c in product(kind.sources, repeat=2):
-        if not (kind.derives(comb, b, lhs) and kind.derives(comb, c, rhs)):
+        if not (comb.derives(b, lhs) and comb.derives(c, rhs)):
             continue
-        if kind.consistent(comb, b, c):
+        if comb.pair_consistent(b, c):
             return False
     # Nor may the two meet at, or on the edge to, a generated neighbor.
-    for b in d.concepts.sources:
-        if not comb.pair_consistent_concepts(b, b):
-            continue
+    for b in d.concepts.live:
         probe = d.probe(comb, b)
         for rep in probe.gen[_PROBE]:
             if kind is d.concepts:
@@ -321,67 +309,57 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
     """
     _require_valid(mapping, t1, t2)
     d = _Decision(mapping, t1, t2)
-    comb, tgt_derive, tgt_consist = d.comb, d.tgt_derive, d.tgt_consist
-    tgt_sig = d.tgt_sig
+    comb, tgt, tgt_sig = d.comb, d.tgt, d.tgt_sig
 
     def no(data: list, query: InstanceQuery, reason: str) -> RepresentationVerdict:
         return RepresentationVerdict("no", Counterexample(ABox.make(data), query, reason))
 
     # Contradictory source data must translate to contradictory target data,
     # and satisfiable source data to satisfiable target data.
-    for bc, cc in combinations_with_replacement(d.concepts.sources, 2):
-        if not d.t1.pair_consistent_concepts(bc, cc):
-            continue
-        if not d.t12.pair_consistent_concepts(bc, cc):
-            # The mapping itself rules this pair out: it admits no
-            # translation at all, so there is nothing to compare.
-            continue
-        src_ok = comb.pair_consistent_concepts(bc, cc)
-        if src_ok == tgt_consist.pair_consistent_concepts(bc, cc):
-            continue
-        if src_ok:
-            reason = (
-                f"{{{bc}, {cc}}} at one object is satisfiable with the source TBox "
-                "but its translation is contradictory under the candidate"
-            )
-        else:
-            reason = (
-                f"{{{bc}, {cc}}} at one object is contradictory with the source TBox "
-                "but its translation stays satisfiable under the candidate"
-            )
-        return no(_realize(bc, _W0) + _realize(cc, _W1), _fresh_probe(tgt_sig), reason)
-
-    for rr, qq in combinations_with_replacement(d.roles.sources, 2):
-        if not d.t1.pair_consistent_roles(rr, qq):
-            continue
-        if not d.t12.pair_consistent_roles(rr, qq):
-            continue
-        src_ok = comb.pair_consistent_roles(rr, qq)
-        if src_ok == tgt_consist.pair_consistent_roles(rr, qq):
-            continue
-        side = "satisfiable" if src_ok else "contradictory"
-        reason = (
-            f"{{{rr}, {qq}}} on one pair is {side} with the source TBox "
-            "but the candidate disagrees on its translation"
-        )
-        return no(_realize(rr, _W0) + _realize(qq, _W1), _fresh_probe(tgt_sig), reason)
+    for kind in (d.concepts, d.roles):
+        for b, c in combinations_with_replacement(kind.sources, 2):
+            if not d.t1.pair_consistent(b, c):
+                continue
+            if not d.t12.pair_consistent(b, c):
+                # The mapping itself rules this pair out: it admits no
+                # translation at all, so there is nothing to compare.
+                continue
+            src_ok = comb.pair_consistent(b, c)
+            if src_ok == tgt.pair_consistent(b, c):
+                continue
+            if kind is d.roles:
+                side = "satisfiable" if src_ok else "contradictory"
+                reason = (
+                    f"{{{b}, {c}}} on one pair is {side} with the source TBox "
+                    "but the candidate disagrees on its translation"
+                )
+            elif src_ok:
+                reason = (
+                    f"{{{b}, {c}}} at one object is satisfiable with the source TBox "
+                    "but its translation is contradictory under the candidate"
+                )
+            else:
+                reason = (
+                    f"{{{b}, {c}}} at one object is contradictory with the source TBox "
+                    "but its translation stays satisfiable under the candidate"
+                )
+            return no(_realize(b, _W0) + _realize(c, _W1), _fresh_probe(tgt_sig), reason)
 
     # Both sides must entail the same target memberships.
-    for kind, b in d.consistent_sources():
-        for bp in kind.names:
-            src_d = kind.derives(comb, b, bp)
-            if src_d == kind.derives(tgt_derive, b, bp):
-                continue
-            holder = "the source TBox" if src_d else "only the candidate"
-            reason = f"{b} transfers into {bp} under {holder}"
-            return no(_realize(b, _W0), _member_query(bp), reason)
+    for kind in (d.concepts, d.roles):
+        for b in kind.live:
+            for bp in kind.names:
+                src_d = comb.derives(b, bp)
+                if src_d == tgt.derives(b, bp):
+                    continue
+                holder = "the source TBox" if src_d else "only the candidate"
+                reason = f"{b} transfers into {bp} under {holder}"
+                return no(_realize(b, _W0), _member_query(bp), reason)
 
     # Every generated neighbor on one side must be matched on the other.
-    for bc in d.concepts.sources:
-        if not comb.pair_consistent_concepts(bc, bc):
-            continue
+    for bc in d.concepts.live:
         probe_src = d.probe(comb, bc)
-        probe_tgt = d.probe(tgt_derive, bc)
+        probe_tgt = d.probe(tgt, bc)
         for have, other, template in (
             (probe_src, probe_tgt, "data satisfying {bc} is guaranteed a neighbor with "
              "{need} that the candidate cannot reproduce"),
@@ -422,13 +400,59 @@ def _has_matching_state(
 def representation_exists(mapping: Mapping, t1: TBox) -> RepresentationVerdict:
     """Decide whether any target TBox represents ``t1`` under the mapping.
 
-    On ``yes`` the verdict carries a representing TBox; on ``no`` it carries
-    the first obstruction found.
+    On ``yes`` the verdict carries a representing TBox: target axioms
+    covering everything the source theory forces.  On ``no`` it carries the
+    first forced behavior that no target axiom can capture.
     """
-    axioms, reason = _synthesis(mapping, t1)
-    if axioms is None:
+    _require_valid(mapping, t1, None)
+    d = _Decision(mapping, t1)
+    comb = d.comb
+    axioms: list = []
+
+    def no(reason: str) -> RepresentationVerdict:
         return RepresentationVerdict("no", reason=reason)
-    return RepresentationVerdict("yes", tbox=axioms)
+
+    # Entailed target memberships need a safe target-side rewriting.
+    for kind in (d.concepts, d.roles):
+        for b in kind.live:
+            for bp in kind.names:
+                if not comb.derives(b, bp):
+                    continue
+                got = _included_all(d, kind, b, [bp])
+                if got is None:
+                    return no(f"no target axiom can capture that {b} entails {bp}")
+                axioms.extend(got)
+
+    # Generated neighbors need a chain of target axioms reproducing them.
+    for bc in d.concepts.live:
+        for rep in d.probe(comb, bc).gen[_PROBE]:
+            got = _conform_pass(d, bc, rep)
+            if got is None:
+                return no(
+                    f"the neighbor that {bc} generates through {rep} "
+                    "cannot be reproduced on the target side"
+                )
+            axioms.extend(got)
+
+    # Source-side contradictions need a target-side contradiction.
+    for kind in (d.concepts, d.roles):
+        for b1, b2 in combinations_with_replacement(kind.sources, 2):
+            if not d.t1.pair_consistent(b1, b2) or comb.pair_consistent(b1, b2):
+                continue
+            got = _cover_clash(d, kind, b1, b2)
+            if got is None:
+                return no(
+                    f"the contradiction between {b1} and {b2} "
+                    "cannot be mirrored on the target side"
+                )
+            axioms.extend(got)
+
+    out = []
+    for ax in combined_tbox(tuple(axioms)):
+        if ax.lhs == ax.rhs and not ax.negated_rhs:
+            continue
+        out.append(ax)
+    return RepresentationVerdict("yes", tbox=tuple(out))
 
 
 def _conform_pass(d: _Decision, bc: BasicConcept, rep: BasicRole) -> Optional[list]:
@@ -474,77 +498,19 @@ def _conform_pass(d: _Decision, bc: BasicConcept, rep: BasicRole) -> Optional[li
     return None
 
 
-def _synthesis(mapping: Mapping, t1: TBox):
-    """Collect target axioms covering everything the source theory forces.
-
-    Returns ``(tbox, None)`` on success and ``(None, reason)`` when some
-    forced behavior cannot be captured by any target axiom.
-    """
-    _require_valid(mapping, t1, None)
-    d = _Decision(mapping, t1)
-    comb = d.comb
-    axioms: list = []
-
-    # Entailed target memberships need a safe target-side rewriting.
-    for kind, b in d.consistent_sources():
-        for bp in kind.names:
-            if not kind.derives(comb, b, bp):
-                continue
-            got = _included_all(d, kind, b, [bp])
-            if got is None:
-                return None, f"no target axiom can capture that {b} entails {bp}"
-            axioms.extend(got)
-
-    # Generated neighbors need a chain of target axioms reproducing them.
-    for bc in d.concepts.sources:
-        if not comb.pair_consistent_concepts(bc, bc):
-            continue
-        for rep in d.probe(comb, bc).gen[_PROBE]:
-            got = _conform_pass(d, bc, rep)
-            if got is None:
-                return None, (
-                    f"the neighbor that {bc} generates through {rep} "
-                    "cannot be reproduced on the target side"
-                )
-            axioms.extend(got)
-
-    # Source-side contradictions need a target-side contradiction.
-    for kind in (d.concepts, d.roles):
-        for b1, b2 in combinations_with_replacement(kind.sources, 2):
-            if not kind.consistent(d.t1, b1, b2) or kind.consistent(comb, b1, b2):
-                continue
-            got = _cover_clash(d, kind, b1, b2)
-            if got is None:
-                return None, (
-                    f"the contradiction between {b1} and {b2} "
-                    "cannot be mirrored on the target side"
-                )
-            axioms.extend(got)
-
-    out = []
-    for ax in combined_tbox(tuple(axioms)):
-        if ax.lhs == ax.rhs and not ax.negated_rhs:
-            continue
-        out.append(ax)
-    return tuple(out), None
-
-
-def _included_via(d: _Decision, kind: _Kind, sub, target):
-    """The first target term that the mapping derives from ``sub`` and that
-    is safely included in ``target``, or ``None``."""
-    for name in kind.names:
-        if kind.derives(d.t12, sub, name) and d.safe(_inclusion_safe, kind, name, target):
-            return name
-    return None
-
-
 def _included_all(d: _Decision, kind: _Kind, sub, targets) -> Optional[list]:
     """Target axioms with which ``sub``'s translation safely reaches every
-    term of ``targets``, or ``None`` if some term is out of reach."""
+    term of ``targets``, or ``None`` if some term is out of reach.
+
+    Each term is reached from the first target term that the mapping derives
+    from ``sub`` and that is safely included in it.
+    """
     out = []
     for target in sorted(targets, key=str):
-        name = _included_via(d, kind, sub, target)
-        if name is None:
+        for name in kind.names:
+            if d.t12.derives(sub, name) and d.safe(_inclusion_safe, kind, name, target):
+                break
+        else:
             return None
         if name != target:
             out.append(kind.axiom(name, target))
@@ -584,15 +550,15 @@ def _cover_members(d: _Decision, kind: _Kind, members: list):
     # A target disjointness between translations of two members.
     for x, y in product(members, repeat=2):
         for bp in kind.names:
-            if not kind.derives(d.t12, x, bp):
+            if not d.t12.derives(x, bp):
                 continue
             for cp in kind.names:
-                if kind.derives(d.t12, y, cp) and d.safe(_disjointness_safe, kind, bp, cp):
+                if d.t12.derives(y, cp) and d.safe(_disjointness_safe, kind, bp, cp):
                     return [kind.axiom(bp, cp, negated_rhs=True)]
     # A target inclusion feeding a disjointness the mapping already states.
     for x, y in product(members, repeat=2):
         for bp in kind.names:
-            if not kind.derives(d.t12, x, bp):
+            if not d.t12.derives(x, bp):
                 continue
             for ax in d.t12.tbox:
                 if not (isinstance(ax, kind.axiom) and ax.negated_rhs and ax.lhs == y):

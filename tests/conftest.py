@@ -26,12 +26,12 @@ def load_mapping(name):
 
 def derives_concept(tbox, sub, sup) -> bool:
     """Positive concept subsumption under ``tbox`` (one-shot, uncached)."""
-    return Reasoner(tbox).derives_concept(sub, sup)
+    return Reasoner(tbox).derives(sub, sup)
 
 
 def derives_role(tbox, sub, sup) -> bool:
     """Positive role subsumption under ``tbox`` (one-shot, uncached)."""
-    return Reasoner(tbox).derives_role(sub, sup)
+    return Reasoner(tbox).derives(sub, sup)
 
 
 def synthesize_representation(mapping, t1):

@@ -1,15 +1,29 @@
 """UCQ-representation membership, existence, and synthesis on the worked examples."""
 
+import random
+
 import pytest
 
 from conftest import load_kb, load_mapping, synthesize_representation
+from reductions import random_tbox
 
-from kbx.model import Atomic, BasicRole, ConceptInclusion, Constant
+from kbx.model import (
+    Atomic,
+    BasicRole,
+    ConceptInclusion,
+    Constant,
+    Exists,
+    Signature,
+    all_basic_concepts,
+    all_basic_roles,
+)
+from kbx.reasoner import Reasoner
 from kbx.representability import (
     PreconditionViolated,
     is_ucq_representation,
     representation_exists,
 )
+from kbx.syntax import parse_kb, parse_mapping
 
 
 def t1_fg():
@@ -54,6 +68,23 @@ def test_membership_fails_on_role_pieces():
     assert str(ce.query) == "Gp(a)"
 
 
+def test_membership_fails_when_the_candidate_separates_a_role_pair():
+    """Source roles S and Q may hold on one pair; a candidate that makes
+    their images disjoint contradicts the translation of that pair."""
+    mapping = parse_mapping(
+        "mapping { source { role S, role Q } target { role Sp, role Qp } "
+        "tbox { S [= Sp; Q [= Qp; } }"
+    )
+    t2 = parse_kb("kb { roles { Sp, Qp } tbox { Sp [= not Qp; } abox { } }").tbox
+    verdict = is_ucq_representation(mapping, (), t2)
+    assert verdict.answer == "no"
+    assert str(verdict.counterexample) == (
+        "data {Q(a, b), S(a, b)}, query Qp(c0, c1): "
+        "{Q, S} on one pair is satisfiable with the source TBox "
+        "but the candidate disagrees on its translation"
+    )
+
+
 def test_membership_rejects_candidates_over_the_source_signature():
     bad_t2 = (ConceptInclusion(Atomic("F"), Atomic("Gp")),)
     with pytest.raises(PreconditionViolated, match="source"):
@@ -79,3 +110,22 @@ def test_synthesis_round_trip_on_the_repaired_mapping():
 def test_synthesis_returns_none_when_nothing_represents():
     assert synthesize_representation(load_mapping("ex9_map"), t1_fg()) is None
 
+
+
+def test_one_subsumption_graph_keeps_the_kinds_apart():
+    """Concepts and roles share one closure: a role reaches only roles, a
+    concept only basic concepts, and each super-role of r lifts to a
+    super-concept of exists r."""
+    sig = Signature.make("ABC", "RST")
+    rng = random.Random(17)
+    lifted = 0
+    for _ in range(300):
+        ctx = Reasoner(random_tbox(rng))
+        for r in all_basic_roles(sig):
+            sups = ctx.sup(r)
+            assert all(isinstance(s, BasicRole) for s in sups), (ctx.tbox, r)
+            assert {Exists(s) for s in sups} <= ctx.sup(Exists(r)), (ctx.tbox, r)
+            lifted += len(sups) > 1
+        for c in all_basic_concepts(sig):
+            assert all(isinstance(x, (Atomic, Exists)) for x in ctx.sup(c)), (ctx.tbox, c)
+    assert lifted >= 300, lifted
