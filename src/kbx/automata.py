@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .canonical import build_canonical
+from .canonical import _fresh_names, build_canonical
 from .model import (
     ABox,
     BasicRole,
@@ -34,7 +34,6 @@ from .model import (
     all_basic_roles,
     signature_of,
 )
-from .reasoner import Reasoner
 
 ROOT_MARK = "mark:r"
 GOOD_MARK = "mark:G"
@@ -86,41 +85,33 @@ TRUE = TrueFormula()
 FALSE = FalseFormula()
 
 
-def conj(parts) -> Formula:
-    """Conjunction with unit/absorption simplification and flattening."""
+def _join(node: type, unit: Formula, zero: Formula, parts) -> Formula:
+    """The ``node`` of ``parts``, flattened: ``unit`` parts are dropped and a
+    ``zero`` part absorbs the rest."""
     out: list[Formula] = []
     for p in parts:
-        if isinstance(p, FalseFormula):
-            return FALSE
-        if isinstance(p, TrueFormula):
+        if isinstance(p, type(zero)):
+            return zero
+        if isinstance(p, type(unit)):
             continue
-        if isinstance(p, And):
+        if isinstance(p, node):
             out.extend(p.parts)
         else:
             out.append(p)
     if not out:
-        return TRUE
+        return unit
     if len(out) == 1:
         return out[0]
-    return And(tuple(out))
+    return node(tuple(out))
+
+
+def conj(parts) -> Formula:
+    """Conjunction with unit/absorption simplification and flattening."""
+    return _join(And, TRUE, FALSE, parts)
 
 
 def disj(parts) -> Formula:
-    out: list[Formula] = []
-    for p in parts:
-        if isinstance(p, TrueFormula):
-            return TRUE
-        if isinstance(p, FalseFormula):
-            continue
-        if isinstance(p, Or):
-            out.extend(p.parts)
-        else:
-            out.append(p)
-    if not out:
-        return FALSE
-    if len(out) == 1:
-        return out[0]
-    return Or(tuple(out))
+    return _join(Or, FALSE, TRUE, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -226,43 +217,27 @@ def pad_kb(kb: KnowledgeBase) -> tuple:
 
     Padding only ever adds fresh isolated role loops on fresh constants: a
     fresh role name per missing role pair, or a loop over the first existing
-    role name per missing individual.  Returns (padded KB, dump-header note).
+    role name (the first fresh one if there is none) per missing individual.
+    Returns (padded KB, dump-header note).
     """
     sig = signature_of(kb)
     role_names = sorted(sig.roles)
-    taken = {str(t) for t in kb.abox.all_terms()}
+    consts = map(Constant, _fresh_names("u", {str(t) for t in kb.abox.all_terms()}))
+    fresh_roles = _fresh_names("pad", sig.roles)
     added_roles: list[str] = []
     extra: list[RoleAssertion] = []
-
-    def fresh_const():
-        i = 1
-        while f"u{i}" in taken:
-            i += 1
-        taken.add(f"u{i}")
-        return Constant(f"u{i}")
-
-    def fresh_role() -> str:
-        names = set(role_names) | set(added_roles)
-        i = 1
-        while f"pad{i}" in names:
-            i += 1
-        added_roles.append(f"pad{i}")
-        return f"pad{i}"
-
     n_i = len(kb.abox.all_terms())
     n_r = 2 * len(role_names)
-    if n_i == 0 and n_r == 0:
-        c = fresh_const()
-        extra.append(RoleAssertion(BasicRole(fresh_role()), c, c))
-        n_i, n_r = 1, 2
-    while n_i > n_r:
-        c = fresh_const()
-        extra.append(RoleAssertion(BasicRole(fresh_role()), c, c))
+    # A KB with no role gets one even when it has no individual either.
+    while n_i > n_r or n_r == 0:
+        added_roles.append(next(fresh_roles))
+        c = next(consts)
+        extra.append(RoleAssertion(BasicRole(added_roles[-1]), c, c))
         n_i += 1
         n_r += 2
-    loop_name = role_names[0] if role_names else (added_roles[0] if added_roles else None)
+    loop_name = (role_names or added_roles)[0]
     while n_r > n_i:
-        c = fresh_const()
+        c = next(consts)
         extra.append(RoleAssertion(BasicRole(loop_name), c, c))
         n_i += 1
     if not extra:
@@ -273,7 +248,8 @@ def pad_kb(kb: KnowledgeBase) -> tuple:
 
 
 class _Setup:
-    """Shared padded-KB context for the three constructions."""
+    """The padded KB and alphabet that the three constructions share, and
+    the one constructor of their automata."""
 
     def __init__(self, kb: KnowledgeBase):
         self.kb, self.note = pad_kb(kb)
@@ -286,8 +262,6 @@ class _Setup:
             raise ValueError("unbalanced alphabet after padding")
         self.n = len(self.inds)
         self.slot = {r: i + 1 for i, r in enumerate(self.roles)}
-
-    def symbols(self) -> tuple:
         syms = [_ind_sym(t) for t in self.inds]
         syms += [_con_sym(c) for c in self.concepts]
         syms += [_rol_sym(r) for r in self.roles]
@@ -295,7 +269,23 @@ class _Setup:
             for t1 in self.inds:
                 for t2 in self.inds:
                     syms.append(_pair_sym(name, t1, t2))
-        return tuple(syms)
+        self.syms = tuple(syms)
+
+    def automaton(self, name: str, kind: str, states, buchi, cases) -> TreeAutomaton:
+        """The automaton with initial state ``q0`` over this KB's alphabet."""
+        return TreeAutomaton(
+            name=name,
+            kind=kind,
+            branching=self.n,
+            states=tuple(states),
+            initial="q0",
+            buchi=frozenset(buchi),
+            cases=tuple(cases),
+            alphabet=(ROOT_MARK, GOOD_MARK) + self.syms,
+            individual_symbols=frozenset(_ind_sym(t) for t in self.inds),
+            kb=self.kb,
+            padding_note=self.note,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +304,7 @@ def build_acan(kb: KnowledgeBase) -> TreeAutomaton:
     s = _Setup(kb)
     can = build_canonical(s.kb, check_consistency=False)
     ctx = can.reasoner
-    syms = s.symbols()
+    syms = s.syms
 
     def star(x: str) -> str:
         return f"q*[{x}]"
@@ -408,19 +398,7 @@ def build_acan(kb: KnowledgeBase) -> TreeAutomaton:
         cases.append((star(x), Guard("has", (x,)), TRUE))
         cases.append((nstar(x), Guard("lacks", (x,)), TRUE))
 
-    return TreeAutomaton(
-        name="canonical-acceptor",
-        kind="twoWayAlternating",
-        branching=s.n,
-        states=tuple(states),
-        initial="q0",
-        buchi=frozenset(states),
-        cases=tuple(cases),
-        alphabet=(ROOT_MARK, GOOD_MARK) + syms,
-        individual_symbols=frozenset(_ind_sym(t) for t in s.inds),
-        kb=s.kb,
-        padding_note=s.note,
-    )
+    return s.automaton("canonical-acceptor", "twoWayAlternating", states, states, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +414,9 @@ def build_amod(kb: KnowledgeBase) -> TreeAutomaton:
     existential witnesses.
     """
     s = _Setup(kb)
-    ctx = Reasoner(s.kb.tbox)
-    types = ctx.term_types(s.kb.abox)
-    pairs = ctx.pair_roles(s.kb.abox)
-    syms = s.symbols()
+    can = build_canonical(s.kb, check_consistency=False)
+    ctx = can.reasoner
+    syms = s.syms
 
     def q(x: str) -> str:
         return f"q[{x}]"
@@ -455,11 +432,11 @@ def build_amod(kb: KnowledgeBase) -> TreeAutomaton:
     for i, t in enumerate(s.inds, start=1):
         parts.append(Atom(i, q(_ind_sym(t))))
         for b in s.concepts:
-            if b in types[t]:
+            if b in can.individual_types[t]:
                 parts.append(Atom(i, q(_con_sym(b))))
         for u in s.inds:
             for name in s.role_names:
-                if BasicRole(name) in pairs.get((t, u), ()):
+                if BasicRole(name) in can.individual_roles.get((t, u), ()):
                     parts.append(Atom(0, q(_pair_sym(name, t, u))))
     cases.append(("q0", Guard("has", (ROOT_MARK, GOOD_MARK)), conj(parts)))
 
@@ -516,19 +493,7 @@ def build_amod(kb: KnowledgeBase) -> TreeAutomaton:
         cases.append((q(x), Guard("has", (GOOD_MARK, x)), TRUE))
         cases.append((q(x), Guard("not_all", (GOOD_MARK, x)), FALSE))
 
-    return TreeAutomaton(
-        name="marked-model-acceptor",
-        kind="twoWayAlternating",
-        branching=s.n,
-        states=tuple(states),
-        initial="q0",
-        buchi=frozenset(states),
-        cases=tuple(cases),
-        alphabet=(ROOT_MARK, GOOD_MARK) + syms,
-        individual_symbols=frozenset(_ind_sym(t) for t in s.inds),
-        kb=s.kb,
-        padding_note=s.note,
-    )
+    return s.automaton("marked-model-acceptor", "twoWayAlternating", states, states, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -550,18 +515,8 @@ def build_afin(kb: KnowledgeBase) -> TreeAutomaton:
         ("q1", Guard("lacks", (GOOD_MARK,)), every_q1),
         ("q1", Guard("has", (GOOD_MARK,)), FALSE),
     )
-    return TreeAutomaton(
-        name="finite-marker-acceptor",
-        kind="oneWayNondeterministic",
-        branching=s.n,
-        states=("q0", "q1"),
-        initial="q0",
-        buchi=frozenset({"q1"}),
-        cases=cases,
-        alphabet=(ROOT_MARK, GOOD_MARK) + s.symbols(),
-        individual_symbols=frozenset(_ind_sym(t) for t in s.inds),
-        kb=s.kb,
-        padding_note=s.note,
+    return s.automaton(
+        "finite-marker-acceptor", "oneWayNondeterministic", ("q0", "q1"), {"q1"}, cases
     )
 
 

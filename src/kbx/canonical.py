@@ -11,6 +11,7 @@ edges and type tables); `materialize` unfolds it to any finite depth, and
 from __future__ import annotations
 
 import copy
+from itertools import count
 
 from .model import (
     ABox,
@@ -334,6 +335,11 @@ def truncation(c: CanonicalStructure, depth: int, sigma: Signature) -> FiniteInt
     return FiniteInterpretation(used, concept_facts, role_facts, constants)
 
 
+def _fresh_names(prefix: str, taken):
+    """``prefix1``, ``prefix2``, ... in order, skipping the names in ``taken``."""
+    return (name for name in (f"{prefix}{k}" for k in count(1)) if name not in taken)
+
+
 def build_vabox(abox: ABox) -> FiniteInterpretation:
     """Herbrand structure of an ABox.
 
@@ -342,17 +348,7 @@ def build_vabox(abox: ABox) -> FiniteInterpretation:
     stays within extended-ABox semantics).
     """
     used = {t.name for t in abox.all_terms() if isinstance(t, Null)}
-    counter = 0
-
-    def fresh() -> Null:
-        nonlocal counter
-        while True:
-            counter += 1
-            name = f"v{counter}"
-            if name not in used:
-                used.add(name)
-                return Null(name)
-
+    fresh = map(Null, _fresh_names("v", used))
     elements = list(abox.all_terms())
     concept_facts = []
     role_facts = []
@@ -361,7 +357,7 @@ def build_vabox(abox: ABox) -> FiniteInterpretation:
             if isinstance(a.concept, Atomic):
                 concept_facts.append((a.concept.name, a.term))
             else:
-                succ = fresh()
+                succ = next(fresh)
                 elements.append(succ)
                 role = a.concept.role
                 if role.inverted:

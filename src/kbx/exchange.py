@@ -21,12 +21,11 @@ checks them a second time with the clause-by-clause verifiers of
 
 from __future__ import annotations
 
-from itertools import count
-
 from .canonical import (
     CanonicalStructure,
     FiniteInterpretation,
     InconsistentKB,
+    _fresh_names,
     build_canonical,
     build_vabox,
     closure_abox,
@@ -265,7 +264,7 @@ def _interpretation_to_abox(f: FiniteInterpretation, sigma) -> ABox:
     paths become labeled nulls ``n1``, ``n2``, ... in the order their facts
     are read, skipping the names of null individuals."""
     used = {e[0].name for e in f.elements if len(e) == 1 and isinstance(e[0], Null)}
-    fresh = (Null(f"n{k}") for k in count(1) if f"n{k}" not in used)
+    fresh = map(Null, _fresh_names("n", used))
     names: dict = {}
 
     def term_for(e):

@@ -280,7 +280,7 @@ def role_over(r: BasicRole, sig: Signature) -> bool:
     return r.name in sig.roles
 
 
-def signature_of(x: Union[TBox, tuple, ABox, KnowledgeBase, Mapping]) -> Signature:
+def signature_of(x: Union[TBox, tuple, KnowledgeBase]) -> Signature:
     """The concept and role names syntactically occurring in ``x``."""
     concepts: set[str] = set()
     roles: set[str] = set()
@@ -300,20 +300,13 @@ def signature_of(x: Union[TBox, tuple, ABox, KnowledgeBase, Mapping]) -> Signatu
                 roles.add(ax.lhs.name)
                 roles.add(ax.rhs.name)
 
-    def see_abox(abox: ABox) -> None:
-        for a in abox.assertions:
+    if isinstance(x, KnowledgeBase):
+        see_axioms(x.tbox)
+        for a in x.abox.assertions:
             if isinstance(a, ConceptAssertion):
                 see_concept(a.concept)
             else:
                 roles.add(a.role.name)
-
-    if isinstance(x, KnowledgeBase):
-        see_axioms(x.tbox)
-        see_abox(x.abox)
-    elif isinstance(x, ABox):
-        see_abox(x)
-    elif isinstance(x, Mapping):
-        see_axioms(x.t12)
     else:
         see_axioms(x)
     return Signature(frozenset(concepts), frozenset(roles))

@@ -168,6 +168,8 @@ class Reasoner:
     def pair_consistent(self, x: BasicConcept | BasicRole, y: BasicConcept | BasicRole) -> bool:
         """Whether asserting both concepts of one fresh individual, or both
         roles of one fresh individual pair, is consistent."""
+        if not (self.concept_clashes or self.role_clashes):
+            return True
         got = self._pairs.get((x, y))
         if got is None:
             if isinstance(x, BasicRole):

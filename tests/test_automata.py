@@ -126,3 +126,11 @@ def test_dumps_distinguish_the_three_acceptors():
         dump_automaton(build_afin(kb)),
     }
     assert len(texts) == 3
+
+
+def test_pad_kb_loops_a_fresh_role_on_the_empty_kb():
+    """With no role to loop, padding mints one on a fresh constant and loops
+    it again on a second constant, to balance its two orientations."""
+    padded, note = pad_kb(KnowledgeBase((), ABox.make([])))
+    assert note == "padding: added pad1(u1, u1), pad1(u2, u2)"
+    assert sorted(map(str, padded.abox.assertions)) == ["pad1(u1, u1)", "pad1(u2, u2)"]

@@ -64,6 +64,59 @@ def test_disjointness_in_source_blocks_solutions():
     assert positivity.clause == "a"
 
 
+def _positivity(kb_text, source, target, t12):
+    """The positivity verdict of a KB against a mapping given by its source
+    and target signatures and its axioms."""
+    mapping = parse_mapping(
+        f"mapping {{ source {{ {source} }} target {{ {target} }} tbox {{ {t12} }} }}"
+    )
+    return is_sigma2_positive(parse_kb(kb_text), mapping)
+
+
+def test_disjoint_roles_on_visible_pairs_fail_clause_b():
+    """The two roles hold on different pairs of individuals."""
+    positivity = _positivity(
+        "kb { roles { P, S } tbox { P [= not S; } abox { P(a, b); S(b, c); } }",
+        "role P, role S", "role Pp, role Sp", "P [= Pp; S [= Sp;",
+    )
+    assert (positivity.ok, positivity.clause) == (False, "b")
+    assert positivity.detail == (
+        "disjoint roles P and S both hold on pairs of target-visible elements"
+    )
+
+
+def test_disjoint_roles_towards_visible_children_fail_clause_c():
+    """The class element of R has a P-child and an S-child, both visible."""
+    positivity = _positivity(
+        "kb { roles { R, P, S } tbox { A [= exists R; exists R- [= exists P; "
+        "exists R- [= exists S; P [= not S; } abox { A(a); } }",
+        "A, role R, role P, role S", "Cp, Dp", "exists P- [= Cp; exists S- [= Dp;",
+    )
+    assert (positivity.ok, positivity.clause) == (False, "c")
+    assert positivity.detail == (
+        "disjoint roles P and S leave a common element (w[R] under a) towards "
+        "target-visible elements"
+    )
+
+
+def test_realized_mapping_disjointness_fails_clause_d():
+    """Once for a concept the source only derives, once for an asserted role."""
+    concept = _positivity(
+        "kb { tbox { A [= B; } abox { A(a); } }", "A, B", "Ap", "B [= not Ap;"
+    )
+    assert (concept.ok, concept.clause) == (False, "d")
+    assert concept.detail == (
+        "mapping disjointness on B fires: the concept is realized in the canonical model"
+    )
+    role = _positivity(
+        "kb { roles { P } tbox { } abox { P(a, b); } }", "role P", "role Pp", "P [= not Pp;"
+    )
+    assert (role.ok, role.clause) == (False, "d")
+    assert role.detail == (
+        "mapping disjointness on role P fires: the role is realized in the canonical model"
+    )
+
+
 def test_extended_solution_exists_where_plain_does_not():
     kb, mapping = load_kb("ex3_kb"), load_mapping("ex3_map")
     extended = universal_solution_extended(kb, mapping)

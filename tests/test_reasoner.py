@@ -17,7 +17,7 @@ from kbx.model import (
     RoleAssertion,
     RoleInclusion,
 )
-from kbx.reasoner import kb_consistent, tbox_trivial
+from kbx.reasoner import Reasoner, kb_consistent, tbox_trivial
 
 F, G, H = Atomic("F"), Atomic("G"), Atomic("H")
 S, T = BasicRole("S"), BasicRole("T")
@@ -97,6 +97,23 @@ def test_consistent_kb_with_existentials():
         ABox.make([ConceptAssertion(F, Constant("a"))]),
     )
     assert kb_consistent(kb)
+
+
+def test_a_tbox_without_clash_pairs_answers_consistent_without_a_chase(monkeypatch):
+    """No disjointness, no clash: neither check chases a closure."""
+    def chase(*args):
+        raise AssertionError("chased a TBox without clash pairs")
+
+    monkeypatch.setattr(Reasoner, "_chase_consistent", chase)
+    ctx = Reasoner(
+        (ConceptInclusion(F, Exists(S)), RoleInclusion(S, T), ConceptInclusion(Exists(T), G))
+    )
+    assert ctx.pair_consistent(F, G) and ctx.pair_consistent(S, T.inverse())
+    a, b = Constant("a"), Constant("b")
+    abox = ABox.make(
+        [ConceptAssertion(F, a), ConceptAssertion(H, a), RoleAssertion(S, a, b), RoleAssertion(T, a, b)]
+    )
+    assert ctx.consistent(abox)
 
 
 @pytest.mark.parametrize(

@@ -138,6 +138,10 @@ CASES = {
         "usol-exists-ext", {"--kb": "qbf/phi_kb", "--mapping": "qbf/phi_map"},
         "--depth-cap", "10",
     ),
+    # The three automata over a KB padded with loops of an existing role,
+    # and over the empty KB, padded with a fresh role that is then looped.
+    "automata-dump-ex3": ("automata", {"--kb": "ex3_kb"}, "dump"),
+    "automata-dump-clash": ("automata", {"--kb": "clash_kb"}, "dump"),
 }
 
 
