@@ -9,19 +9,28 @@ dropped re-refines it from the pairs at the fact's ends.  Finite-to-regular
 (``embeds_finite_into_regular``, re-checked by
 ``verify_embedding_into_regular``) is complete via an anchored search: a
 connected image in a forest-shaped model sits below a unique shallowest node,
-so it suffices to try every element as the anchor and every state as its
+so it suffices to try every element as the anchor and every root as its
 image.  It reads each element's concepts and neighbour roles from the
 finite structure once; one breadth-first walk over those neighbours gives a
-component, the order to place its elements in, and for each element the
-neighbour that reached it, next to whose image it is placed.  A component
-with constants starts from them alone.  Both searches, this one and
-``choose_images``' choice of one image per individual, run the same
-depth-first loop, ``_search``.  The two verifiers run neither search nor
-``_refine``: ``exchange.verify_solution`` calls them on the certificate of
-a yes, for the CLI's recheck.
+component and the order that breaks ties between its elements.  A component
+with constants starts from them alone.  An element's values are the paths
+next to a placed neighbour's image that carry its concepts, and a root on
+which a search anchored at the element failed is dropped from them for the
+rest of the component.  Both searches, this one and ``choose_images``'
+choice of one image per individual, run the same forward-checking loop,
+``_search``: the unplaced keys next to placed ones keep the values that fit
+every placed neighbour, the key with the fewest is placed next, and a key
+left without values backtracks at once (Haralick and Elliott, "Increasing
+tree search efficiency for constraint satisfaction problems", 1980).  The
+two verifiers run neither search nor ``_refine``:
+``exchange.verify_solution`` calls them on the certificate of a yes, for the
+CLI's recheck.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from heapq import heapify, heappop, heappush
 
 from .canonical import (
     CanonicalStructure,
@@ -121,53 +130,119 @@ def choose_images(c: CanonicalStructure, f: FiniteInterpretation, images: dict,
 
     Null-named individuals are unpinned, so the finite core (with its role
     facts) must map consistently.  A ``_search`` over the individuals in
-    order, trying each one's live images by label; a role requirement is
-    checked once both its ends are chosen.
+    order; each one's values are its live images by label, narrowed by the
+    role requirements towards the individuals already chosen.
     """
-    inds = list(c.individuals)
-    level = {t: i for i, t in enumerate(inds)}
-    reqs_at: dict = {t: [] for t in inds}
+    need: dict = {t: {} for t in c.individuals}  # t1 -> t2 -> roles over sigma
     for (t1, t2), roles in c.individual_roles.items():
-        need = frozenset(
-            r for r in roles if sigma is None or role_over(r, sigma)
-        )
-        if need:
-            reqs_at[max(t1, t2, key=level.__getitem__)].append((t1, t2, need))
+        if over := frozenset(r for r in roles if sigma is None or role_over(r, sigma)):
+            need[t1][t2] = over
 
-    def by_label(t, _choice) -> list:
+    def by_label(t, _beside) -> list:
         return sorted(images[t], key=lambda e: (e is None, "" if e is None else element_label(e)))
 
-    def fits(t, choice) -> bool:
-        return all(need <= f.rtype(choice[t1], choice[t2]) for (t1, t2, need) in reqs_at[t])
-
     choice: dict = {}
-    return choice if _search(inds, choice, by_label, fits) else None
+    return choice if _search(list(c.individuals), choice, need, by_label, f.rtype) else None
 
 
-def _search(keys: list, assignment: dict, candidates, fits) -> bool:
-    """Extend ``assignment`` to every key of ``keys``, depth first in order.
+def _search(keys: list, assignment: dict, need: dict, values, roles) -> bool:
+    """Extend ``assignment`` to every key of ``keys`` by forward checking.
 
-    On entering a key's level, ``candidates(key, assignment)`` gives the
-    values to try, in order; a value stays when ``fits(key, assignment)``
-    holds with it assigned, and the search backtracks when a level runs out.
-    Returns whether it got past the last key; on failure ``assignment`` is
-    as it was.
+    ``need[x][y]`` holds the roles that must hold from ``x``'s value to
+    ``y``'s (``y`` may be ``x`` itself), checked against ``roles(v, w)``;
+    ``need[y][x]`` holds their inverses.  ``values(x, w)`` lists, in order,
+    the values ``x`` may take next to a placed neighbour whose value is
+    ``w`` (None when ``x`` has no placed neighbour); they still have to
+    meet ``need``.
+
+    Each unplaced key next to a placed one keeps the values that still fit
+    every placed neighbour.  Placing a value narrows its unplaced
+    neighbours' values, and an empty set backtracks at once.  The next key
+    is the one with the fewest values left, ties broken by the order of
+    ``keys``; when no unplaced key is next to a placed one, it is the first
+    unplaced key.  A key's requirement towards itself is checked when the
+    key is placed.  The keys already in ``assignment`` are checked against
+    each other and narrow their neighbours first.  The search is iterative:
+    an undo trail restores the narrowed values on backtracking.  Returns
+    whether every key got a value; on failure ``assignment`` is as it was.
     """
-    todo: list = [None] * len(keys)  # the untried values per level
-    i, entered = 0, True
-    while 0 <= i < len(keys):
-        key = keys[i]
-        if entered:
-            todo[i] = iter(candidates(key, assignment))
-        for value in todo[i]:
-            assignment[key] = value
-            if fits(key, assignment):
-                i, entered = i + 1, True
-                break
+    rank = {x: i for i, x in enumerate(keys)}
+    left: dict = {}  # unplaced key next to a placed one -> the values that fit
+    trail: list = []  # (key, its values before a change, None when it had none)
+    # (number of values, rank, key) for every value list ``left`` was given;
+    # an entry whose key has since been placed or narrowed is stale.
+    heap: list = []
+
+    def narrow(x) -> bool:
+        """Cut the values of ``x``'s unplaced neighbours to those that fit
+        ``x``'s value; False when one runs out."""
+        v = assignment[x]
+        for y, need_xy in need[x].items():
+            if y not in assignment:
+                old = left.get(y)
+                trail.append((y, old))
+                fit = [w for w in (values(y, v) if old is None else old) if need_xy <= roles(v, w)]
+                left[y] = fit
+                heappush(heap, (len(fit), rank[y], y))
+                if not fit:
+                    return False
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            y, old = trail.pop()
+            if old is None:
+                left.pop(y, None)
+            else:
+                left[y] = old
+                heappush(heap, (len(old), rank[y], y))
+
+    def fewest():
+        """The key of ``left`` with the fewest values, the first by rank
+        among equals."""
+        if len(heap) > 4 * len(left) + 64:  # mostly stale: rebuild
+            heap[:] = [(len(vals), rank[y], y) for y, vals in left.items()]
+            heapify(heap)
+        while True:
+            n, _, y = heappop(heap)
+            if y in left and len(left[y]) == n:
+                return y
+
+    if not all(need_xy <= roles(v, assignment[y])
+               for x, v in assignment.items() for y, need_xy in need[x].items()
+               if y in assignment):
+        return False
+    if not all(narrow(x) for x in assignment):
+        return False
+    stack: list = []  # per placed key: (key, untried values, trail mark, cursor)
+    cursor = 0  # every key before it is placed
+    while True:
+        if left:
+            x = fewest()
         else:
-            assignment.pop(key, None)
-            i, entered = i - 1, False
-    return i == len(keys)
+            while cursor < len(keys) and keys[cursor] in assignment:
+                cursor += 1
+            if cursor == len(keys):
+                return True
+            x = keys[cursor]
+        todo = left.pop(x, None)
+        trail.append((x, todo))
+        stack.append((x, iter(values(x, None) if todo is None else todo), len(trail), cursor))
+        while stack:
+            x, untried, mark, cursor = stack[-1]
+            for v in untried:
+                undo(mark)
+                assignment[x] = v
+                if (x not in need[x] or need[x][x] <= roles(v, v)) and narrow(x):
+                    break
+            else:
+                undo(mark - 1)  # also puts ``x`` back among the unplaced
+                assignment.pop(x, None)
+                stack.pop()
+                continue
+            break
+        else:
+            return False
 
 
 def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | None,
@@ -277,21 +352,31 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
 
     Complete: a connected image lies below a unique shallowest node (the model
     is forest-shaped above any node), whose subtree is determined by its
-    state; so anchoring some component element at some state and growing
-    neighbor images stepwise explores every homomorphism shape.  Components
+    state; so anchoring some component element at some root and growing
+    neighbour images stepwise explores every homomorphism shape.  Components
     containing constants are anchored by the constants themselves.
+
+    Once the search anchored at an element x on a root ρ fails, the later
+    seeds of the same component drop ρ from x's values.  This loses no
+    homomorphism.  Call ρ's frame the model itself when ρ is an individual,
+    and the class's subtree when ρ is a class.  A search rooted at ρ' moves
+    only along edges from its root, so it can put x on ρ only when ρ' has
+    ρ's frame: when both are individuals, or ρ' = ρ.  The failed search was
+    complete for the homomorphisms into ρ's frame with h(x) = ρ, since the
+    roots dropped before it removed none (by the same argument); so there
+    are none, and a later search that put x on ρ would find none either.
     """
     if not f.constant_elems.keys() <= set(c.individuals):
         return None
     pin = {e: (const,) for const, e in f.constant_elems.items()}
-    # Per element: its atomic concepts and its neighbours with their roles,
-    # both over the signature, the neighbours by label.
+    # Per element: its atomic concepts, and its neighbours, by label, with
+    # the roles to each, both over the signature.
     atoms = {
         e: frozenset(a for a in f.ttype(e, sigma) if isinstance(a, Atomic)) for e in f.elements
     }
     links = {
-        e: [(e2, roles) for e2 in sorted(f.neighbours(e), key=element_label)
-            if (roles := f.rtype(e, e2, sigma))]
+        e: {e2: roles for e2 in sorted(f.neighbours(e), key=element_label)
+            if (roles := f.rtype(e, e2, sigma))}
         for e in f.elements
     }
     roots = [(t,) for t in c.individuals] + [(rep,) for rep in sorted(c.classes, key=str)]
@@ -300,18 +385,19 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
     linked: dict = {}
     for t1, t2 in sorted(c.individual_roles, key=lambda pair: rank[pair[1]]):
         linked.setdefault(t1, []).append(t2)
+    failed: dict = {}  # element -> the roots a search anchored at it failed on
 
-    def walk(starts) -> dict:
+    def walk(starts) -> list:
         """Breadth-first over the links from ``starts``: each element reached,
-        in order, with the element that reached it (None for a start)."""
-        base = dict.fromkeys(starts)
+        in order."""
         order = list(starts)
+        seen = set(order)
         for e in order:
-            for e2, _ in links[e]:
-                if e2 not in base:
-                    base[e2] = e
+            for e2 in links[e]:
+                if e2 not in seen:
+                    seen.add(e2)
                     order.append(e2)
-        return base
+        return order
 
     def around(path) -> list:
         """Every path that can share a role with ``path``: its children, its
@@ -323,16 +409,18 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
             out.extend((t,) for t in linked.get(path[0], ()))
         return out
 
-    def fits(e, assignment) -> bool:
-        path = assignment[e]
-        return atoms[e] <= ttype_at(c, path) and all(
-            roles <= rtype_edge(c, path, assignment[e2])
-            for e2, roles in links[e] if e2 in assignment
-        )
+    def values(e, beside) -> list:
+        """The paths next to ``beside`` that carry ``e``'s atoms, less the
+        roots ``e`` failed on.  A component is connected and starts from a
+        placed seed, so every element is reached next to a placed one."""
+        banned = failed.get(e, ())
+        return [p for p in around(beside) if atoms[e] <= ttype_at(c, p) and p not in banned]
 
     def seeds(comp):
-        """The partial assignments a component's search starts from: its pins,
-        or else every element at every root."""
+        """The partial assignments a component's search starts from, with the
+        order of its elements: its pins, or else every element at every
+        root.  The generator resumes after an anchored seed only when that
+        seed's search failed, and records the failure."""
         pins = [e for e in comp if e in pin]
         if pins:
             yield {e: pin[e] for e in pins}, walk(pins)
@@ -341,17 +429,16 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
             grown = walk([anchor])
             for root in roots:
                 yield {anchor: root}, grown
+                failed.setdefault(anchor, set()).add(root)
 
+    edge = partial(rtype_edge, c)
     total: dict = {}
     for e in f.elements:
         if e in total:
             continue
-        for assignment, base in seeds(list(walk([e]))):
-            # Each further element is placed next to the image of the element
-            # that reached it, which is placed before it.
-            rest = [x for x, b in base.items() if b is not None]
-            if all(fits(x, assignment) for x in assignment) and _search(
-                rest, assignment, lambda x, placed: around(placed[base[x]]), fits
+        for assignment, order in seeds(walk([e])):
+            if all(atoms[x] <= ttype_at(c, p) for x, p in assignment.items()) and _search(
+                [x for x in order if x not in assignment], assignment, links, values, edge
             ):
                 total.update(assignment)
                 break

@@ -11,14 +11,14 @@ clash scan over the (finitely many) witness classes reachable from the pair.
 
 A `Reasoner` is that compiled form of one TBox: its edges indexed once,
 both clash pair sets, and memos of each node's closure, of witness-class
-representatives, generated classes and pair consistency, filled in the first
-time a decision asks for one.  Each decision builds the contexts it needs and
-drops them when it returns, so no cache outlives a call: `CanonicalStructure`
-builds (or is handed) the context of its KB's TBox, `exchange` reuses the
-structure's, and `representability` builds one per TBox it reasons over.  A
-certificate recheck builds its own contexts too: a solution's, to verify its
-certificate (`exchange.verify_solution`), and a synthesized TBox's, to decide
-its representation again.
+representatives, minimal roles, generated classes and pair consistency,
+filled in the first time a decision asks for one.  Each decision builds the
+contexts it needs and drops them when it returns, so no cache outlives a
+call: `CanonicalStructure` builds (or is handed) the context of its KB's
+TBox, `exchange` reuses the structure's, and `representability` builds one
+per TBox it reasons over.  A certificate recheck builds its own contexts
+too: a solution's, to verify its certificate (`exchange.verify_solution`),
+and a synthesized TBox's, to decide its representation again.
 The module-level `kb_consistent` is an uncached one-shot wrapper for the
 CLI's `consistency` command.
 """
@@ -82,6 +82,7 @@ class Reasoner:
         self._sup: dict = {}
         self._reps: dict = {}
         self._generated: dict = {}
+        self._minimal: dict = {}
         self._pairs: dict = {}
 
     # -- closures --------------------------------------------------------------
@@ -111,12 +112,16 @@ class Reasoner:
             )
         return got
 
-    def minimal_roles(self, cands) -> list[BasicRole]:
+    def minimal_roles(self, cands) -> frozenset[BasicRole]:
         """The roles of ``cands`` with no strictly smaller role among ``cands``."""
-        return [
-            r for r in cands
-            if all(self.rep_of(s) == self.rep_of(r) for s in cands if self.derives(s, r))
-        ]
+        key = frozenset(cands)
+        got = self._minimal.get(key)
+        if got is None:
+            got = self._minimal[key] = frozenset(
+                r for r in key
+                if all(self.rep_of(s) == self.rep_of(r) for s in key if self.derives(s, r))
+            )
+        return got
 
     def generated(self, rep: BasicRole) -> tuple[BasicRole, ...]:
         """Witness classes generated by the class element of ``rep``, for any

@@ -326,6 +326,36 @@ def three_colorable(vertices, edges) -> bool:
     return False
 
 
+def three_colorable_fc(vertices, edges) -> bool:
+    """3-colourability by forward checking: colour a vertex with the fewest
+    colours left, strike its colour from its uncoloured neighbours, and
+    backtrack as soon as one of them has none left."""
+    if any(u == v for u, v in edges):
+        return False
+    adj: dict = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    left = {v: {0, 1, 2} for v in vertices}
+
+    def colour(free: frozenset) -> bool:
+        if not free:
+            return True
+        v = min(free, key=lambda x: len(left[x]))
+        rest = free - {v}
+        for c in sorted(left[v]):
+            struck = [w for w in adj[v] if w in rest and c in left[w]]
+            for w in struck:
+                left[w].discard(c)
+            if all(left[w] for w in struck) and colour(rest):
+                return True
+            for w in struck:
+                left[w].add(c)
+        return False
+
+    return colour(frozenset(vertices))
+
+
 def certain_answer(kb: KnowledgeBase, concept_atoms, role_atoms, depth: int | None = None) -> bool:
     """Brute certain-answer test for a conjunctive query.
 

@@ -5,6 +5,8 @@ ground-truth answer comes from the brute-force oracles, so suites can compare
 verdicts instance by instance.
 """
 
+import random
+
 from kbx.model import (
     ABox,
     Atomic,
@@ -308,6 +310,22 @@ def random_graph(rng, max_nodes=6):
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     )
     return tuple(range(n)), edges
+
+
+def small_graphs():
+    """200 seeded graphs of at most nine vertices, for the colouring checks."""
+    rng = random.Random(19)
+    return [random_graph(rng, max_nodes=9) for _ in range(200)]
+
+
+def random_sparse_graph(rng, n, m):
+    """m distinct undirected edges (u < v) over the vertices 0..n-1, drawn
+    one pair at a time, as the benchmark's colouring cases draw them."""
+    edges = set()
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return tuple(range(n)), tuple(sorted(edges))
 
 
 def random_representable_instance(rng):

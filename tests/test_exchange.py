@@ -1,11 +1,18 @@
 """Universal-solution checking and construction on the worked examples."""
 
 import random
+import time
 from collections import Counter
 
 from conftest import load_kb, load_mapping
-from oracle import naive_minimize_witness, naive_simulation
-from reductions import coloring_instance, qbf_family, qbf_instance
+from oracle import naive_minimize_witness, naive_simulation, three_colorable_fc
+from reductions import (
+    coloring_instance,
+    qbf_family,
+    qbf_instance,
+    random_sparse_graph,
+    small_graphs,
+)
 
 from kbx import exchange
 from kbx.canonical import (
@@ -43,8 +50,11 @@ from kbx.model import (
     ConceptAssertion,
     Constant,
     KnowledgeBase,
+    Mapping,
     Null,
     RoleAssertion,
+    RoleInclusion,
+    Signature,
 )
 from kbx.syntax import parse_kb, parse_mapping, serialize
 
@@ -149,6 +159,46 @@ def test_dropping_a_needed_fact_breaks_the_candidate():
     verdict = is_universal_solution(load_kb("ex1_kb"), load_mapping("ex1_map"), thin)
     assert verdict.answer == "no"
     assert verdict.counterexample
+
+
+def test_colouring_encoding_matches_the_reference_on_small_graphs():
+    for vertices, edges in small_graphs():
+        verdict = is_universal_solution(*coloring_instance(vertices, edges))
+        assert (verdict.answer == "yes") == three_colorable_fc(vertices, edges), edges
+
+
+def test_colouring_encoding_decides_larger_graphs_quickly():
+    """Four graphs each at 20, 30 and 40 vertices with 2.2 edges a vertex,
+    near the colourability threshold, where backtracking without
+    propagation took up to half a minute."""
+    rng = random.Random(3)
+    answers = []
+    for n in (20, 30, 40):
+        for _ in range(4):
+            vertices, edges = random_sparse_graph(rng, n, 22 * n // 10)
+            start = time.process_time()
+            verdict = is_universal_solution(*coloring_instance(vertices, edges))
+            assert time.process_time() - start < 0.5, (n, edges)
+            answers.append(verdict.answer)
+            assert (verdict.answer == "yes") == three_colorable_fc(vertices, edges), edges
+    assert answers.count("yes") == 1, answers
+
+
+def test_a_long_null_path_folds_onto_a_two_cycle():
+    """A 3,000-null R-path over an R-cycle of two individuals is a universal
+    solution; the search that places the path has no recursion limit."""
+    a, b = Constant("a"), Constant("b")
+    R, Rp = BasicRole("R"), BasicRole("Rp")
+    kb1 = KnowledgeBase((), ABox.make([RoleAssertion(R, a, b), RoleAssertion(R, b, a)]))
+    mapping = Mapping(
+        Signature.make((), ["R"]), Signature.make((), ["Rp"]), (RoleInclusion(R, Rp),)
+    )
+    path = [Null(f"n{i}") for i in range(3000)]
+    facts = [RoleAssertion(Rp, a, b), RoleAssertion(Rp, b, a)]
+    facts += [RoleAssertion(Rp, x, y) for x, y in zip(path, path[1:])]
+    verdict = is_universal_solution(kb1, mapping, KnowledgeBase((), ABox.make(facts)))
+    assert verdict.answer == "yes"
+    assert len(verdict.certificate[1]) == 3002
 
 
 def test_yes_certificates_recheck_independently():

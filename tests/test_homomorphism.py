@@ -61,6 +61,33 @@ def test_finite_embeds_into_regular_with_verified_witness():
     assert verify_embedding_into_regular(anon, target, h)
 
 
+def test_a_self_loop_lands_only_on_a_self_loop():
+    """A null with ``P(x, x)`` has no image on an endless chain of generated
+    P-edges, alone or with a P-neighbour, and lands on an individual with a
+    P self-loop."""
+    x, y = Null("x"), Null("y")
+    loop = [("P", x, x)]
+    chain = build_canonical(parse_kb(
+        "kb { roles { P } tbox { A [= exists P; exists P- [= exists P; } abox { A(a); } }"
+    ))
+    looped = build_canonical(parse_kb(
+        "kb { roles { P } tbox { A [= exists P; } abox { A(a); P(a, a); } }"
+    ))
+    cases = [
+        (chain, FiniteInterpretation([x], [], loop, {}), False),
+        (chain, FiniteInterpretation([x, y], [], [*loop, ("P", y, x)], {}), False),
+        (looped, FiniteInterpretation([x], [], loop, {}), True),
+        (looped, FiniteInterpretation([x, y], [], [*loop, ("P", x, y)], {}), True),
+        (looped, FiniteInterpretation([x, y], [], [*loop, ("P", y, x)], {}), True),
+    ]
+    for c, f, embeds in cases:
+        h = embeds_finite_into_regular(f, c)
+        assert (h is not None) == embeds == (naive_embedding(f, c) is not None), f.role_ext
+        if embeds:
+            assert h[x] == (Constant("a"),)
+            assert verify_embedding_into_regular(f, c, h)
+
+
 _AXIOMS = (
     "A [= exists P", "exists P- [= B", "B [= exists S", "exists S- [= A",
     "exists S- [= exists P-", "P [= S", "B [= exists P-", "exists P [= A", "S [= P-",

@@ -23,7 +23,9 @@ from oracle import (
     naive_saturate,
     qbf_valid,
     three_colorable,
+    three_colorable_fc,
 )
+from reductions import small_graphs
 
 F, G, H = Atomic("F"), Atomic("G"), Atomic("H")
 S, T = BasicRole("S"), BasicRole("T")
@@ -78,6 +80,14 @@ def test_three_colorable():
     k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     assert not three_colorable([0, 1, 2, 3], k4)
     assert three_colorable([0], [])
+
+
+def test_forward_checking_colourer_matches_the_brute_force_one():
+    graphs = small_graphs()
+    answers = [three_colorable_fc(vs, es) for vs, es in graphs]
+    assert answers == [three_colorable(vs, es) for vs, es in graphs]
+    assert 20 <= sum(answers) <= 180, sum(answers)
+    assert not three_colorable_fc([0, 1], [(0, 1), (1, 1)])
 
 
 def test_brute_homomorphism_on_graphs():

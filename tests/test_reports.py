@@ -138,6 +138,20 @@ CASES = {
         "usol-exists-ext", {"--kb": "qbf/phi_kb", "--mapping": "qbf/phi_map"},
         "--depth-cap", "10",
     ),
+    # The 3-colouring encoding on two 30-vertex graphs with 66 edges, the
+    # one colourable and the other not: the nulls must fold onto the colour
+    # triangle.  They sit in ``color/``, outside the corpus root whose KBs
+    # the automata test walks.
+    "usol-check-color-yes": (
+        "usol-check",
+        {"--kb": "color/color_kb", "--mapping": "color/color_map",
+         "--candidate": "color/yes_cand"},
+    ),
+    "usol-check-color-no": (
+        "usol-check",
+        {"--kb": "color/color_kb", "--mapping": "color/color_map",
+         "--candidate": "color/no_cand"},
+    ),
     # The three automata over a KB padded with loops of an existing role,
     # and over the empty KB, padded with a fresh role that is then looped.
     "automata-dump-ex3": ("automata", {"--kb": "ex3_kb"}, "dump"),
