@@ -235,8 +235,9 @@ class CanonicalStructure:
         return got
 
     def edge_roles(self, child_rep: BasicRole, sigma: Signature | None = None) -> frozenset:
-        """All roles holding on a generating edge (parent, child) into the
-        class ``child_rep`` of this structure, both orientations."""
+        """All roles holding from parent to child on a generating edge into
+        the class ``child_rep`` of this structure; their inverses hold from
+        child to parent."""
         roles = self.class_edges[child_rep]
         if sigma is None:
             return roles

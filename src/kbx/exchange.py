@@ -99,106 +99,65 @@ def is_sigma2_positive(
     mapping: Mapping,
     prepared: tuple[Reasoner, CanonicalStructure] | None = None,
 ) -> PositivityResult:
-    """Check that no target-visible element pair activates source disjointness
-    and no mapping disjointness is triggered at all (clauses a-d).
+    """Check that no disjointness reaches the target side, on one table of
+    the canonical structure's edges: every individual pair and every
+    generating edge (state, class), with their roles.  A state is seen when
+    it is a constant or has a type over the target signature.
 
-    ``prepared`` is what ``_prepare`` returns, for a decider that has already
-    built it.
+    (a) No two disjoint source concepts are realized at seen states.
+    (b) No two disjoint source roles hold on edges with both ends seen.
+    (c) No element has two disjoint source roles towards seen elements; the
+    anonymous elements of a class are one centre per parent seen or not,
+    the first in order.
+    (d) No negated mapping inclusion has a realized left-hand side.
+
+    Individual pairs are in the table both ways, a generating edge only from
+    parent to child, so clause (b) reads an anonymous edge in that one
+    orientation and can tell mirror-image inputs apart.
+
+    ``prepared`` is what ``_prepare`` returns, for a decider that has built it.
     """
     source, u = prepared if prepared is not None else _prepare(kb1, mapping)
-    sigma2 = mapping.sigma2
-
-    visible, _ = u.over(sigma2)
-
-    def in_target(state) -> bool:
-        return isinstance(state, Constant) or bool(visible[state])
-
-    # Concepts realized anywhere, and at some target-visible element.
+    visible, _ = u.over(mapping.sigma2)
     types = {**u.individual_types, **u.class_types}
-    realized_all = set().union(*types.values())
-    realized_target = set().union(*(tp for s, tp in types.items() if in_target(s)))
-
+    seen = {s for s in types if isinstance(s, Constant) or visible[s]}
+    generating = [((s, rep), u.class_edges[rep]) for s in u.states() for rep in u.gen[s]]
+    towards: dict = {s: set() for s in types}  # roles from a state to seen states
+    for (x, y), roles in [*u.individual_roles.items(), *generating]:
+        if y in seen:
+            towards[x].update(roles)
+    both_seen = set().union(*(towards[s] for s in seen))
+    centres: list = [(str(t), t, ()) for t in u.individuals]  # (where, state, roles up)
+    anonymous: set = set()
+    for (s, rep), roles in generating:
+        if (rep, s in seen) not in anonymous:
+            anonymous.add((rep, s in seen))
+            up = {r.inverse() for r in roles} if s in seen else ()
+            centres.append((f"w[{rep}] under {s}", rep, up))
+    realized_seen = set().union(*(types[s] for s in seen))
     for (b, c) in sorted(source.concept_clashes, key=str):
-        if b in realized_target and c in realized_target:
-            return PositivityResult(
-                False, "a",
-                f"disjoint concepts {b} and {c} are both realized at "
-                "target-visible elements",
-            )
-
-    states = u.states()
-    parent_edges = [
-        (s, rep) for s in states for rep in u.gen[s]
-    ]
-
-    def pair_fully_visible(r: BasicRole) -> bool:
-        for (t1_, t2_), roles in u.individual_roles.items():
-            if r in roles and in_target(t1_) and in_target(t2_):
-                return True
-        for (s, rep) in parent_edges:
-            if r in u.edge_roles(rep) and in_target(s) and in_target(rep):
-                return True
-        return False
-
+        if b in realized_seen and c in realized_seen:
+            detail = f"disjoint concepts {b} and {c} are both realized at target-visible elements"
+            return PositivityResult(False, "a", detail)
     role_pairs = sorted(source.role_clashes, key=str)
     for (r, q) in role_pairs:
-        if pair_fully_visible(r) and pair_fully_visible(q):
-            return PositivityResult(
-                False, "b",
-                f"disjoint roles {r} and {q} both hold on pairs of "
-                "target-visible elements",
-            )
-
-    # Outgoing roles with a target-visible other end, per possible center.
-    towards_target: dict = {}
-    for (t1_, t2_), roles in u.individual_roles.items():
-        if in_target(t2_):
-            towards_target.setdefault(t1_, set()).update(roles)
-    centers: list = []
-    for t in u.individuals:
-        out: set = set(towards_target.get(t, ()))
-        for rep in u.gen[t]:
-            if in_target(rep):
-                out |= u.edge_roles(rep)
-        centers.append((str(t), out))
-    for s in states:
-        for rep in u.gen[s]:
-            # Center is an anonymous element of class `rep` with parent
-            # state `s`; successors are its children and the parent itself.
-            out = set()
-            for child in u.gen[rep]:
-                if in_target(child):
-                    out |= u.edge_roles(child)
-            if in_target(s):
-                out |= {r.inverse() for r in u.edge_roles(rep)}
-            centers.append((f"w[{rep}] under {s}", out))
+        if r in both_seen and q in both_seen:
+            detail = f"disjoint roles {r} and {q} both hold on pairs of target-visible elements"
+            return PositivityResult(False, "b", detail)
     for (r, q) in role_pairs:
-        for (where, out) in centers:
-            if r in out and q in out:
-                return PositivityResult(
-                    False, "c",
-                    f"disjoint roles {r} and {q} leave a common element "
-                    f"({where}) towards target-visible elements",
-                )
-
-    realized_roles = set().union(*u.individual_roles.values(), *u.class_edges.values())
+        for (where, x, up) in centres:
+            if (r in towards[x] or r in up) and (q in towards[x] or q in up):
+                detail = (f"disjoint roles {r} and {q} leave a common element ({where}) "
+                          "towards target-visible elements")
+                return PositivityResult(False, "c", detail)
+    realized = set().union(*types.values(), *u.individual_roles.values(), *u.class_edges.values())
     for ax in mapping.t12:
-        if not ax.negated_rhs:
-            continue
-        if isinstance(ax, ConceptInclusion):
-            if ax.lhs in realized_all:
-                return PositivityResult(
-                    False, "d",
-                    f"mapping disjointness on {ax.lhs} fires: the concept "
-                    "is realized in the canonical model",
-                )
-        else:
-            if ax.lhs in realized_roles:
-                return PositivityResult(
-                    False, "d",
-                    f"mapping disjointness on role {ax.lhs} fires: the role "
-                    "is realized in the canonical model",
-                )
+        if ax.negated_rhs and ax.lhs in realized:
+            kind = "concept" if isinstance(ax, ConceptInclusion) else "role"
+            on = ax.lhs if kind == "concept" else f"role {ax.lhs}"
+            detail = (f"mapping disjointness on {on} fires: the {kind} is realized in the "
+                      "canonical model")
+            return PositivityResult(False, "d", detail)
     return PositivityResult(True)
 
 

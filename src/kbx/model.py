@@ -243,13 +243,6 @@ class ABox(Record, fields=("assertions",)):
                 yield a.first
                 yield a.second
 
-    def constants(self) -> list[Constant]:
-        out: dict[Constant, None] = {}
-        for t in self.terms():
-            if isinstance(t, Constant):
-                out.setdefault(t, None)
-        return sorted(out, key=str)
-
     def all_terms(self) -> list[Term]:
         out: dict[Term, None] = {}
         for t in self.terms():

@@ -291,6 +291,77 @@ def random_kb(rng):
     return KnowledgeBase(tbox, ABox.make(assertions))
 
 
+_POS_ROLES = ("P", "S")
+_POS_CONSTANTS, _POS_NULLS = (Constant("a"), Constant("b")), (Null("x"), Null("y"))
+
+
+def random_positivity_instance(rng):
+    """A source KB over A, B, P and S with concept and role disjointness, and
+    a mapping into Ap, Bp, Pp and Sp with some negated axioms.
+
+    In three draws of ten a null has role facts towards both constants, and
+    in three more the element that an A or B generates along a role R has
+    two successors, each made visible by the mapping; half of those draws
+    make the two roles disjoint.  Without them positivity clause (c), which
+    needs one element with two disjoint roles towards visible ones, is
+    reached only a few times per thousand draws.
+    """
+    def role():
+        return _basic_role(rng, _POS_ROLES)
+
+    def concept():
+        return Exists(role()) if rng.random() < 0.5 else Atomic(rng.choice("AB"))
+
+    tbox = [
+        ConceptInclusion(concept(), concept()) if rng.random() < 0.7
+        else RoleInclusion(role(), role())
+        for _ in range(rng.randint(0, 3))
+    ]
+    if rng.random() < 0.4:
+        tbox.append(RoleInclusion(role(), role(), True))
+    if rng.random() < 0.4:
+        tbox.append(ConceptInclusion(concept(), concept(), True))
+    terms = _POS_CONSTANTS + _POS_NULLS
+    facts = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.3:
+            facts.append(ConceptAssertion(Atomic(rng.choice("AB")), rng.choice(terms)))
+        else:
+            first = rng.choice(_POS_NULLS if rng.random() < 0.6 else _POS_CONSTANTS)
+            facts.append(RoleAssertion(role(), first, rng.choice(terms)))
+    fan, t12 = rng.random(), []
+    pair = (role(), role())
+    if fan < 0.6 and rng.random() < 0.5:
+        tbox.append(RoleInclusion(*pair, True))
+    if fan < 0.3:
+        x = rng.choice(_POS_NULLS)
+        facts += [RoleAssertion(s, x, c) for s, c in zip(pair, _POS_CONSTANTS)]
+    elif fan < 0.6:
+        r = BasicRole("R", rng.random() < 0.5)
+        tbox.append(ConceptInclusion(Atomic(rng.choice("AB")), Exists(r)))
+        for s, target in zip(pair, ("Ap", "Bp")):
+            tbox.append(ConceptInclusion(Exists(r.inverse()), Exists(s)))
+            t12.append(ConceptInclusion(Exists(s.inverse()), Atomic(target)))
+    t12 += [
+        ConceptInclusion(Atomic(name), Atomic(name + "p"), rng.random() < 0.15)
+        for name in "AB" if rng.random() < 0.6
+    ]
+    for name in _POS_ROLES:
+        draw = rng.random()
+        if draw < 0.2:
+            t12.append(RoleInclusion(BasicRole(name), BasicRole(name + "p"), rng.random() < 0.3))
+        elif draw < 0.5:
+            t12.append(ConceptInclusion(
+                Exists(BasicRole(name, rng.random() < 0.5)), Atomic(rng.choice(("Ap", "Bp"))),
+                rng.random() < 0.2,
+            ))
+    mapping = Mapping(
+        Signature.make("AB", ("P", "R", "S")), Signature.make(("Ap", "Bp"), ("Pp", "Sp")),
+        tuple(dict.fromkeys(t12)),
+    )
+    return KnowledgeBase(tuple(dict.fromkeys(tbox)), ABox.make(facts)), mapping
+
+
 def random_digraph(rng, max_nodes=8):
     n = rng.randint(2, max_nodes)
     edges = tuple(

@@ -152,6 +152,28 @@ CASES = {
         {"--kb": "color/color_kb", "--mapping": "color/color_map",
          "--candidate": "color/no_cand"},
     ),
+    # Positivity refusals: disjoint roles on two pairs of visible individuals
+    # (clause b), and towards two visible children of one anonymous element
+    # (clause c); a mapping disjointness on a derived concept and on an
+    # asserted role (clause d).  They sit in ``positivity/``, outside the
+    # corpus root whose KBs the automata test walks.
+    "usol-exists-positivity-b": (
+        "usol-exists",
+        {"--kb": "positivity/clause_b_kb", "--mapping": "positivity/clause_b_map"},
+    ),
+    "usol-exists-positivity-c": (
+        "usol-exists",
+        {"--kb": "positivity/clause_c_kb", "--mapping": "positivity/clause_c_map"},
+    ),
+    "usol-exists-positivity-d-concept": (
+        "usol-exists",
+        {"--kb": "positivity/clause_d_concept_kb",
+         "--mapping": "positivity/clause_d_concept_map"},
+    ),
+    "usol-exists-positivity-d-role": (
+        "usol-exists",
+        {"--kb": "positivity/clause_d_role_kb", "--mapping": "positivity/clause_d_role_map"},
+    ),
     # The three automata over a KB padded with loops of an existing role,
     # and over the empty KB, padded with a fresh role that is then looped.
     "automata-dump-ex3": ("automata", {"--kb": "ex3_kb"}, "dump"),
