@@ -123,8 +123,10 @@ def is_sigma2_positive(
     seen = {s for s in types if isinstance(s, Constant) or visible[s]}
     generating = [((s, rep), u.class_edges[rep]) for s in u.states() for rep in u.gen[s]]
     towards: dict = {s: set() for s in types}  # roles from a state to seen states
+    # Both ends of an individual pair have a type (a role fact types its
+    # terms), so a constant end is seen without hashing it into ``seen``.
     for (x, y), roles in [*u.individual_roles.items(), *generating]:
-        if y in seen:
+        if isinstance(y, Constant) or y in seen:
             towards[x].update(roles)
     both_seen = set().union(*(towards[s] for s in seen))
     centres: list = [(str(t), t, ()) for t in u.individuals]  # (where, state, roles up)

@@ -3,22 +3,26 @@
 The format is whitespace-insensitive with ``#`` line comments.  ``[=`` is the
 inclusion token, a ``-`` suffix inverts a role, and a ``_`` prefix marks a
 labeled null.  A name starts with a letter (``str.isalpha``), and goes on with
-letters or digits (``str.isalnum``) and ``'``.  The lexer matches one pattern,
-``_TOKEN``, at each position: a newline, other whitespace, a comment, a name
-with or without its ``_``, or one of ``[=`` ``{`` ``}`` ``(`` ``)`` ``,``
-``;`` ``-``; anything else is an error.  Because a bare inclusion ``S [= S'``
+letters or digits (``str.isalnum``) and ``'``.  The lexer is one ``findall``
+of ``_TOKEN``, which skips the whitespace and comments before each token and
+takes a name with or without its ``_``, ``[=``, or one character, of which
+``{`` ``}`` ``(`` ``)`` ``,`` ``;`` ``-`` are tokens and any other is an
+error.  Tokens are plain strings and the parser's cursor is an index into
+them, so a token's line and column are computed only for an error that points
+at it.  A parse makes one term object per constant or null name, and every
+occurrence of the name is that object.  Because a bare inclusion ``S [= S'``
 does not reveal whether its sides are concepts or roles, the parser infers
 name kinds from usage (``exists`` arguments, ``-`` suffixes, assertion
 arities, explicit declarations) and propagates them across axioms; names with
 no evidence default to concepts.  KB files may carry an optional
-``roles { ... }`` block and mapping signature entries may be marked
-``role X`` so that serialization is always re-parsable.
+``roles { ... }`` block and mapping signature entries may be marked ``role X``
+so that serialization is always re-parsable.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from .model import (
     ABox,
@@ -53,98 +57,88 @@ class ParseError(Exception):
         self.column = column
 
 
-class _Token(NamedTuple):
-    kind: str  # ident | null | punct | eof; a null's text keeps its '_'
-    text: str
-    line: int
-    column: int
+# After whitespace and comments: a name, "[=", any other character (one of
+# "{}(),;-" or an error), or the end of the input, which matches as "" once,
+# or twice after whitespace or a comment.  [^\W_] is exactly str.isalnum.  It
+# also admits digits as a name's first character, so the lexer checks that
+# character with str.isalpha.
+_TOKEN = re.compile(r"\s*(?:#[^\n]*\s*)*(_?[^\W_]+(?:'[^\W_]*)*|\[=|.|\Z)", re.DOTALL)
+_PUNCT = frozenset(["[=", "{", "}", "(", ")", ",", ";", "-"])
 
 
-# [^\W_] is exactly str.isalnum.  It also admits digits as a name's first
-# character, so the lexer checks that character with str.isalpha.
-_TOKEN = re.compile(
-    r"(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<comment>#[^\n]*)"
-    r"|(?P<name>_?[^\W_](?:[^\W_]|')*)|(?P<punct>\[=|[{}(),;-])|(?P<other>.)",
-    re.DOTALL,
-)
+def _error(text: str, at: int, message: str) -> ParseError:
+    """The error at the ``at``-th token, located by matching the tokens again."""
+    offset = next(islice(_TOKEN.finditer(text), at, None)).start(1)
+    if offset == len(text):  # A comment that runs to the end does not move the end's column.
+        comment = text.find("#", text.rfind("\n") + 1)
+        offset = comment if comment >= 0 else offset
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    m: re.Match[str] | None = None
-    for m in _TOKEN.finditer(text):
-        kind, word, column = m.lastgroup, m.group(), m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "punct":
-            tokens.append(_Token("punct", word, line, column))
-        elif kind == "name" and word.lstrip("_")[0].isalpha():
-            tokens.append(_Token("null" if word[0] == "_" else "ident", word, line, column))
-        elif word[0] == "_":
-            raise ParseError("null name expected after '_'", line, column)
-        elif kind not in ("space", "comment"):
-            raise ParseError(f"unexpected character {word[0]!r}", line, column)
-    # A comment that runs to the end of the input does not move the end's column.
-    end = m.start() if m and m.lastgroup == "comment" else len(text)
-    tokens.append(_Token("eof", "", line, end - line_start + 1))
+def _lex(text: str) -> list[str]:
+    """The token texts, then ``""`` for the end of the input."""
+    tokens = _TOKEN.findall(text)
+    del tokens[tokens.index(""):]
+    bad = [w for w in set(tokens) if w not in _PUNCT and not w.lstrip("_")[:1].isalpha()]
+    if bad:
+        at = min(map(tokens.index, bad))
+        message = ("null name expected after '_'" if tokens[at][0] == "_"
+                   else f"unexpected character {tokens[at][0]!r}")
+        raise _error(text, at, message)
+    tokens.append("")
     return tokens
 
 
 # An axiom side before the concept-vs-role decision: its shape ("exists",
-# "inv" or "name"), the role it reads as, and its token.  A bare name reads
-# as the role of that name, an existential as its role.
-_Side = tuple[str, BasicRole, _Token]
+# "inv" or "name"), the role it reads as, and its token's index.  A bare name
+# reads as the role of that name, an existential as its role.
+_Side = tuple[str, BasicRole, int]
 _RawAxiom = tuple[_Side, bool, _Side]
 
 
 class _Parser:
-    """A cursor over the tokens, and the concept-or-role kind of each name."""
+    """A cursor over the tokens, the concept-or-role kind of each name, and
+    the one term of each constant or null name."""
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
         self.kinds: dict[str, str] = {}
+        self.terms: dict[str, Term] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.column)
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        return _error(self.text, self.pos if at is None else at, message)
 
     def accept(self, text: str) -> bool:
         """Take the next token if it is the keyword or punctuation ``text``."""
-        if self.peek().text == text:
-            self.next()
+        if self.tokens[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if not self.accept(text):
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
             raise self.error(f"expected {text!r}")
-        return tok
+        self.pos += 1
 
-    def ident(self, message: str) -> _Token:
-        if self.peek().kind != "ident":
+    def ident(self, message: str) -> int:
+        """Take the next token if it is a name, and return its index."""
+        at = self.pos
+        if not self.tokens[at][:1].isalpha():
             raise self.error(message)
-        return self.next()
+        self.pos = at + 1
+        return at
 
-    def constrain(self, name: str, kind: str, tok: _Token) -> None:
+    def constrain(self, name: str, kind: str, at: int) -> None:
         if self.kinds.setdefault(name, kind) != kind:
-            raise self.error(f"name {name!r} used as both concept and role", tok)
+            raise self.error(f"name {name!r} used as both concept and role", at)
 
     def close(self) -> None:
         """The final ``}``, and nothing after it."""
         self.expect("}")
-        if self.peek().kind != "eof":
+        if self.tokens[self.pos]:
             raise self.error("trailing input after closing '}'")
 
     # -- blocks ----------------------------------------------------------
@@ -155,30 +149,31 @@ class _Parser:
         names: list[str] = []
         self.expect("{")
         while not self.accept("}"):
-            tok = self.ident("name expected" if marked else "role name expected")
+            at = self.ident("name expected" if marked else "role name expected")
             role = not marked
-            if marked and tok.text == "role" and self.peek().kind == "ident":
-                tok, role = self.next(), True
+            if marked and self.tokens[at] == "role" and self.tokens[self.pos][:1].isalpha():
+                at, role = self.ident("name expected"), True
             if role:
-                self.constrain(tok.text, "role", tok)
-            names.append(tok.text)
+                self.constrain(self.tokens[at], "role", at)
+            names.append(self.tokens[at])
             if not self.accept(","):
                 self.expect("}")
                 break
         return names
 
-    def role(self) -> tuple[BasicRole, _Token]:
-        tok = self.ident("role name expected")
-        return BasicRole(tok.text, self.accept("-")), tok
+    def role(self) -> tuple[BasicRole, int]:
+        at = self.ident("role name expected")
+        return BasicRole(self.tokens[at], self.accept("-")), at
 
     def side(self) -> _Side:
-        tok = self.ident("concept or role expected")
-        if tok.text == "exists":
-            role, rtok = self.role()
-            return ("exists", role, rtok)
+        at = self.ident("concept or role expected")
+        name = self.tokens[at]
+        if name == "exists":
+            role, rat = self.role()
+            return ("exists", role, rat)
         if self.accept("-"):
-            return ("inv", BasicRole(tok.text, True), tok)
-        return ("name", BasicRole(tok.text), tok)
+            return ("inv", BasicRole(name, True), at)
+        return ("name", BasicRole(name), at)
 
     def tbox(self) -> list[_RawAxiom]:
         self.expect("tbox")
@@ -193,14 +188,19 @@ class _Parser:
         return raw
 
     def arg(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            return Constant(tok.text)
-        if tok.kind == "null":
-            self.next()
-            return Null(tok.text[1:])
-        raise self.error("constant or null expected")
+        """The constant or null at the cursor, as this parse's one term of its name."""
+        word = self.tokens[self.pos]
+        term = self.terms.get(word)
+        if term is None:
+            if word[:1].isalpha():
+                term = Constant(word)
+            elif word[:1] == "_":
+                term = Null(word[1:])
+            else:
+                raise self.error("constant or null expected")
+            self.terms[word] = term
+        self.pos += 1
+        return term
 
     def axioms(self, raw: list[_RawAxiom]) -> tuple[TBoxAxiom, ...]:
         """Fix name kinds from each axiom's shape, propagate them across bare
@@ -211,12 +211,12 @@ class _Parser:
                 raise self.error("inclusion mixes a concept and a role", lhs[2])
             if shapes != {"name"}:
                 kind = "concept" if "exists" in shapes else "role"
-                for shape, role, tok in (lhs, rhs):
+                for shape, role, at in (lhs, rhs):
                     if shape == "name":
-                        self.constrain(role.name, kind, tok)
-            for shape, role, tok in (lhs, rhs):
+                        self.constrain(role.name, kind, at)
+            for shape, role, at in (lhs, rhs):
                 if shape != "name":
-                    self.constrain(role.name, "role", tok)
+                    self.constrain(role.name, "role", at)
         changed = True
         while changed:
             changed = False
@@ -238,11 +238,11 @@ class _Parser:
                 axioms.add(RoleInclusion(lhs[1], rhs[1], negated))
                 continue
             sides: list[BasicConcept] = []
-            for shape, role, tok in (lhs, rhs):
+            for shape, role, at in (lhs, rhs):
                 if shape == "exists":
                     sides.append(Exists(role))
                 elif self.kinds.get(role.name) == "role":
-                    raise self.error(f"role {role.name!r} used where a concept is required", tok)
+                    raise self.error(f"role {role.name!r} used where a concept is required", at)
                 else:
                     sides.append(Atomic(role.name))
             axioms.add(ConceptInclusion(sides[0], sides[1], negated))
@@ -263,32 +263,32 @@ def parse_kb(text: str) -> KnowledgeBase:
     p.expect("abox")
     p.expect("{")
     assertions: list = []
-    first_exists: _Token | None = None
+    first_exists: int | None = None
     while not p.accept("}"):
-        tok = p.ident("assertion expected")
+        at = p.ident("assertion expected")
+        name = p.tokens[at]
         role: BasicRole | None = None
-        if tok.text == "exists":
-            role, rtok = p.role()
-            p.constrain(role.name, "role", rtok)
-            first_exists = first_exists or tok
+        if name == "exists":
+            role, rat = p.role()
+            p.constrain(role.name, "role", rat)
+            first_exists = at if first_exists is None else first_exists
         p.expect("(")
-        args = [p.arg()]
-        if role is None and p.accept(","):
-            args.append(p.arg())
+        first = p.arg()
+        second = p.arg() if role is None and p.accept(",") else None
         p.expect(")")
         p.expect(";")
         if role is not None:
-            assertions.append(ConceptAssertion(Exists(role), args[0]))
-        elif len(args) == 2:
-            p.constrain(tok.text, "role", tok)
-            assertions.append(RoleAssertion(BasicRole(tok.text), args[0], args[1]))
+            assertions.append(ConceptAssertion(Exists(role), first))
+        elif second is not None:
+            p.constrain(name, "role", at)
+            assertions.append(RoleAssertion(BasicRole(name), first, second))
         else:
-            p.constrain(tok.text, "concept", tok)
-            assertions.append(ConceptAssertion(Atomic(tok.text), args[0]))
+            p.constrain(name, "concept", at)
+            assertions.append(ConceptAssertion(Atomic(name), first))
     p.close()
     tbox = p.axioms(raw)
     abox = ABox.make(assertions)
-    if first_exists and abox.extended:
+    if first_exists is not None and abox.extended:
         raise p.error(
             "existential assertions are only allowed in ABoxes without nulls", first_exists
         )
@@ -298,7 +298,7 @@ def parse_kb(text: str) -> KnowledgeBase:
 def parse_mapping(text: str) -> Mapping:
     """Parse a ``mapping { source {...} target {...} tbox {...} }`` file."""
     p = _Parser(text)
-    start = p.expect("mapping")
+    p.expect("mapping")
     p.expect("{")
     p.expect("source")
     source = p.names(marked=True)
@@ -315,7 +315,7 @@ def parse_mapping(text: str) -> Mapping:
     mapping = Mapping(split(source), split(target), t12)
     violations = validate_mapping(mapping)
     if violations:
-        raise p.error("; ".join(violations), start)
+        raise p.error("; ".join(violations), 0)
     return mapping
 
 
