@@ -5,20 +5,21 @@ closure over basic concepts and basic roles: a digraph with an edge for each
 positive inclusion, where a role inclusion, read in both orientations, also
 joins ``exists sub`` to ``exists sup``.  A role reaches only roles and a
 concept only basic concepts.  Disjointness axioms are normalized into
-symmetric clash pair sets.  Consistency of small KBs reduces to checking each
-co-asserted pair of concepts/roles against the TBox, which in turn reduces to a
-clash scan over the (finitely many) witness classes reachable from the pair.
+symmetric clash pair sets.  Without a clash pair every ABox is consistent;
+otherwise each co-asserted pair of concepts/roles is checked against the TBox
+by a clash scan over the (finitely many) witness classes reachable from it.
 
-A `Reasoner` is that compiled form of one TBox: its edges indexed once,
-both clash pair sets, and memos of each node's closure, of witness-class
-representatives, minimal roles, generated classes and pair consistency,
-filled in the first time a decision asks for one.  Each decision builds the
-contexts it needs and drops them when it returns, so no cache outlives a
-call: `CanonicalStructure` builds (or is handed) the context of its KB's
-TBox, `exchange` reuses the structure's, and `representability` builds one
-per TBox it reasons over.  A certificate recheck builds its own contexts
-too: a solution's, to verify its certificate (`exchange.verify_solution`),
-and a synthesized TBox's, to decide its representation again.
+A `Reasoner` is that compiled form of one TBox: its edges indexed once, both
+clash pair sets, and memos of each node's closure and reverse closure (the
+nodes deriving it, read off reverse edges indexed on the first such question),
+of witness-class representatives, minimal roles, generated classes and pair
+consistency, filled in the first time a decision asks for one.  Each decision
+builds the contexts it needs and drops them when it returns, so no cache
+outlives a call: `CanonicalStructure` builds (or is handed) the context of its
+KB's TBox, `exchange` reuses the structure's, and `representability` builds
+one per TBox it reasons over.  A certificate recheck builds its own contexts
+too: a solution's, to verify its certificate (`exchange.verify_solution`), and
+a synthesized TBox's, to decide its representation again.
 The module-level `kb_consistent` is an uncached one-shot wrapper for the
 CLI's `consistency` command.
 """
@@ -80,6 +81,8 @@ class Reasoner:
         self.concept_clashes: frozenset = frozenset(concept_clashes)
         self.role_clashes: frozenset = frozenset(role_clashes)
         self._sup: dict = {}
+        self._sub: dict = {}
+        self._rev: dict | None = None
         self._reps: dict = {}
         self._generated: dict = {}
         self._minimal: dict = {}
@@ -94,6 +97,18 @@ class Reasoner:
         got = self._sup.get(x)
         if got is None:
             got = self._sup[x] = _reachable((x,), lambda y: self._edges.get(y, ()))
+        return got
+
+    def sub(self, x: BasicConcept | BasicRole) -> frozenset:
+        """Every basic concept or basic role that derives ``x``, itself included."""
+        got = self._sub.get(x)
+        if got is None:
+            if self._rev is None:
+                self._rev = {}
+                for y, ups in self._edges.items():
+                    for up in ups:
+                        self._rev.setdefault(up, set()).add(y)
+            got = self._sub[x] = _reachable((x,), lambda y: self._rev.get(y, ()))
         return got
 
     def derives(self, sub: BasicConcept | BasicRole, sup: BasicConcept | BasicRole) -> bool:
@@ -189,6 +204,8 @@ class Reasoner:
     def consistent(self, abox: ABox) -> bool:
         """Consistency of the ABox under this TBox, via pairwise checks of
         co-asserted concepts and roles."""
+        if not (self.concept_clashes or self.role_clashes):
+            return True
         for group in (*_asserted_concepts(abox).values(), *_asserted_roles(abox).values()):
             xs = sorted(group, key=str)
             for i, x in enumerate(xs):

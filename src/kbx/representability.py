@@ -128,14 +128,14 @@ def _require_valid(mapping: Mapping, t1: TBox, t2: Optional[TBox]) -> None:
         raise PreconditionViolated("; ".join(problems))
 
 
-class _Kind(Record, fields=("names", "sources", "live", "axiom")):
+class _Kind(Record, fields=("names", "sources", "sat", "live", "axiom")):
     """Basic concepts or basic roles: the terms of that kind on either side,
     and how to join two of them.
 
     ``names`` and ``sources`` list every basic term of this kind over the
-    target and over the source signature, and ``live`` the sources that are
-    consistent with the source TBox plus the mapping.  ``axiom`` is
-    ConceptInclusion or RoleInclusion.
+    target and over the source signature, ``sat`` the set of sources that are
+    consistent with the source TBox, and ``live`` those consistent with it
+    plus the mapping.  ``axiom`` is ConceptInclusion or RoleInclusion.
     """
 
     __slots__ = ()
@@ -171,7 +171,9 @@ class _Decision:
         self._safe: dict = {}
 
         def kind(names, sources, axiom) -> _Kind:
-            return _Kind(names, sources, [b for b in sources if comb.pair_consistent(b, b)], axiom)
+            sat = frozenset(b for b in sources if self.t1.pair_consistent(b, b))
+            live = [b for b in sources if comb.pair_consistent(b, b)]
+            return _Kind(names, sources, sat, live, axiom)
 
         self.concepts = kind(
             all_basic_concepts(self.tgt_sig), all_basic_concepts(src_sig), ConceptInclusion
@@ -201,8 +203,11 @@ class _Decision:
 #
 # An axiom between target terms is *safe* when adding it to a target TBox can
 # never produce facts (or clashes) on translated source data that the source
-# theory did not already guarantee.  These checks quantify over source
-# concepts/roles and over the generated neighbors of their canonical data.
+# theory did not already guarantee.  Quantifiers over sources are set algebra
+# on sub(x), the terms deriving x under source TBox plus mapping, as b [= x iff
+# b in sub(x): lhs [= rhs needs (sub(lhs) - sub(rhs)) & sat empty (no
+# satisfiable b [= lhs misses rhs); lhs [= not rhs, no consistent {b, c} in
+# sub(lhs) x sub(rhs).  Both then check canonical data's generated neighbors.
 # ---------------------------------------------------------------------------
 
 
@@ -210,11 +215,8 @@ def _inclusion_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
     if lhs == rhs:
         return True
     comb = d.comb
-    for b in kind.sources:
-        if not d.t1.pair_consistent(b, b):
-            continue
-        if comb.derives(b, lhs) and not comb.derives(b, rhs):
-            return False
+    if (comb.sub(lhs) - comb.sub(rhs)) & kind.sat:
+        return False
     if kind is d.roles:
         # A role inclusion also moves the existentials at both ends.
         return d.safe(_inclusion_safe, d.concepts, Exists(lhs), Exists(rhs)) and d.safe(
@@ -225,7 +227,7 @@ def _inclusion_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
         # edge of its role; that witness must then already carry the rhs.
         back = lhs.role.inverse()
         for b in kind.live:
-            if not comb.derives(b, Exists(back)):
+            if b not in comb.sub(Exists(back)):
                 continue
             probe = d.probe(comb, b)
             if not any(
@@ -238,10 +240,9 @@ def _inclusion_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
 
 def _disjointness_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
     comb = d.comb
+    below_lhs, below_rhs = comb.sub(lhs), comb.sub(rhs)
     for b, c in product(kind.sources, repeat=2):
-        if not (comb.derives(b, lhs) and comb.derives(c, rhs)):
-            continue
-        if comb.pair_consistent(b, c):
+        if b in below_lhs and c in below_rhs and comb.pair_consistent(b, c):
             return False
     # Nor may the two meet at, or on the edge to, a generated neighbor.
     for b in d.concepts.live:
@@ -348,9 +349,10 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
     # Both sides must entail the same target memberships.
     for kind in (d.concepts, d.roles):
         for b in kind.live:
+            src_up, tgt_up = comb.sup(b), tgt.sup(b)
             for bp in kind.names:
-                src_d = comb.derives(b, bp)
-                if src_d == tgt.derives(b, bp):
+                src_d = bp in src_up
+                if src_d == (bp in tgt_up):
                     continue
                 holder = "the source TBox" if src_d else "only the candidate"
                 reason = f"{b} transfers into {bp} under {holder}"
@@ -415,8 +417,9 @@ def representation_exists(mapping: Mapping, t1: TBox) -> RepresentationVerdict:
     # Entailed target memberships need a safe target-side rewriting.
     for kind in (d.concepts, d.roles):
         for b in kind.live:
+            up = comb.sup(b)
             for bp in kind.names:
-                if not comb.derives(b, bp):
+                if bp not in up:
                     continue
                 got = _included_all(d, kind, b, [bp])
                 if got is None:
@@ -506,9 +509,10 @@ def _included_all(d: _Decision, kind: _Kind, sub, targets) -> Optional[list]:
     from ``sub`` and that is safely included in it.
     """
     out = []
+    up = d.t12.sup(sub)
     for target in sorted(targets, key=str):
         for name in kind.names:
-            if d.t12.derives(sub, name) and d.safe(_inclusion_safe, kind, name, target):
+            if name in up and d.safe(_inclusion_safe, kind, name, target):
                 break
         else:
             return None
@@ -549,16 +553,18 @@ def _cover_members(d: _Decision, kind: _Kind, members: list):
     """Target axioms making any two of ``members`` contradictory together."""
     # A target disjointness between translations of two members.
     for x, y in product(members, repeat=2):
+        up_x, up_y = d.t12.sup(x), d.t12.sup(y)
         for bp in kind.names:
-            if not d.t12.derives(x, bp):
+            if bp not in up_x:
                 continue
             for cp in kind.names:
-                if d.t12.derives(y, cp) and d.safe(_disjointness_safe, kind, bp, cp):
+                if cp in up_y and d.safe(_disjointness_safe, kind, bp, cp):
                     return [kind.axiom(bp, cp, negated_rhs=True)]
     # A target inclusion feeding a disjointness the mapping already states.
     for x, y in product(members, repeat=2):
+        up_x = d.t12.sup(x)
         for bp in kind.names:
-            if not d.t12.derives(x, bp):
+            if bp not in up_x:
                 continue
             for ax in d.t12.tbox:
                 if not (isinstance(ax, kind.axiom) and ax.negated_rhs and ax.lhs == y):

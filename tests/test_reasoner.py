@@ -1,8 +1,15 @@
 """Derivation and consistency checks against small hand-built TBoxes."""
 
+import itertools
+import random
+
 import pytest
 
 from conftest import derives_concept, derives_role
+from oracle import naive_saturate
+from reductions import random_tbox
+
+from kbx import reasoner
 
 from kbx.model import (
     ABox,
@@ -16,6 +23,9 @@ from kbx.model import (
     Null,
     RoleAssertion,
     RoleInclusion,
+    Signature,
+    all_basic_concepts,
+    all_basic_roles,
 )
 from kbx.reasoner import Reasoner, kb_consistent, tbox_trivial
 
@@ -112,6 +122,46 @@ def test_a_tbox_without_clash_pairs_answers_consistent_without_a_chase(monkeypat
     a, b = Constant("a"), Constant("b")
     abox = ABox.make(
         [ConceptAssertion(F, a), ConceptAssertion(H, a), RoleAssertion(S, a, b), RoleAssertion(T, a, b)]
+    )
+    assert ctx.consistent(abox)
+
+
+def test_sub_is_the_reverse_of_sup_and_matches_saturation():
+    """y derives x exactly when x is in y's closure, whichever closure a
+    context is asked for first, and both agree with blind saturation."""
+    sig = Signature.make("ABC", "RST")
+    kinds = [
+        (all_basic_concepts(sig), "entails_concept"),
+        (all_basic_roles(sig), "entails_role"),
+    ]
+    rng = random.Random(22)
+    for i in range(200):
+        tbox = random_tbox(rng)
+        sat = naive_saturate(tbox)
+        sub_first, sup_first = Reasoner(tbox), Reasoner(tbox)
+        for terms, _ in kinds:
+            for x in terms:
+                sub_first.sub(x)
+                sup_first.sup(x)
+        for terms, entails in kinds:
+            for x, y in itertools.product(terms, repeat=2):
+                below = y in sub_first.sub(x)
+                assert below == (x in sub_first.sup(y)) == getattr(sat, entails)(y, x), (i, x, y)
+                assert (x in sup_first.sup(y)) == (y in sup_first.sub(x)) == below, (i, x, y)
+
+
+def test_a_tbox_without_clash_pairs_is_consistent_without_grouping_facts(monkeypatch):
+    """Without a clash pair the ABox's facts are never grouped by term."""
+    def group(abox):
+        raise AssertionError("grouped the facts of a TBox without clash pairs")
+
+    monkeypatch.setattr(reasoner, "_asserted_concepts", group)
+    monkeypatch.setattr(reasoner, "_asserted_roles", group)
+    ctx = Reasoner((ConceptInclusion(F, Exists(S)), RoleInclusion(S, T.inverse())))
+    a, b = Constant("a"), Constant("b")
+    abox = ABox.make(
+        [ConceptAssertion(F, a), ConceptAssertion(G, b), RoleAssertion(S, a, b),
+         RoleAssertion(T, b, a)]
     )
     assert ctx.consistent(abox)
 

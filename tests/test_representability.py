@@ -1,11 +1,19 @@
 """UCQ-representation membership, existence, and synthesis on the worked examples."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import load_kb, load_mapping, synthesize_representation
-from reductions import random_tbox
+from reductions import (
+    random_digraph,
+    random_representable_instance,
+    random_tbox,
+    reach_membership,
+    reach_nonemptiness,
+)
 
 from kbx.model import (
     Atomic,
@@ -129,3 +137,35 @@ def test_one_subsumption_graph_keeps_the_kinds_apart():
         for c in all_basic_concepts(sig):
             assert all(isinstance(x, (Atomic, Exists)) for x in ctx.sup(c)), (ctx.tbox, c)
     assert lifted >= 300, lifted
+
+
+def test_representation_verdicts_on_seeded_draws():
+    """1,500 random instances and the reachability encodings on four seeded
+    six-node digraphs.  Each synthesized TBox is checked again, whole and
+    less its last axiom, which pins ``no`` counterexamples too.  The counts
+    and the digest of every verdict were recorded before the safety checks
+    became set expressions over the closures."""
+    rng = random.Random(7)
+    inputs = [(*random_representable_instance(rng), None) for _ in range(1500)]
+    graphs = random.Random(22)
+    while len(inputs) < 1508:
+        n, edges, src, dst = random_digraph(graphs, max_nodes=6)
+        if n == 6:
+            inputs.append(reach_membership(n, edges, src, dst))
+            inputs.append((*reach_nonemptiness(n, edges, src, dst), None))
+    lines, counts = [], Counter()
+    for mapping, t1, t2 in inputs:
+        verdict = representation_exists(mapping, t1)
+        lines.append(repr(verdict))
+        counts["exists", verdict.answer] += 1
+        candidates = [verdict.tbox, verdict.tbox[:-1]] if verdict.answer == "yes" else []
+        for candidate in candidates + ([t2] if t2 is not None else []):
+            checked = is_ucq_representation(mapping, t1, candidate)
+            lines.append(repr(checked))
+            counts["member", checked.answer] += 1
+    assert counts == {
+        ("exists", "yes"): 842, ("exists", "no"): 666,
+        ("member", "yes"): 1614, ("member", "no"): 74,
+    }
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "13c0823edd84059d5bce9b9db450bd381e73f5384bf2fd8896638a35e2638fff"
