@@ -1,7 +1,14 @@
 """Core syntactic objects: signatures, roles, concepts, axioms, ABoxes, KBs, mappings.
 
 Everything here is an immutable `Record`: a tuple of its fields with
-structural equality, hashed and built in C.  Rendering methods produce the
+structural equality, hashed and built in C.  The vocabulary records
+`Atomic`, `BasicRole` and `Exists` are interned: building one returns the
+object already made for equal fields, so set and dict lookups between
+records built by different modules (the parser, the reasoner, the
+interpretations) succeed on identity in C, without a Python ``__eq__``.
+Each interning table is cleared when it reaches `INTERN_LIMIT` entries, so
+two equal records need not be the same object: equality stays structural,
+and no code may compare records with ``is``.  Rendering methods produce the
 concrete text syntax understood by the parser in `kbx.syntax`; the parser
 and serializer rely on them being exact.
 """
@@ -14,6 +21,21 @@ from typing import Iterable, Iterator, Union
 _new = tuple.__new__
 _eq = tuple.__eq__
 _ne = tuple.__ne__
+
+INTERN_LIMIT = 65536  # entries per interning table; a full table is cleared
+# The interning tables: name -> Atomic, (name, inverted) -> BasicRole,
+# role -> Exists.
+_atomics: dict = {}
+_roles: dict = {}
+_exists: dict = {}
+
+
+def _intern(table: dict, key, record):
+    """Store ``record`` as the one object for ``key`` and return it."""
+    if len(table) >= INTERN_LIMIT:
+        table.clear()
+    table[key] = record
+    return record
 
 
 def _compare(op, symbol):
@@ -38,7 +60,10 @@ class Record(tuple):
     no fields.  The repr reads ``Name(field=value, ...)``.  A class without its own
     ``__new__`` takes every field, in order or by name; one with defaults or
     a normal form writes a ``__new__`` that returns
-    ``tuple.__new__(cls, fields)``.
+    ``tuple.__new__(cls, fields)``.  `Atomic`, `BasicRole` and `Exists`
+    intern: their ``__new__`` returns the record in a bounded per-class table
+    when there is one.  That only speeds lookups up; equality, hashing,
+    order, repr and pickling stay structural, so never compare with ``is``.
     """
 
     __slots__ = ()
@@ -104,7 +129,11 @@ class BasicRole(Record, fields=("name", "inverted")):
     __slots__ = ()
 
     def __new__(cls, name: str, inverted: bool = False):
-        return _new(cls, (name, inverted))
+        key = (name, inverted)
+        try:
+            return _roles[key]
+        except KeyError:
+            return _intern(_roles, key, _new(cls, key))
 
     def inverse(self) -> "BasicRole":
         return BasicRole(self.name, not self.inverted)
@@ -118,6 +147,12 @@ class Atomic(Record, fields=("name",)):
 
     __slots__ = ()
 
+    def __new__(cls, name: str):
+        try:
+            return _atomics[name]
+        except KeyError:
+            return _intern(_atomics, name, _new(cls, (name,)))
+
     def __str__(self) -> str:
         return self.name
 
@@ -126,6 +161,12 @@ class Exists(Record, fields=("role",)):
     """Existential restriction over a basic role (``exists R``)."""
 
     __slots__ = ()
+
+    def __new__(cls, role: BasicRole):
+        try:
+            return _exists[role]
+        except KeyError:
+            return _intern(_exists, role, _new(cls, (role,)))
 
     def __str__(self) -> str:
         return f"exists {self.role}"
