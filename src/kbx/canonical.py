@@ -10,7 +10,6 @@ edges and type tables); `materialize` unfolds it to any finite depth, and
 
 from __future__ import annotations
 
-import copy
 from itertools import count
 
 from .model import (
@@ -42,10 +41,7 @@ def positive_part(tbox: TBox) -> TBox:
 
 def combined_tbox(*tboxes: TBox) -> TBox:
     """Union of TBoxes in canonical (sorted, deduplicated) order."""
-    axioms = set()
-    for t in tboxes:
-        axioms.update(t)
-    return tuple(sorted(axioms, key=str))
+    return tuple(sorted(set().union(*tboxes), key=str))
 
 
 def element_label(e) -> str:
@@ -53,8 +49,7 @@ def element_label(e) -> str:
 
     A path is a plain tuple; terms are records, which are tuples too."""
     if type(e) is tuple:
-        parts = [str(e[0])] + [f"w[{r}]" for r in e[1:]]
-        return ".".join(parts)
+        return ".".join([str(e[0])] + [f"w[{r}]" for r in e[1:]])
     return str(e)
 
 
@@ -66,14 +61,12 @@ class FiniteInterpretation:
         Constant -> element map; extra elements may carry no facts at all."""
         self.elements: tuple = tuple(sorted(set(elements), key=element_label))
         self.constant_elems: dict = dict(constants)
-        cext: dict[str, set] = {}
+        self.concept_ext: dict[str, set] = {}
         for name, e in concept_facts:
-            cext.setdefault(name, set()).add(e)
-        rext: dict[str, set] = {}
+            self.concept_ext.setdefault(name, set()).add(e)
+        self.role_ext: dict[str, set] = {}
         for name, e1, e2 in role_facts:
-            rext.setdefault(name, set()).add((e1, e2))
-        self.concept_ext: dict[str, frozenset] = {n: frozenset(s) for n, s in cext.items()}
-        self.role_ext: dict[str, frozenset] = {n: frozenset(s) for n, s in rext.items()}
+            self.role_ext.setdefault(name, set()).add((e1, e2))
         types: dict = {e: set() for e in self.elements}
         for name, ext in self.concept_ext.items():
             a = Atomic(name)
@@ -83,13 +76,12 @@ class FiniteInterpretation:
         self._links: dict = {}
         for name, ext in self.role_ext.items():
             r, inv = BasicRole(name), BasicRole(name, inverted=True)
+            out, back = Exists(r), Exists(inv)
             for e1, e2 in ext:
                 self._links.setdefault(e1, {}).setdefault(e2, set()).add(r)
                 self._links.setdefault(e2, {}).setdefault(e1, set()).add(inv)
-            for e in {e1 for e1, _ in ext}:
-                types[e].add(Exists(r))
-            for e in {e2 for _, e2 in ext}:
-                types[e].add(Exists(inv))
+                types[e1].add(out)
+                types[e2].add(back)
         self._types = {e: frozenset(t) for e, t in types.items()}
 
     def ttype(self, e, sigma: Signature | None = None) -> frozenset:
@@ -108,34 +100,39 @@ class FiniteInterpretation:
         """The elements that share a role fact with ``e``."""
         return self._links.get(e, {}).keys()
 
-    def without(self, fact) -> FiniteInterpretation:
-        """The structure minus one concept fact ``(name, e)`` or role fact
-        ``(name, e1, e2)``, over the same elements and constants.
-
-        Every table the fact does not touch is shared with ``self``: the
-        per-name extensions, and the types and neighbour roles of elements
-        other than the fact's ends.  An element that loses its last fact
-        stays, fact-free.
-        """
-        out = copy.copy(self)
+    def drop(self, fact) -> None:
+        """Take the concept fact ``(name, e)`` or role fact ``(name, e1, e2)``
+        out of the structure, in place; ``restore`` puts it back.  An element
+        that loses its last fact stays, fact-free."""
         name, *ends = fact
+        ext = self.concept_ext if len(ends) == 1 else self.role_ext
+        ext[name].discard(ends[0] if len(ends) == 1 else tuple(ends))
+        if not ext[name]:
+            del ext[name]
         if len(ends) == 1:
-            (e,) = ends
-            out.concept_ext = _minus(self.concept_ext, name, e)
-            out._types = {**self._types, e: self._types[e] - {Atomic(name)}}
-            return out
+            self._types[ends[0]] -= {Atomic(name)}
+            return
         e1, e2 = ends
-        out.role_ext = _minus(self.role_ext, name, (e1, e2))
-        out._links = dict(self._links)
-        out._types = dict(self._types)
         for x, y, r in ((e1, e2, BasicRole(name)), (e2, e1, BasicRole(name, inverted=True))):
-            links = out._links[x] = dict(out._links[x])
-            links[y] = links[y] - {r}
+            links = self._links[x]
+            links[y].discard(r)
             if not links[y]:
                 del links[y]
             if not any(r in roles for roles in links.values()):
-                out._types[x] = out._types[x] - {Exists(r)}
-        return out
+                self._types[x] -= {Exists(r)}
+
+    def restore(self, fact) -> None:
+        """Put back a fact that ``drop`` took out."""
+        name, *ends = fact
+        if len(ends) == 1:
+            self.concept_ext.setdefault(name, set()).add(ends[0])
+            self._types[ends[0]] |= {Atomic(name)}
+            return
+        e1, e2 = ends
+        self.role_ext.setdefault(name, set()).add((e1, e2))
+        for x, y, r in ((e1, e2, BasicRole(name)), (e2, e1, BasicRole(name, inverted=True))):
+            self._links.setdefault(x, {}).setdefault(y, set()).add(r)
+            self._types[x] |= {Exists(r)}
 
     def concept_facts(self):
         for name in sorted(self.concept_ext):
@@ -150,21 +147,7 @@ class FiniteInterpretation:
                 yield name, e1, e2
 
     def fact_count(self) -> int:
-        return sum(len(v) for v in self.concept_ext.values()) + sum(
-            len(v) for v in self.role_ext.values()
-        )
-
-
-def _minus(ext: dict, name: str, item) -> dict:
-    """A copy of a name -> extension table with ``item`` taken out of
-    ``name``'s extension, and the name dropped once its extension is empty."""
-    out = dict(ext)
-    rest = ext[name] - {item}
-    if rest:
-        out[name] = rest
-    else:
-        del out[name]
-    return out
+        return sum(map(len, self.concept_ext.values())) + sum(map(len, self.role_ext.values()))
 
 
 class CanonicalStructure:
@@ -207,18 +190,15 @@ class CanonicalStructure:
         self.parents: dict = {}  # class -> the states that generate it
         for s, children in self.gen.items():
             for child in children:
-                self.parents.setdefault(child, []).append(s)
+                self.parents.setdefault(child, set()).add(s)
         self._over: dict = {}
 
     def states(self):
         return list(self.individuals) + sorted(self.classes, key=str)
 
     def state_type(self, state, sigma: Signature | None = None) -> frozenset:
-        tp = (
-            self.individual_types[state]
-            if isinstance(state, (Constant, Null))
-            else self.class_types[state]
-        )
+        types = self.individual_types if isinstance(state, (Constant, Null)) else self.class_types
+        tp = types[state]
         if sigma is None:
             return tp
         return frozenset(c for c in tp if concept_over(c, sigma))

@@ -34,11 +34,11 @@ from .canonical import (
     truncation,
 )
 from .homomorphism import (
+    _refine,
     choose_images,
     embeds_finite_into_regular,
     embeds_regular_into_finite,
     live_images,
-    shrink_images,
     verify_embedding_into_regular,
     verify_simulation,
 )
@@ -252,27 +252,44 @@ def _minimize_witness(u: CanonicalStructure, abox: ABox, sigma) -> ABox:
     Dropping facts keeps the way back into the canonical model (a restriction
     of a homomorphism is one), so only regular-to-finite needs a check.  That
     direction is monotone in the facts, so a fact kept once stays needed and
-    one pass reaches what repeating passes would.  The Herbrand structure and
-    its live images are built once; a trial drops one fact from both,
-    shrinking the images around the fact's ends, and is kept when the
-    individuals still find images.  The assertions are atomic concept and
-    role facts, as ``_interpretation_to_abox`` writes them.
+    one pass reaches what repeating passes would.  The trials share one
+    Herbrand structure and live-image table: each drops its fact in place
+    and refines from the index entries of the fact's ends (a pair away from
+    the fact keeps its type and neighbour roles).  Unless an individual runs
+    out of images, the table is the smaller structure's greatest simulation,
+    and the last choice of images stands unless a chosen pair died or the
+    fact joined chosen images whose individuals need it; only then does
+    ``choose_images`` search, from those individuals.  A failed trial undoes
+    its trail and restores its fact.  So each trial answers as a fresh
+    ``embeds_regular_into_finite`` would, in the same order: the witness is
+    the same.  The facts are atomic, as ``_interpretation_to_abox`` writes.
     """
     v = build_vabox(abox)
     images = live_images(u, v, sigma)
-    if images is None:  # nothing maps in, so no smaller ABox does either
+    choice = None if images is None else choose_images(u, v, images)
+    if choice is None:  # nothing maps in, so no smaller ABox does either
         return abox
     current = set(abox.assertions)
     for a in sorted(current, key=str, reverse=True):
-        if isinstance(a, ConceptAssertion):
-            fact = (a.concept.name, a.term)
-        else:
-            fact = (a.role.name, a.first, a.second)
-        trial = v.without(fact)
-        shrunk = shrink_images(u, trial, images, fact[1:], sigma)
-        if choose_images(u, trial, shrunk, sigma) is not None:
-            v, images = trial, shrunk
-            current.discard(a)
+        concept = isinstance(a, ConceptAssertion)
+        fact = (a.concept.name, a.term) if concept else (a.role.name, a.first, a.second)
+        v.drop(fact)
+        mark, ends = len(images.trail), fact[1:]
+        if _refine(u, v, sigma, images, [(s, e) for e in ends for s in images.index[e]]) is None:
+            chosen = choice.items()
+            broken = [s for s, e in images.trail[mark:] if (s, e) in chosen]
+            if not concept:
+                e1, e2 = ends
+                broken += [t for t in images.index[e1] if (t, e1) in chosen and any(
+                    (t2, e2) in chosen and not roles <= v.rtype(e1, e2)
+                    for t2, roles in images.need[t].items())]
+            found = choose_images(u, v, images, sorted(broken, key=str)) if broken else choice
+            if found is not None:
+                choice = found
+                current.discard(a)
+                continue
+        images.undo(mark)
+        v.restore(fact)
     return ABox.make(current)
 
 

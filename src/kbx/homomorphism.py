@@ -3,14 +3,17 @@
 Universal-solution decisions need both directions.  Regular-to-finite
 (``embeds_regular_into_finite``, re-checked by ``verify_simulation``) is a
 greatest-fixpoint simulation over canonical states, exact because path types
-depend only on the final witness class; a worklist refines it, looking for a
-pair's support among the element's neighbours only, and after one fact is
-dropped re-refines it from the pairs at the fact's ends.  Finite-to-regular
-(``embeds_finite_into_regular``, re-checked by
+depend only on the final witness class.  A worklist refines one table in
+place (Henzinger, Henzinger and Kopke, "Computing simulations on finite and
+infinite graphs", 1995): an index from each element to the states that hold
+it lets a dead pair re-check only the parent pairs at its element's
+neighbours, an undo trail of the dead pairs lets a trial that drops a fact
+be taken back, and the refinement stops once an individual has no image
+left.  Finite-to-regular (``embeds_finite_into_regular``, re-checked by
 ``verify_embedding_into_regular``) is complete via an anchored search: a
-connected image in a forest-shaped model sits below a unique shallowest node,
-so it suffices to try every element as the anchor and every root as its
-image.  It reads each element's concepts and neighbour roles from the
+connected image in a forest-shaped model sits below a unique shallowest
+node, so it suffices to try every element as the anchor and every root as
+its image.  It reads each element's concepts and neighbour roles from the
 finite structure once; one breadth-first walk over those neighbours gives a
 component and the order that breaks ties between its elements.  A component
 with constants starts from them alone.  An element's values are the paths
@@ -45,104 +48,96 @@ from .model import Atomic, BasicRole, Constant, Signature, role_over
 def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
                                sigma: Signature | None = None) -> frozenset | None:
     """Simulation witnessing a homomorphism from the full (possibly infinite)
-    canonical model into a finite interpretation.
-
-    The live images of every state (``live_images``) with one image chosen
-    per individual (``choose_images``).  Returns the table of the chosen
-    individual pairs and every live witness-class pair, or None.
-    """
+    canonical model into a finite interpretation: the live images of every
+    state (``live_images``) with one image chosen per individual
+    (``choose_images``).  Returns the table of the chosen individual pairs
+    and every live witness-class pair, or None."""
     images = live_images(c, f, sigma)
-    choice = None if images is None else choose_images(c, f, images, sigma)
+    choice = None if images is None else choose_images(c, f, images)
     if choice is None:
         return None
-    table = {(t, choice[t]) for t in c.individuals}
-    table |= {(rep, e) for rep in c.classes for e in images[rep]}
-    return frozenset(table)
+    return frozenset({*choice.items(), *((rep, e) for rep in c.classes for e in images[rep])})
+
+
+class LiveImages(dict):
+    """Each state's live images, with ``index``: element -> the states that
+    hold it, ``trail``: the pairs ``_refine`` killed, in order, and
+    ``need``: individual -> individual -> the roles over the signature
+    that must hold between their images."""
+
+    def undo(self, mark: int) -> None:
+        """Bring back the pairs killed since the trail had ``mark`` of them."""
+        while len(self.trail) > mark:
+            s, e = self.trail.pop()
+            self[s].add(e)
+            self.index[e].add(s)
 
 
 def live_images(c: CanonicalStructure, f: FiniteInterpretation,
-                sigma: Signature | None = None) -> dict | None:
+                sigma: Signature | None = None) -> LiveImages | None:
     """The greatest simulation of the canonical states in ``f``, as a map from
     each state to its live images; None when a signature-visible constant
-    is missing from ``f``.
-
-    Greatest fixpoint over (state, element) pairs; exact because the type of a
-    path depends only on its last witness class and generating edges connect
-    adjacent paths only.
+    is missing from ``f`` or an individual has no live image (``_refine``
+    stops at the first).  Exact because the type of a path depends only on
+    its last witness class and generating edges connect adjacent paths only.
 
     Elements that carry no fact over the signature contribute no answers, so
     they may map to a fact-free sink (recorded as ``None``) instead of a real
     element; their signature-visible descendants still need real images.
     """
     types, _ = c.over(sigma)
-    pin = {}
-    for t in c.individuals:
-        if isinstance(t, Constant):
-            if t in f.constant_elems:
-                pin[t] = f.constant_elems[t]
-            elif types[t]:
-                # A signature-visible constant must map to itself.
-                return None
-
     # State types are over the signature, so an element's full type covers
     # one exactly when its filtered type does.
     pool = [(e, f.ttype(e)) for e in f.elements] + [(None, frozenset())]
-    images: dict = {s: set() for s in c.gen}  # live images per state
+    images = LiveImages((s, set()) for s in c.gen)
     for t in c.individuals:
         tp = types[t]
-        if t in pin:
-            if tp <= f.ttype(pin[t]):
-                images[t].add(pin[t])
-        elif isinstance(t, Constant):
+        if not isinstance(t, Constant):
+            images[t].update(e for e, have in pool if tp <= have)
+        elif (e := f.constant_elems.get(t)) is not None:
+            if tp <= f.ttype(e):
+                images[t].add(e)
+        elif tp:
+            return None  # a signature-visible constant must map to itself
+        else:
             # A constant the witness does not interpret must stay invisible;
             # it takes the sink rather than borrowing a real element.
             images[t].add(None)
-        else:
-            images[t].update(e for e, have in pool if tp <= have)
     for rep in c.classes:
         tp = types[rep]
         images[rep].update(e for e, have in pool if tp <= have)
-    if c.classes:
-        # The scans have checked every type, so only a pair that needs
-        # children can die.
-        _refine(c, f, sigma, images, [(s, e) for s, es in images.items() if c.gen[s] for e in es])
+    images.index, images.trail = {e: set() for e, _ in pool}, []
+    for s, es in images.items():
+        for e in es:
+            images.index[e].add(s)
+    # The scans have checked every type, so only a pair that needs children
+    # can die.
+    queue = [(s, e) for s, es in images.items() if c.gen[s] for e in es]
+    if not all(map(images.get, c.individuals)) or _refine(c, f, sigma, images, queue) is not None:
+        return None
+    images.need = {t: {} for t in c.individuals}
+    for (t1, t2), roles in c.individual_roles.items():
+        if over := frozenset(r for r in roles if sigma is None or role_over(r, sigma)):
+            images.need[t1][t2] = over
     return images
 
 
-def shrink_images(c: CanonicalStructure, f: FiniteInterpretation, images: dict,
-                  ends, sigma: Signature | None = None) -> dict:
-    """The live images in ``f``, given ``images``: those in a structure that
-    has one fact more than ``f``, at the elements ``ends``.
-
-    The simulation only shrinks when a fact goes, and a pair away from the
-    fact keeps its type and its neighbour roles, so only the pairs at its
-    ends are checked first.  ``images`` is left as it was.
-    """
-    out = {s: set(es) for s, es in images.items()}
-    _refine(c, f, sigma, out, [(s, e) for s, es in out.items() for e in ends if e in es])
-    return out
-
-
-def choose_images(c: CanonicalStructure, f: FiniteInterpretation, images: dict,
-                  sigma: Signature | None = None) -> dict | None:
+def choose_images(c: CanonicalStructure, f: FiniteInterpretation, images: LiveImages,
+                  first=()) -> dict | None:
     """One live image per individual such that the role facts between
     individuals map onto role facts of ``f``, or None.
 
     Null-named individuals are unpinned, so the finite core (with its role
-    facts) must map consistently.  A ``_search`` over the individuals in
-    order; each one's values are its live images by label, narrowed by the
-    role requirements towards the individuals already chosen.
+    facts) must map consistently.  A ``_search`` over the individuals,
+    ``first`` first; each one's values are its live images by label,
+    narrowed by ``images.need`` towards the individuals already chosen.
     """
-    need: dict = {t: {} for t in c.individuals}  # t1 -> t2 -> roles over sigma
-    for (t1, t2), roles in c.individual_roles.items():
-        if over := frozenset(r for r in roles if sigma is None or role_over(r, sigma)):
-            need[t1][t2] = over
-
     def by_label(t, _beside) -> list:
         return sorted(images[t], key=lambda e: (e is None, "" if e is None else element_label(e)))
 
     choice: dict = {}
-    return choice if _search(list(c.individuals), choice, need, by_label, f.rtype) else None
+    keys = list(dict.fromkeys([*first, *c.individuals]))
+    return choice if _search(keys, choice, images.need, by_label, f.rtype) else None
 
 
 def _search(keys: list, assignment: dict, need: dict, values, roles) -> bool:
@@ -166,7 +161,7 @@ def _search(keys: list, assignment: dict, need: dict, values, roles) -> bool:
     an undo trail restores the narrowed values on backtracking.  Returns
     whether every key got a value; on failure ``assignment`` is as it was.
     """
-    rank = {x: i for i, x in enumerate(keys)}
+    rank = dict(zip(keys, range(len(keys))))
     left: dict = {}  # unplaced key next to a placed one -> the values that fit
     trail: list = []  # (key, its values before a change, None when it had none)
     # (number of values, rank, key) for every value list ``left`` was given;
@@ -246,38 +241,42 @@ def _search(keys: list, assignment: dict, need: dict, values, roles) -> bool:
 
 
 def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | None,
-            images: dict, queue: list) -> None:
-    """Shrink ``images`` (state -> live images) to the greatest simulation
-    below it.
+            images: LiveImages, queue: list):
+    """Shrink ``images`` in place towards the greatest simulation below it;
+    None at that fixpoint, or at once the first individual left without a
+    live image.
 
     A pair (state, element) lives while the element's type covers the
     state's and every child class of the state has a live image that the
     element reaches over the child's edge roles: among the element's
     neighbours, or anywhere (the sink included) when the edge shows no role
-    over the signature.  ``queue`` holds the pairs to check first; when a
-    pair dies, only the pairs whose support it may have been are re-checked.
-    The greatest fixpoint does not depend on the order.  State types and
-    edge roles come from the structure's tables for the signature
-    (``CanonicalStructure.over``); neighbour roles are read once per
-    visited element.
+    over the signature.  ``queue`` holds the pairs to check first.  A dead
+    pair leaves the index for the trail, and re-checks only the pairs it
+    may have supported: its parents' pairs at the element's neighbours, by
+    the index, or all of them once a class whose edge shows no role has no
+    image.  A pair dies only if no simulation below ``images`` holds it, so
+    the fixpoint, and whether an individual runs out, do not depend on the
+    order.  ``CanonicalStructure.over`` gives types and edge roles; each
+    visited element's neighbour roles are read once, one object per set.
     """
     types, need = c.over(sigma)
-    parents = c.parents
+    gen, parents, index, trail = c.gen, c.parents, images.index, images.trail
     links: dict = {None: ()}  # element -> (neighbour, sigma-filtered roles)
+    shared: dict = {}  # each distinct role set, kept once
 
     def linked(e) -> list:
         got = links.get(e)
         if got is None:
             got = links[e] = [
-                (e2, roles) for e2 in f.neighbours(e) if (roles := f.rtype(e, e2, sigma))
+                (e2, shared.setdefault(roles, roles))
+                for e2 in f.neighbours(e) if (roles := f.rtype(e, e2, sigma))
             ]
         return got
 
-    def typed(s, e) -> bool:
-        return types[s] <= f.ttype(e) if e is not None else not types[s]
-
-    def supported(s, e) -> bool:
-        for child in c.gen[s]:
+    def lives(s, e) -> bool:
+        if not (types[s] <= f.ttype(e) if e is not None else not types[s]):
+            return False
+        for child in gen[s]:
             if need[child]:
                 live = images[child]
                 if not any(need[child] <= roles and e2 in live for e2, roles in linked(e)):
@@ -287,17 +286,20 @@ def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | N
         return True
 
     while queue:
-        s, e = queue.pop()
-        if e not in images[s] or (typed(s, e) and supported(s, e)):
+        pair = s, e = queue.pop()
+        if e not in images[s] or lives(s, e):
             continue
         images[s].discard(e)
-        if s not in parents:
-            continue  # an individual: no pair relies on it
-        if need[s]:
-            # Only a parent pair at a neighbour of ``e`` could reach it.
-            queue += [(p, e1) for p in parents[s] for e1, _ in linked(e) if e1 in images[p]]
+        index[e].discard(s)
+        trail.append(pair)
+        if s not in parents:  # an individual: no pair relies on it
+            if not images[s]:
+                return s
+        elif need[s]:
+            queue += [(p, e1) for e1, _ in linked(e) for p in index[e1] if p in parents[s]]
         elif not images[s]:
             queue += [(p, e1) for p in parents[s] for e1 in images[p]]
+    return None
 
 
 def verify_simulation(c: CanonicalStructure, f: FiniteInterpretation,

@@ -177,22 +177,30 @@ def _assert_same_structure(got, want):
             assert got.rtype(e, e2) == want.rtype(e, e2), (e, e2)
 
 
-def _check_without(abox):
-    """Each fact dropped alone, then every fact dropped one after another,
-    against the Herbrand structure of the smaller ABox."""
+def _check_drop(abox):
+    """Each fact dropped alone and restored, then every fact dropped one after
+    another and all restored in reverse, in place, against the Herbrand
+    structure of the smaller ABox."""
     full = build_vabox(abox)
     for a in abox.assertions:
         rest = ABox.make(x for x in abox.assertions if x != a)
-        _assert_same_structure(full.without(_fact(a)), build_vabox(rest))
-    _assert_same_structure(full, build_vabox(abox))  # left as it was
-    current, remaining = full, list(abox.assertions)
+        full.drop(_fact(a))
+        _assert_same_structure(full, build_vabox(rest))
+        full.restore(_fact(a))
+        _assert_same_structure(full, build_vabox(abox))
+    remaining, dropped = list(abox.assertions), []
     for a in sorted(abox.assertions, key=str, reverse=True):
-        current = current.without(_fact(a))
+        full.drop(_fact(a))
         remaining.remove(a)
-        _assert_same_structure(current, build_vabox(ABox.make(remaining)))
+        dropped.append(a)
+        _assert_same_structure(full, build_vabox(ABox.make(remaining)))
+    for a in reversed(dropped):
+        full.restore(_fact(a))
+        remaining.append(a)
+        _assert_same_structure(full, build_vabox(ABox.make(remaining)))
 
 
-def test_without_matches_the_smaller_qbf_candidates():
+def test_drop_and_restore_match_the_smaller_qbf_candidates():
     for i in range(3):
         kb, mapping = load_kb(f"qbf/valid{i}_kb"), load_mapping(f"qbf/valid{i}_map")
         sigma = mapping.sigma2
@@ -202,10 +210,10 @@ def test_without_matches_the_smaller_qbf_candidates():
             for cand in (_interpretation_to_abox(materialize(u, d), sigma) for d in range(7))
             if _membership(u, cand, sigma).answer == "yes"
         )
-        _check_without(candidate)
+        _check_drop(candidate)
 
 
-def test_without_matches_the_smaller_random_aboxes():
+def test_drop_and_restore_match_the_smaller_random_aboxes():
     rng = random.Random(7)
     terms = [Constant("a"), Constant("b"), Null("x"), Null("y")]
     lone = Constant("d")  # in exactly one fact, so dropping it empties ``d``
@@ -223,4 +231,4 @@ def test_without_matches_the_smaller_random_aboxes():
             RoleAssertion(BasicRole("S"), rng.choice(terms), lone),
             RoleAssertion(BasicRole("P"), lone, lone),
         )))
-        _check_without(ABox.make(facts))
+        _check_drop(ABox.make(facts))

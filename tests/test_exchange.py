@@ -1,7 +1,10 @@
 """Universal-solution checking and construction on the worked examples."""
 
+import contextlib
 import gc
 import hashlib
+import io
+import json
 import random
 import time
 from collections import Counter
@@ -17,7 +20,7 @@ from reductions import (
     small_graphs,
 )
 
-from kbx import exchange
+from kbx import cli, exchange
 from kbx.canonical import (
     InconsistentKB,
     _unfold,
@@ -283,6 +286,14 @@ def _certified(kb, mapping, candidate):
     return _prepare(kb, mapping)[1], build_vabox(candidate.abox), verdict.certificate
 
 
+def _dropped(kb, fact):
+    """The Herbrand structure of ``kb``'s ABox less ``fact``, on the same
+    elements: one that loses its last fact stays, fact-free."""
+    v = build_vabox(kb.abox)
+    v.drop(fact)
+    return v
+
+
 def test_verify_simulation_rejects_each_tampered_certificate():
     """A yes certificate, changed in one place, fails the verifier: each
     change breaks one clause and leaves the others holding."""
@@ -310,7 +321,7 @@ def test_verify_simulation_rejects_each_tampered_certificate():
     cases.append(("a constant leaves its own element",
                   u, mapping.sigma2, (v, table), (v, {(a, b), (b, b)})))
     cases.append(("a concept that an image needs is dropped",
-                  u, mapping.sigma2, (v, table), (v.without(("Fp", a)), table)))
+                  u, mapping.sigma2, (v, table), (_dropped(candidate, ("Fp", a)), table)))
 
     mapping = load_mapping("ex3_map")
     u, v, (table, _) = _certified(load_kb("ex3_kb"), mapping, load_kb("ex3_cand"))
@@ -323,7 +334,7 @@ def test_verify_simulation_rejects_each_tampered_certificate():
     u, v, (table, _) = _certified(kb, mapping, coloured)
     c0, c1 = sorted(u.individuals, key=str)[:2]
     cases.append(("a pair between individuals that a role needs is dropped",
-                  u, mapping.sigma2, (v, table), (v.without(("Ep", c0, c1)), table)))
+                  u, mapping.sigma2, (v, table), (_dropped(coloured, ("Ep", c0, c1)), table)))
 
     for what, u, sigma, (v, table), (bad_v, bad_table) in cases:
         assert verify_simulation(u, v, table, sigma), what
@@ -463,6 +474,78 @@ def test_minimisation_matches_the_repeated_passes_on_random_candidates():
                 candidates += 1
                 shrunk += want != candidate
     assert candidates >= 200 and shrunk >= 100, (candidates, shrunk)
+
+
+def _null_data_instance(rng):
+    """A source whose ABox joins 3 to 6 null individuals by role facts: a
+    path in random directions, up to two more facts (self-loops included)
+    and some concept facts, under up to three source axioms; its mapping
+    carries both roles to the target, plus some of the other inclusions."""
+    nulls = [f"_x{i}" for i in range(rng.randint(3, 6))]
+    pairs = [(x, y) if rng.random() < 0.5 else (y, x) for x, y in zip(nulls, nulls[1:])]
+    pairs += [(rng.choice(nulls), rng.choice(nulls)) for _ in range(rng.randint(0, 2))]
+    facts = [f"{rng.choice('PS')}({x}, {y});" for x, y in pairs]
+    facts += [f"{rng.choice('AB')}({x});" for x in nulls if rng.random() < 0.5]
+    kb = parse_kb(
+        "kb { roles { P, S } tbox { "
+        + " ".join(f"{ax};" for ax in rng.sample(_SOURCE_AXIOMS, rng.randint(0, 3)))
+        + " } abox { " + " ".join(facts) + " } }"
+    )
+    concepts = ("A [= Ap", "B [= Bp", "S [= Pp", "exists P- [= Ap")
+    mapping = parse_mapping(
+        "mapping { source { A, B, role P, role S } target { Ap, Bp, role Pp, role Sp } "
+        "tbox { P [= Pp; S [= Sp; "
+        + " ".join(f"{ax};" for ax in rng.sample(concepts, rng.randint(0, 3)))
+        + " } }"
+    )
+    return kb, mapping
+
+
+def test_minimisation_keeps_or_searches_again_for_the_choice_on_null_data(monkeypatch):
+    """On data candidates whose null individuals are joined by role facts,
+    alone and doubled, one-pass minimisation matches the repeated passes.
+    Many trials keep the last choice of images without a search, and many
+    find another choice after the last one broke."""
+    refined, searched = [], []  # each trial's refinement; each search's outcome
+    refine, choose = exchange._refine, exchange.choose_images
+
+    def traced_refine(*args):
+        refined.append(refine(*args))
+        return refined[-1]
+
+    def traced_choose(*args):
+        choice = choose(*args)
+        searched.append(choice is not None)
+        return choice
+
+    monkeypatch.setattr(exchange, "_refine", traced_refine)
+    monkeypatch.setattr(exchange, "choose_images", traced_choose)
+    rng = random.Random(24)
+    candidates = 0
+    for _ in range(40):
+        kb, mapping = _null_data_instance(rng)
+        sigma = mapping.sigma2
+        u = _prepare(kb, mapping)[1]
+
+        def both(abox):
+            v = build_vabox(abox)
+            return (
+                naive_simulation(u, v, sigma) is not None
+                and embeds_finite_into_regular(v, u, sigma) is not None
+            )
+
+        for d in range(2):
+            truncation = _interpretation_to_abox(materialize(u, d), sigma)
+            if _membership(u, truncation, sigma).answer == "no":
+                continue
+            for candidate in (truncation, _doubled(truncation)):
+                want = naive_minimize_witness(candidate, both)
+                assert _minimize_witness(u, candidate, sigma) == want, (kb, mapping, d)
+                candidates += 1
+    # Each candidate's first choice is one search that no trial made.
+    kept = sum(starved is None for starved in refined) - (len(searched) - candidates)
+    found = searched.count(True) - candidates
+    assert candidates >= 100 and kept >= 500 and found >= 25, (candidates, kept, found)
 
 
 def test_plain_decision_is_the_membership_check_of_the_closure_abox():
@@ -612,3 +695,46 @@ def test_the_depth_search_gallops_then_bisects(monkeypatch):
             written.clear()
             assert universal_solution_extended(*_chain_instance(k), cap).answer == "yes"
             assert written == [k], (k, cap)
+
+
+def _ext_chain_cpu_per_individual(tmp_path, n):
+    """CPU per individual of ``usol-exists-ext --depth-cap 4`` on a chain of
+    ``n`` individuals in ``A`` joined by ``R``, under ``A [= exists S`` and
+    a mapping onto ``Ap``, ``Rp`` and ``Sp``; the minimum of three runs, with
+    the cyclic collector off while one is timed.  The witness keeps every
+    fact of the depth-1 truncation, so each minimisation trial fails."""
+    kb, mapping = tmp_path / f"chain{n}.kbx", tmp_path / "map.kbx"
+    kb.write_text(
+        "kb { roles { R, S } tbox { A [= exists S; } abox { "
+        + " ".join(f"A(c{i});" for i in range(n))
+        + " ".join(f" R(c{i}, c{i + 1});" for i in range(n - 1)) + " } }"
+    )
+    mapping.write_text(
+        "mapping { source { A, role R, role S } target { Ap, role Rp, role Sp } "
+        "tbox { R [= Rp; S [= Sp; A [= Ap; } }"
+    )
+    argv = ["usol-exists-ext", "--depth-cap", "4", "--kb", str(kb), "--mapping", str(mapping)]
+    best = float("inf")
+    for _ in range(3):
+        out = io.StringIO()
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.process_time()
+            with contextlib.redirect_stdout(out):
+                cli.run([*argv, "--json"])
+            best = min(best, time.process_time() - start)
+        finally:
+            gc.enable()
+        report = json.loads(out.getvalue())
+        assert (report["answer"], report["recheck"]) == ("yes", "passed"), n
+    return best / n
+
+
+def test_usol_exists_ext_is_linear_in_the_individuals(tmp_path):
+    """Per individual, the chain at 1,000 individuals takes within twice the
+    CPU of the chain at 250 (a minimisation that copied its tables or
+    searched every individual on each trial took four times as much)."""
+    per_1000 = _ext_chain_cpu_per_individual(tmp_path, 1000)
+    per_250 = _ext_chain_cpu_per_individual(tmp_path, 250)
+    assert per_1000 <= 2 * per_250, (per_1000, per_250)

@@ -6,11 +6,11 @@ from oracle import naive_embedding, naive_simulation
 
 from kbx.canonical import FiniteInterpretation, build_canonical, build_vabox, materialize
 from kbx.homomorphism import (
+    _refine,
     choose_images,
     embeds_finite_into_regular,
     embeds_regular_into_finite,
     live_images,
-    shrink_images,
     verify_embedding_into_regular,
     verify_simulation,
 )
@@ -124,23 +124,52 @@ def _random_pair(rng):
     return build_canonical(kb), f, sigma
 
 
+def _drop_and_refine(c, f, sigma, images, fact):
+    """Drop ``fact`` from ``f`` in place and refine ``images`` from the index
+    entries of its ends, as a minimisation trial does; ``_refine``'s answer."""
+    f.drop(fact)
+    return _refine(c, f, sigma, images, [(s, e) for e in fact[1:] for s in images.index[e]])
+
+
+def _indexed(images) -> bool:
+    """Whether the table's index holds, for each element, exactly the states
+    that have it as a live image."""
+    return images.index == {
+        e: {s for s, es in images.items() if e in es} for e in images.index
+    }
+
+
 def _check_shrinking(c, f, sigma) -> tuple:
-    """Drop each fact of ``f`` in turn: the live images shrunk around its ends
-    must be the naive fixpoint of the smaller structure, and the from-scratch
-    images too.  Returns the number of trials and of those that still map."""
+    """Drop each fact of ``f`` in turn, in place: the live images refined
+    around its ends must be the naive fixpoint of the smaller structure and
+    the from-scratch images too, or stop at an individual left without an
+    image exactly when the from-scratch images are None.  Undoing the trail
+    and restoring the fact gives back the table, its index and the
+    structure.  Returns the number of trials and of those that still map."""
     images = live_images(c, f, sigma)
+    table = {s: set(es) for s, es in images.items()}
+    facts = [*f.concept_facts(), *f.role_facts()]
     trials = kept = 0
-    for fact in [*f.concept_facts(), *f.role_facts()]:
-        smaller = f.without(fact)
-        shrunk = shrink_images(c, smaller, images, fact[1:], sigma)
-        assert shrunk == live_images(c, smaller, sigma), fact
-        choice = choose_images(c, smaller, shrunk, sigma)
-        want = naive_simulation(c, smaller, sigma)
+    for fact in facts:
+        mark = len(images.trail)
+        starved = _drop_and_refine(c, f, sigma, images, fact)
+        fresh = live_images(c, f, sigma)
+        if starved is None:
+            assert images == fresh and _indexed(images), fact
+            choice = choose_images(c, f, images)
+        else:
+            assert fresh is None and not images[starved], fact
+            choice = None
+        want = naive_simulation(c, f, sigma)
         assert (choice is None) == (want is None), fact
         trials += 1
         if choice is not None:
             kept += 1
-            assert {(rep, e) for rep in c.classes for e in shrunk[rep]} == want, fact
+            assert {(rep, e) for rep in c.classes for e in images[rep]} == want, fact
+        images.undo(mark)
+        f.restore(fact)
+        assert images == table and _indexed(images), fact
+    assert [*f.concept_facts(), *f.role_facts()] == facts
     return trials, kept
 
 
@@ -268,8 +297,9 @@ def test_anchored_search_matches_the_naive_embedding():
 
 
 def test_refinement_reads_edge_roles_once_per_signature():
-    """``live_images`` and every ``shrink_images`` after it on one structure
-    share the structure's tables: each class's edge roles are read once."""
+    """``live_images`` and every in-place refinement after it on one
+    structure share the structure's tables: each class's edge roles are
+    read once."""
     rng = random.Random(5)
     checked = 0
     while checked < 30:
@@ -281,8 +311,9 @@ def test_refinement_reads_edge_roles_once_per_signature():
         if images is None or not c.classes:
             continue
         for fact in [*f.concept_facts(), *f.role_facts()]:
-            smaller = f.without(fact)
-            images = shrink_images(c, smaller, images, fact[1:], sigma)
-            f = smaller
+            mark = len(images.trail)
+            if _drop_and_refine(c, f, sigma, images, fact) is not None:
+                images.undo(mark)
+                f.restore(fact)
         assert sorted(calls, key=str) == sorted(c.classes, key=str)
         checked += 1

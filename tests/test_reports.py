@@ -138,6 +138,13 @@ CASES = {
         "usol-exists-ext", {"--kb": "qbf/phi_kb", "--mapping": "qbf/phi_map"},
         "--depth-cap", "10",
     ),
+    # Data with labeled nulls: six individuals in ``A``, joined by ``R``,
+    # under ``A [= exists S``.  Every fact of the depth-1 truncation stays in
+    # the witness, so each minimisation trial fails.  The inputs sit in
+    # ``extdata/``, outside the corpus root whose KBs the automata test walks.
+    "usol-exists-ext-chain6": (
+        "usol-exists-ext", {"--kb": "extdata/chain6_kb", "--mapping": "extdata/chain6_map"},
+    ),
     # The 3-colouring encoding on two 30-vertex graphs with 66 edges, the
     # one colourable and the other not: the nulls must fold onto the colour
     # triangle.  They sit in ``color/``, outside the corpus root whose KBs
