@@ -75,11 +75,12 @@ class LiveImages(dict):
 
 def live_images(c: CanonicalStructure, f: FiniteInterpretation,
                 sigma: Signature | None = None) -> LiveImages | None:
-    """The greatest simulation of the canonical states in ``f``, as a map from
-    each state to its live images; None when a signature-visible constant
-    is missing from ``f`` or an individual has no live image (``_refine``
-    stops at the first).  Exact because the type of a path depends only on
-    its last witness class and generating edges connect adjacent paths only.
+    """The greatest simulation of the canonical states in ``f`` (exact, as
+    path types depend only on the last witness class and generating edges
+    join adjacent paths): a ``LiveImages`` map from each state to its live
+    images, with its index, the trail of the pairs killed to reach it, and
+    ``need``.  None when a signature-visible constant is missing from
+    ``f`` or an individual has no live image (``_refine`` stops there).
 
     Elements that carry no fact over the signature contribute no answers, so
     they may map to a fact-free sink (recorded as ``None``) instead of a real
