@@ -239,11 +239,6 @@ def build_canonical(
     return CanonicalStructure(kb, reasoner)
 
 
-def ttype_at(c: CanonicalStructure, path: tuple) -> frozenset:
-    """Type of a path element; depends only on the path's last component."""
-    return c.state_type(path[-1])
-
-
 def rtype_edge(c: CanonicalStructure, p1: tuple, p2: tuple) -> frozenset:
     """Roles holding between two path elements (empty unless adjacent)."""
     if len(p1) == 1 and len(p2) == 1:

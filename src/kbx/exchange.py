@@ -11,9 +11,11 @@ structure and the canonical model, then decides all three questions:
 `is_universal_solution` runs it on the given candidate,
 `universal_solution_plain` on the closure ABox, and
 `universal_solution_extended` on truncations of the canonical model, taken
-as structures rather than ABoxes, minimising the shallowest one that passes.
-A truncation T_d maps into the canonical model U by inclusion and lies inside
-T_{d+1}, so "U maps into T_d" is monotone in d and galloping finds that depth.
+as structures rather than ABoxes.  A truncation T_d maps into the canonical
+model U by inclusion and lies inside T_{d+1}, so "U maps into T_d" is
+monotone in d and galloping finds the least such depth.  That probe hands its
+structure and live images on to the minimiser, and the certificate's
+simulation table is read off the minimiser's end state.
 A yes carries its two embeddings as a certificate, and `verify_solution`
 checks them a second time with the clause-by-clause verifiers of
 `homomorphism`, which run none of the searches that found them.
@@ -26,14 +28,15 @@ from .canonical import (
     FiniteInterpretation,
     InconsistentKB,
     _fresh_names,
+    _unfold,
     build_canonical,
     build_vabox,
     closure_abox,
     combined_tbox,
-    materialize,
     truncation,
 )
 from .homomorphism import (
+    LiveImages,
     _refine,
     choose_images,
     embeds_finite_into_regular,
@@ -176,12 +179,14 @@ def _positive(
     return prepared[1], refusal
 
 
-def _membership(u: CanonicalStructure, abox: ABox, sigma) -> SolutionVerdict:
+def _membership(u: CanonicalStructure, abox: ABox, sigma,
+                images: LiveImages | None = None) -> SolutionVerdict:
     """Whether the Herbrand structure of ``abox`` and the canonical model ``u``
     map into each other over ``sigma``; a yes has ``abox`` as its witness and
-    the (simulation table, embedding) pair as its certificate."""
+    the (simulation table, embedding) pair as its certificate.  ``images``,
+    when given, must be the structure's ``live_images``."""
     v = build_vabox(abox)
-    table = embeds_regular_into_finite(u, v, sigma)
+    table = embeds_regular_into_finite(u, v, sigma, images)
     if table is None:
         return SolutionVerdict("no", counterexample=(
             "the canonical model of source plus mapping does not map into the "
@@ -219,35 +224,32 @@ def verify_solution(kb1: KnowledgeBase, mapping: Mapping, witness: ABox,
     return SolutionVerdict("no", counterexample=rejection)
 
 
-def _interpretation_to_abox(f: FiniteInterpretation, sigma) -> ABox:
-    """Read a truncation written by ``materialize`` back as an extended ABox
-    over ``sigma``: each individual stands for itself, and the anonymous
-    paths become labeled nulls ``n1``, ``n2``, ... in the order their facts
-    are read, skipping the names of null individuals."""
-    used = {e[0].name for e in f.elements if len(e) == 1 and isinstance(e[0], Null)}
-    fresh = map(Null, _fresh_names("n", used))
-    names: dict = {}
-
-    def term_for(e):
-        if len(e) == 1:
-            return e[0]
-        if e not in names:
-            names[e] = next(fresh)
-        return names[e]
-
-    facts = [
-        ConceptAssertion(Atomic(n), term_for(e))
-        for n, e in f.concept_facts() if n in sigma.concepts
-    ]
-    facts += [
-        RoleAssertion(BasicRole(n), term_for(e1), term_for(e2))
-        for n, e1, e2 in f.role_facts() if n in sigma.roles
-    ]
-    return ABox.make(facts)
+def _terms(u: CanonicalStructure, t: FiniteInterpretation, depth: int, sigma) -> dict:
+    """The term each element of ``t = truncation(u, depth, sigma)`` is written
+    as, the same as in ``materialize``'s truncation written as an ABox: an
+    individual stands for itself, and the anonymous paths become the nulls
+    ``n1``, ``n2``, ... in the order their facts are read (by name, then by
+    path label), skipping the names of null individuals."""
+    labels, concept_facts, role_facts = _unfold(u, depth, sigma, lambda i, parent, state: (
+        state if parent is None else f"{parent}.w[{state}]"))
+    order = [e for _, e in sorted(concept_facts, key=lambda f: (f[0], str(f[1])))]
+    order += [e for _, *ends in sorted(role_facts, key=lambda f: (f[0], str(f[1]), str(f[2])))
+              for e in ends]
+    taken = {s.name for s in u.individuals if isinstance(s, Null)}
+    paths = [e for e in dict.fromkeys(order) if type(e) is str]
+    nulls = dict(zip(paths, map(Null, _fresh_names("n", taken))))
+    return {e: nulls[labels[e]] if type(e) is int else e for e in t.elements}
 
 
-def _minimize_witness(u: CanonicalStructure, abox: ABox, sigma) -> ABox:
-    """Greedily drop assertions while the canonical model still maps in.
+def _minimize_witness(u: CanonicalStructure, v: FiniteInterpretation, images: LiveImages,
+                      choice: dict, sigma, term: dict) -> tuple[ABox, LiveImages]:
+    """Greedily drop facts of ``v`` while the canonical model still maps in.
+
+    ``images`` is ``live_images(u, v, sigma)`` and ``choice`` a choice of
+    images on it; the three change in place.  The trials go in reverse
+    ``str`` order of the facts' assertions, over the terms in ``term``.
+    Returns the witness (the assertions kept) and its live images, with
+    ``need`` but no index or trail.
 
     Dropping facts keeps the way back into the canonical model (a restriction
     of a homomorphism is one), so only regular-to-finite needs a check.  That
@@ -262,23 +264,28 @@ def _minimize_witness(u: CanonicalStructure, abox: ABox, sigma) -> ABox:
     ``choose_images`` search, from those individuals.  A failed trial undoes
     its trail and restores its fact.  So each trial answers as a fresh
     ``embeds_regular_into_finite`` would, in the same order: the witness is
-    the same.  The facts are atomic, as ``_interpretation_to_abox`` writes.
+    the same.
+
+    The returned table is ``live_images`` of the witness's Herbrand
+    structure.  An element (a constant too) that lost its last fact is not
+    in that structure, so it is written as the sink ``None``.  It has an
+    empty type and no neighbours, as the sink has, so it lives exactly where
+    the sink does and its pairs fall onto the sink's.  No other pair changes:
+    none reads it as a neighbour, and a class whose edge shows no role keeps
+    an image with the sink wherever it had one with the element.
     """
-    v = build_vabox(abox)
-    images = live_images(u, v, sigma)
-    choice = None if images is None else choose_images(u, v, images)
-    if choice is None:  # nothing maps in, so no smaller ABox does either
-        return abox
-    current = set(abox.assertions)
-    for a in sorted(current, key=str, reverse=True):
-        concept = isinstance(a, ConceptAssertion)
-        fact = (a.concept.name, a.term) if concept else (a.role.name, a.first, a.second)
+    named = [(ConceptAssertion(Atomic(n), term[e]), (n, e))
+             for n, ext in v.concept_ext.items() for e in ext]
+    named += [(RoleAssertion(BasicRole(n), term[e1], term[e2]), (n, e1, e2))
+              for n, ext in v.role_ext.items() for e1, e2 in ext]
+    kept = []
+    for a, fact in sorted(named, key=lambda pair: str(pair[0]), reverse=True):
         v.drop(fact)
         mark, ends = len(images.trail), fact[1:]
         if _refine(u, v, sigma, images, [(s, e) for e in ends for s in images.index[e]]) is None:
             chosen = choice.items()
             broken = [s for s, e in images.trail[mark:] if (s, e) in chosen]
-            if not concept:
+            if len(ends) == 2:
                 e1, e2 = ends
                 broken += [t for t in images.index[e1] if (t, e1) in chosen and any(
                     (t2, e2) in chosen and not roles <= v.rtype(e1, e2)
@@ -286,11 +293,14 @@ def _minimize_witness(u: CanonicalStructure, abox: ABox, sigma) -> ABox:
             found = choose_images(u, v, images, sorted(broken, key=str)) if broken else choice
             if found is not None:
                 choice = found
-                current.discard(a)
                 continue
         images.undo(mark)
         v.restore(fact)
-    return ABox.make(current)
+        kept.append(a)
+    written = {e: term[e] for e in v.elements if v.ttype(e)}  # the rest go to the sink
+    table = LiveImages((s, {written.get(e) for e in es}) for s, es in images.items())
+    table.need = images.need
+    return ABox.make(kept), table
 
 
 def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
@@ -307,7 +317,9 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
     d* probes no deeper than 2d* + 1.  ``truncation`` is isomorphic to the
     Herbrand structure of the ABox read off ``materialize``, and both checks
     are invariant under isomorphism, so that depth's ABox is the first one
-    that is a universal solution.
+    that is a universal solution.  Its probe's structure, live images and
+    choice go on to ``_minimize_witness``, with the nulls that ABox would
+    name (``_terms``); ``_membership`` checks the minimiser's end table.
 
     Sound for yes; no only on positivity failure; unknown past the cap (a
     solution may in the worst case be exponentially deep).
@@ -316,9 +328,16 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
     if refusal is not None:
         return refusal
     sigma2 = mapping.sigma2
+    passing = None  # the last passing probe's truncation, live images and choice
 
     def maps_in(d: int) -> bool:
-        return embeds_regular_into_finite(u, truncation(u, d, sigma2), sigma2) is not None
+        nonlocal passing
+        t = truncation(u, d, sigma2)
+        images = live_images(u, t, sigma2)
+        choice = None if images is None else choose_images(u, t, images)
+        if choice is not None:
+            passing = t, images, choice
+        return choice is not None
 
     lo, hi = -1, 0  # every depth up to lo fails; hi is the next probe
     while hi <= depth_cap and not maps_in(hi):
@@ -329,8 +348,8 @@ def universal_solution_extended(kb1: KnowledgeBase, mapping: Mapping,
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if maps_in(mid) else (mid, hi)
-    candidate = _interpretation_to_abox(materialize(u, hi), sigma2)
-    final = _membership(u, _minimize_witness(u, candidate, sigma2), sigma2)
+    witness, images = _minimize_witness(u, *passing, sigma2, _terms(u, passing[0], hi, sigma2))
+    final = _membership(u, witness, sigma2, images)
     if final.answer != "yes":
         raise RuntimeError("the minimised witness fails its embedding check")
     return final

@@ -3,29 +3,17 @@
 Universal-solution decisions need both directions.  Regular-to-finite
 (``embeds_regular_into_finite``, re-checked by ``verify_simulation``) is a
 greatest-fixpoint simulation over canonical states, exact because path types
-depend only on the final witness class.  A worklist refines one table in
-place (Henzinger, Henzinger and Kopke, "Computing simulations on finite and
-infinite graphs", 1995): an index from each element to the states that hold
-it lets a dead pair re-check only the parent pairs at its element's
-neighbours, an undo trail of the dead pairs lets a trial that drops a fact
-be taken back, and the refinement stops once an individual has no image
-left.  Finite-to-regular (``embeds_finite_into_regular``, re-checked by
-``verify_embedding_into_regular``) is complete via an anchored search: a
-connected image in a forest-shaped model sits below a unique shallowest
-node, so it suffices to try every element as the anchor and every root as
-its image.  It reads each element's concepts and neighbour roles from the
-finite structure once; one breadth-first walk over those neighbours gives a
-component and the order that breaks ties between its elements.  A component
-with constants starts from them alone.  An element's values are the paths
-next to a placed neighbour's image that carry its concepts, and a root on
-which a search anchored at the element failed is dropped from them for the
-rest of the component.  Both searches, this one and ``choose_images``'
-choice of one image per individual, run the same forward-checking loop,
-``_search``: the unplaced keys next to placed ones keep the values that fit
-every placed neighbour, the key with the fewest is placed next, and a key
-left without values backtracks at once (Haralick and Elliott, "Increasing
-tree search efficiency for constraint satisfaction problems", 1980).  The
-two verifiers run neither search nor ``_refine``:
+depend only on the final witness class; ``_refine`` reaches it by a worklist
+over one table, in place, with an element index and an undo trail
+(Henzinger, Henzinger and Kopke, "Computing simulations on finite and
+infinite graphs", 1995).  Finite-to-regular (``embeds_finite_into_regular``,
+re-checked by ``verify_embedding_into_regular``) is complete via an anchored
+search: a connected image in a forest-shaped model sits below a unique
+shallowest node, so it suffices to try every element as the anchor and every
+root as its image.  That search and ``choose_images``' choice of one image
+per individual run one forward-checking loop, ``_search`` (Haralick and
+Elliott, "Increasing tree search efficiency for constraint satisfaction
+problems", 1980).  The two verifiers run neither search nor ``_refine``:
 ``exchange.verify_solution`` calls them on the certificate of a yes, for the
 CLI's recheck.
 """
@@ -35,24 +23,20 @@ from __future__ import annotations
 from functools import partial
 from heapq import heapify, heappop, heappush
 
-from .canonical import (
-    CanonicalStructure,
-    FiniteInterpretation,
-    element_label,
-    rtype_edge,
-    ttype_at,
-)
+from .canonical import CanonicalStructure, FiniteInterpretation, element_label, rtype_edge
 from .model import Atomic, BasicRole, Constant, Signature, role_over
 
 
 def embeds_regular_into_finite(c: CanonicalStructure, f: FiniteInterpretation,
-                               sigma: Signature | None = None) -> frozenset | None:
+                               sigma: Signature | None = None,
+                               images: LiveImages | None = None) -> frozenset | None:
     """Simulation witnessing a homomorphism from the full (possibly infinite)
     canonical model into a finite interpretation: the live images of every
-    state (``live_images``) with one image chosen per individual
-    (``choose_images``).  Returns the table of the chosen individual pairs
-    and every live witness-class pair, or None."""
-    images = live_images(c, f, sigma)
+    state (``live_images``, unless ``images`` already holds them) with one
+    image chosen per individual (``choose_images``).  Returns the table of
+    the chosen individual pairs and every live witness-class pair, or None."""
+    if images is None:
+        images = live_images(c, f, sigma)
     choice = None if images is None else choose_images(c, f, images)
     if choice is None:
         return None
@@ -417,7 +401,7 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
         roots ``e`` failed on.  A component is connected and starts from a
         placed seed, so every element is reached next to a placed one."""
         banned = failed.get(e, ())
-        return [p for p in around(beside) if atoms[e] <= ttype_at(c, p) and p not in banned]
+        return [p for p in around(beside) if atoms[e] <= c.state_type(p[-1]) and p not in banned]
 
     def seeds(comp):
         """The partial assignments a component's search starts from, with the
@@ -440,7 +424,7 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
         if e in total:
             continue
         for assignment, order in seeds(walk([e])):
-            if all(atoms[x] <= ttype_at(c, p) for x, p in assignment.items()) and _search(
+            if all(atoms[x] <= c.state_type(p[-1]) for x, p in assignment.items()) and _search(
                 [x for x in order if x not in assignment], assignment, links, values, edge
             ):
                 total.update(assignment)
@@ -467,7 +451,7 @@ def verify_embedding_into_regular(f: FiniteInterpretation, c: CanonicalStructure
         if h[e] != (const,):
             return False
     return all(
-        Atomic(n) in ttype_at(c, h[e])
+        Atomic(n) in c.state_type(h[e][-1])
         for n, ext in f.concept_ext.items() if sigma is None or n in sigma.concepts
         for e in ext
     ) and all(

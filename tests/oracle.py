@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 
 from kbx.canonical import materialize
 from kbx.model import (
@@ -22,6 +22,7 @@ from kbx.model import (
     Constant,
     Exists,
     KnowledgeBase,
+    Null,
     RoleAssertion,
     RoleInclusion,
     Signature,
@@ -530,3 +531,31 @@ def naive_minimize_witness(abox: ABox, embeds) -> ABox:
                 current = trial
                 changed = True
     return ABox.make(current)
+
+
+def _interpretation_to_abox(f, sigma) -> ABox:
+    """Read a truncation written by ``materialize`` back as an extended ABox
+    over ``sigma``: each individual stands for itself, and the anonymous
+    paths become labeled nulls ``n1``, ``n2``, ... in the order their facts
+    are read, skipping the names of null individuals.  The reference for
+    the names that ``usol-exists-ext`` gives a witness's nulls."""
+    used = {e[0].name for e in f.elements if len(e) == 1 and isinstance(e[0], Null)}
+    fresh = (Null(name) for name in (f"n{k}" for k in count(1)) if name not in used)
+    names: dict = {}
+
+    def term_for(e):
+        if len(e) == 1:
+            return e[0]
+        if e not in names:
+            names[e] = next(fresh)
+        return names[e]
+
+    facts = [
+        ConceptAssertion(Atomic(n), term_for(e))
+        for n, e in f.concept_facts() if n in sigma.concepts
+    ]
+    facts += [
+        RoleAssertion(BasicRole(n), term_for(e1), term_for(e2))
+        for n, e1, e2 in f.role_facts() if n in sigma.roles
+    ]
+    return ABox.make(facts)

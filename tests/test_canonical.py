@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import derives_assertion, load_kb, load_mapping
+from oracle import _interpretation_to_abox
 from reductions import qbf_family, qbf_instance
 
 from kbx.canonical import (
@@ -19,7 +20,7 @@ from kbx.canonical import (
     positive_part,
     truncation,
 )
-from kbx.exchange import _interpretation_to_abox, _membership, _prepare
+from kbx.exchange import _membership, _prepare
 from kbx.homomorphism import embeds_finite_into_regular, embeds_regular_into_finite
 from kbx.model import (
     ABox,

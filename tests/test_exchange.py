@@ -10,7 +10,12 @@ import time
 from collections import Counter
 
 from conftest import load_kb, load_mapping
-from oracle import naive_minimize_witness, naive_simulation, three_colorable_fc
+from oracle import (
+    _interpretation_to_abox,
+    naive_minimize_witness,
+    naive_simulation,
+    three_colorable_fc,
+)
 from reductions import (
     coloring_instance,
     qbf_family,
@@ -33,7 +38,6 @@ from kbx.canonical import (
 )
 from kbx.exchange import (
     SolutionVerdict,
-    _interpretation_to_abox,
     _membership,
     _minimize_witness,
     _positive,
@@ -387,6 +391,18 @@ def test_witness_serializes_to_parseable_text():
     assert "Gp(_n1)" in text
 
 
+def _minimize(u, abox, sigma) -> ABox:
+    """``_minimize_witness`` on the Herbrand structure of the atomic
+    ``abox``, each element written as itself, with the live images and the
+    choice that the decider would hand it; ``abox`` when nothing maps in."""
+    v = build_vabox(abox)
+    images = exchange.live_images(u, v, sigma)
+    choice = None if images is None else exchange.choose_images(u, v, images)
+    if choice is None:
+        return abox
+    return _minimize_witness(u, v, images, choice, sigma, {e: e for e in v.elements})[0]
+
+
 def test_one_pass_minimisation_matches_the_repeated_passes():
     for i in range(3):
         kb, mapping = load_kb(f"qbf/valid{i}_kb"), load_mapping(f"qbf/valid{i}_map")
@@ -406,7 +422,7 @@ def test_one_pass_minimisation_matches_the_repeated_passes():
             )
 
         want = naive_minimize_witness(candidate, both)
-        assert _minimize_witness(u, candidate, sigma) == want
+        assert _minimize(u, candidate, sigma) == want
         assert universal_solution_extended(kb, mapping).witness == want
 
 
@@ -470,7 +486,7 @@ def test_minimisation_matches_the_repeated_passes_on_random_candidates():
                 continue
             for candidate in (truncation, _doubled(truncation)):
                 want = naive_minimize_witness(candidate, both)
-                assert _minimize_witness(u, candidate, sigma) == want, (kb, mapping, d)
+                assert _minimize(u, candidate, sigma) == want, (kb, mapping, d)
                 candidates += 1
                 shrunk += want != candidate
     assert candidates >= 200 and shrunk >= 100, (candidates, shrunk)
@@ -540,7 +556,7 @@ def test_minimisation_keeps_or_searches_again_for_the_choice_on_null_data(monkey
                 continue
             for candidate in (truncation, _doubled(truncation)):
                 want = naive_minimize_witness(candidate, both)
-                assert _minimize_witness(u, candidate, sigma) == want, (kb, mapping, d)
+                assert _minimize(u, candidate, sigma) == want, (kb, mapping, d)
                 candidates += 1
     # Each candidate's first choice is one search that no trial made.
     kept = sum(starved is None for starved in refined) - (len(searched) - candidates)
@@ -581,7 +597,7 @@ def _round_trip_extended(kb1, mapping, depth_cap):
     for d in range(depth_cap + 1):
         candidate = _interpretation_to_abox(materialize(u, d), sigma)
         if _membership(u, candidate, sigma).answer == "yes":
-            return _membership(u, _minimize_witness(u, candidate, sigma), sigma)
+            return _membership(u, _minimize(u, candidate, sigma), sigma)
     return SolutionVerdict(
         "unknown", reason=f"depth cap {depth_cap} reached; last depth tried: {depth_cap}"
     )
@@ -600,6 +616,40 @@ def test_deepening_on_truncations_matches_the_round_trip():
         assert verdict == _round_trip_extended(kb, mapping, cap), (kb, mapping)
         answers[verdict.answer] += 1
     assert answers["yes"] >= 200 and answers["unknown"] >= 30, answers
+
+
+def test_the_handed_on_certificate_is_the_membership_check_of_the_witness(monkeypatch):
+    """A yes's certificate, read off the minimiser's end table, is the one
+    ``_membership`` gives its witness from scratch, and the witness is the
+    round trip's: on every QBF family member at cap 10, on random draws at
+    cap 4 and on null-data draws at cap 4.  Many of these yeses have an
+    element or a constant that lost its last fact while the witness was
+    minimised, so that the sink stands in for it."""
+    sunk = []  # per minimisation: whether some element ended without a fact
+    minimize = exchange._minimize_witness
+
+    def traced_minimize(u, v, *rest):
+        got = minimize(u, v, *rest)
+        sunk.append(any(not v.ttype(e) for e in v.elements))
+        return got
+
+    monkeypatch.setattr(exchange, "_minimize_witness", traced_minimize)
+    instances = [(qbf_instance(*member), 10) for member in qbf_family()]
+    rng = random.Random(31)
+    instances += [(_random_instance(rng), 4) for _ in range(300)]
+    rng = random.Random(32)
+    instances += [(_null_data_instance(rng), 4) for _ in range(60)]
+    yes = 0
+    for (kb, mapping), cap in instances:
+        verdict = universal_solution_extended(kb, mapping, cap)
+        if verdict.answer != "yes":
+            continue
+        yes += 1
+        u = _prepare(kb, mapping)[1]
+        fresh = _membership(u, verdict.witness, mapping.sigma2)
+        assert verdict.certificate == fresh.certificate, (kb, mapping)
+        assert verdict.witness == _round_trip_extended(kb, mapping, cap).witness, (kb, mapping)
+    assert len(sunk) == yes >= 250 and sum(sunk) >= 50, (yes, len(sunk), sum(sunk))
 
 
 def test_truncations_map_back_by_inclusion_and_the_probe_is_monotone():
@@ -672,19 +722,23 @@ def test_depth_search_matches_the_round_trip_at_every_cap():
 def test_the_depth_search_gallops_then_bisects(monkeypatch):
     """The depths probed, in order: doubling plus one up to the cap, then
     halving the gap between the last failing and first passing probe; and
-    the depth written out as the witness is the least passing one."""
+    the truncation that the witness is read from is the least passing
+    one."""
     probed, written = [], []
+    made = []  # each truncation probed, with its depth
+    minimize = exchange._minimize_witness
 
     def traced_truncation(u, d, sigma):
         probed.append(d)
-        return truncation(u, d, sigma)
+        made.append((truncation(u, d, sigma), d))
+        return made[-1][0]
 
-    def traced_materialize(u, d):
-        written.append(d)
-        return materialize(u, d)
+    def traced_minimize(u, t, *rest):
+        written.extend(d for probe, d in made if probe is t)
+        return minimize(u, t, *rest)
 
     monkeypatch.setattr(exchange, "truncation", traced_truncation)
-    monkeypatch.setattr(exchange, "materialize", traced_materialize)
+    monkeypatch.setattr(exchange, "_minimize_witness", traced_minimize)
     assert universal_solution_extended(*qbf_instance(*qbf_family()[2]), 40).answer == "unknown"
     assert (probed, written) == ([0, 1, 3, 7, 15, 31, 40], [])
     probed.clear()
@@ -693,6 +747,7 @@ def test_the_depth_search_gallops_then_bisects(monkeypatch):
     for k in range(11):
         for cap in [*range(k, 11), 1000]:
             written.clear()
+            made.clear()
             assert universal_solution_extended(*_chain_instance(k), cap).answer == "yes"
             assert written == [k], (k, cap)
 
