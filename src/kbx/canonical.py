@@ -54,7 +54,11 @@ def element_label(e) -> str:
 
 
 class FiniteInterpretation:
-    """A finite interpretation: atomic concept and role extensions over hashables."""
+    """A finite interpretation: atomic concept and role extensions over hashables.
+
+    Elements with equal types, and element pairs with equal roles, are built
+    sharing one frozenset, which ``drop`` and ``restore`` rebind and never
+    mutate; each distinct set is filtered once per signature."""
 
     def __init__(self, elements, concept_facts, role_facts, constants):
         """Args are iterables of (name, elem) / (name, elem, elem) plus a
@@ -74,27 +78,34 @@ class FiniteInterpretation:
                 types[e].add(a)
         # element -> neighbour -> roles from the element to the neighbour
         self._links: dict = {}
+        plus: dict = {}  # (role set, role) -> the set with the role, kept once
         for name, ext in self.role_ext.items():
             r, inv = BasicRole(name), BasicRole(name, inverted=True)
             out, back = Exists(r), Exists(inv)
             for e1, e2 in ext:
-                self._links.setdefault(e1, {}).setdefault(e2, set()).add(r)
-                self._links.setdefault(e2, {}).setdefault(e1, set()).add(inv)
+                for x, y, q in ((e1, e2, r), (e2, e1, inv)):
+                    links = self._links.setdefault(x, {})
+                    old = links.get(y, frozenset())
+                    links[y] = plus.get((old, q)) or plus.setdefault((old, q), old | {q})
                 types[e1].add(out)
                 types[e2].add(back)
-        self._types = {e: frozenset(t) for e, t in types.items()}
+        shared: dict = {}  # each distinct type, kept once
+        self._types = {e: shared.setdefault(tp := frozenset(t), tp) for e, t in types.items()}
+        self._over: dict = {}  # (set, signature) -> its members over the signature
 
     def ttype(self, e, sigma: Signature | None = None) -> frozenset:
-        t = self._types[e]
-        if sigma is None:
-            return t
-        return frozenset(c for c in t if concept_over(c, sigma))
+        return self._filter(self._types[e], sigma, concept_over)
 
     def rtype(self, e1, e2, sigma: Signature | None = None) -> frozenset:
-        roles = self._links.get(e1, {}).get(e2, frozenset())
+        return self._filter(self._links.get(e1, {}).get(e2, frozenset()), sigma, role_over)
+
+    def _filter(self, items: frozenset, sigma: Signature | None, over) -> frozenset:
         if sigma is None:
-            return frozenset(roles)
-        return frozenset(r for r in roles if role_over(r, sigma))
+            return items
+        got = self._over.get((items, sigma))
+        if got is None:
+            got = self._over[items, sigma] = frozenset(x for x in items if over(x, sigma))
+        return got
 
     def neighbours(self, e):
         """The elements that share a role fact with ``e``."""
@@ -115,8 +126,9 @@ class FiniteInterpretation:
         e1, e2 = ends
         for x, y, r in ((e1, e2, BasicRole(name)), (e2, e1, BasicRole(name, inverted=True))):
             links = self._links[x]
-            links[y].discard(r)
-            if not links[y]:
+            if rest := links[y] - {r}:
+                links[y] = rest
+            else:
                 del links[y]
             if not any(r in roles for roles in links.values()):
                 self._types[x] -= {Exists(r)}
@@ -131,7 +143,8 @@ class FiniteInterpretation:
         e1, e2 = ends
         self.role_ext.setdefault(name, set()).add((e1, e2))
         for x, y, r in ((e1, e2, BasicRole(name)), (e2, e1, BasicRole(name, inverted=True))):
-            self._links.setdefault(x, {}).setdefault(y, set()).add(r)
+            links = self._links.setdefault(x, {})
+            links[y] = links.get(y, frozenset()) | {r}
             self._types[x] |= {Exists(r)}
 
     def concept_facts(self):
@@ -169,10 +182,15 @@ class CanonicalStructure:
             satisfied[t1] |= roles
 
         self.gen: dict = {}
+        made: dict = {}  # (entailed type, satisfied roles) -> the classes generated
         for t in self.individuals:
-            cands = {c.role for c in self.individual_types[t] if isinstance(c, Exists)}
-            reps = {ctx.rep_of(r) for r in ctx.minimal_roles(cands) if r not in satisfied[t]}
-            self.gen[t] = tuple(sorted(reps, key=str))
+            tp, done = self.individual_types[t], frozenset(satisfied[t])
+            got = made.get((tp, done))
+            if got is None:
+                cands = {c.role for c in tp if isinstance(c, Exists)}
+                reps = {ctx.rep_of(r) for r in ctx.minimal_roles(cands) if r not in done}
+                got = made[tp, done] = tuple(sorted(reps, key=str))
+            self.gen[t] = got
 
         self.class_types: dict[BasicRole, frozenset] = {}
         self.class_edges: dict[BasicRole, frozenset] = {}
@@ -205,11 +223,17 @@ class CanonicalStructure:
 
     def over(self, sigma: Signature | None) -> tuple[dict, dict]:
         """Every state's ``state_type`` and every class's ``edge_roles`` over
-        ``sigma``, built on the first call for that signature."""
+        ``sigma``, built on the first call for that signature; states with
+        one type share its filtered set."""
         got = self._over.get(sigma)
         if got is None:
+            types = {**self.individual_types, **self.class_types}
+            filtered = {
+                tp: tp if sigma is None else frozenset(c for c in tp if concept_over(c, sigma))
+                for tp in set(types.values())
+            }
             got = self._over[sigma] = (
-                {s: self.state_type(s, sigma) for s in self.gen},
+                {s: filtered[types[s]] for s in self.gen},
                 {rep: self.edge_roles(rep, sigma) for rep in self.classes},
             )
         return got
@@ -323,9 +347,9 @@ def build_vabox(abox: ABox) -> FiniteInterpretation:
     labeled null as the required successor (the successor is a null, so this
     stays within extended-ABox semantics).
     """
-    used = {t.name for t in abox.all_terms() if isinstance(t, Null)}
+    elements = abox.all_terms()
+    used = {t.name for t in elements if isinstance(t, Null)}
     fresh = map(Null, _fresh_names("v", used))
-    elements = list(abox.all_terms())
     concept_facts = []
     role_facts = []
     for a in abox.assertions:

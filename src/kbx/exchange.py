@@ -110,8 +110,9 @@ def is_sigma2_positive(
     (a) No two disjoint source concepts are realized at seen states.
     (b) No two disjoint source roles hold on edges with both ends seen.
     (c) No element has two disjoint source roles towards seen elements; the
-    anonymous elements of a class are one centre per parent seen or not,
-    the first in order.
+    anonymous elements of a class are one centre per parent seen or not.
+    The check reads a centre only through those roles, down or up, so it
+    reads the first centre in order with each set of them.
     (d) No negated mapping inclusion has a realized left-hand side.
 
     Individual pairs are in the table both ways, a generating edge only from
@@ -132,13 +133,15 @@ def is_sigma2_positive(
         if isinstance(y, Constant) or y in seen:
             towards[x].update(roles)
     both_seen = set().union(*(towards[s] for s in seen))
-    centres: list = [(str(t), t, ()) for t in u.individuals]  # (where, state, roles up)
+    centres: dict = {}  # roles towards seen states -> (state, its parent if anonymous)
+    for t in u.individuals:
+        centres.setdefault(frozenset(towards[t]), (t, None))
     anonymous: set = set()
     for (s, rep), roles in generating:
         if (rep, s in seen) not in anonymous:
             anonymous.add((rep, s in seen))
-            up = {r.inverse() for r in roles} if s in seen else ()
-            centres.append((f"w[{rep}] under {s}", rep, up))
+            up = {r.inverse() for r in roles} if s in seen else set()
+            centres.setdefault(frozenset(towards[rep] | up), (rep, s))
     realized_seen = set().union(*(types[s] for s in seen))
     for (b, c) in sorted(source.concept_clashes, key=str):
         if b in realized_seen and c in realized_seen:
@@ -150,8 +153,9 @@ def is_sigma2_positive(
             detail = f"disjoint roles {r} and {q} both hold on pairs of target-visible elements"
             return PositivityResult(False, "b", detail)
     for (r, q) in role_pairs:
-        for (where, x, up) in centres:
-            if (r in towards[x] or r in up) and (q in towards[x] or q in up):
+        for roles, (x, parent) in centres.items():
+            if r in roles and q in roles:
+                where = str(x) if parent is None else f"w[{x}] under {parent}"
                 detail = (f"disjoint roles {r} and {q} leave a common element ({where}) "
                           "towards target-visible elements")
                 return PositivityResult(False, "c", detail)

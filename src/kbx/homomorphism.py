@@ -101,9 +101,11 @@ def live_images(c: CanonicalStructure, f: FiniteInterpretation,
     if not all(map(images.get, c.individuals)) or _refine(c, f, sigma, images, queue) is not None:
         return None
     images.need = {t: {} for t in c.individuals}
+    over = {roles: frozenset(r for r in roles if sigma is None or role_over(r, sigma))
+            for roles in set(c.individual_roles.values())}  # each distinct set once
     for (t1, t2), roles in c.individual_roles.items():
-        if over := frozenset(r for r in roles if sigma is None or role_over(r, sigma)):
-            images.need[t1][t2] = over
+        if over[roles]:
+            images.need[t1][t2] = over[roles]
     return images
 
 
@@ -242,19 +244,17 @@ def _refine(c: CanonicalStructure, f: FiniteInterpretation, sigma: Signature | N
     image.  A pair dies only if no simulation below ``images`` holds it, so
     the fixpoint, and whether an individual runs out, do not depend on the
     order.  ``CanonicalStructure.over`` gives types and edge roles; each
-    visited element's neighbour roles are read once, one object per set.
+    visited element's neighbour roles are read once.
     """
     types, need = c.over(sigma)
     gen, parents, index, trail = c.gen, c.parents, images.index, images.trail
     links: dict = {None: ()}  # element -> (neighbour, sigma-filtered roles)
-    shared: dict = {}  # each distinct role set, kept once
 
     def linked(e) -> list:
         got = links.get(e)
         if got is None:
             got = links[e] = [
-                (e2, shared.setdefault(roles, roles))
-                for e2 in f.neighbours(e) if (roles := f.rtype(e, e2, sigma))
+                (e2, roles) for e2 in f.neighbours(e) if (roles := f.rtype(e, e2, sigma))
             ]
         return got
 
@@ -358,9 +358,9 @@ def embeds_finite_into_regular(f: FiniteInterpretation, c: CanonicalStructure,
     pin = {e: (const,) for const, e in f.constant_elems.items()}
     # Per element: its atomic concepts, and its neighbours, by label, with
     # the roles to each, both over the signature.
-    atoms = {
-        e: frozenset(a for a in f.ttype(e, sigma) if isinstance(a, Atomic)) for e in f.elements
-    }
+    types = {e: f.ttype(e, sigma) for e in f.elements}
+    kept = {tp: frozenset(a for a in tp if isinstance(a, Atomic)) for tp in set(types.values())}
+    atoms = {e: kept[tp] for e, tp in types.items()}
     links = {
         e: {e2: roles for e2 in sorted(f.neighbours(e), key=element_label)
             if (roles := f.rtype(e, e2, sigma))}

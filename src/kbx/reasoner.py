@@ -12,12 +12,13 @@ by a clash scan over the (finitely many) witness classes reachable from it.
 A `Reasoner` is that compiled form of one TBox: its edges indexed once, both
 clash pair sets, and memos of each node's closure and reverse closure (the
 nodes deriving it, read off reverse edges indexed on the first such question),
-of witness-class representatives, minimal roles, generated classes and pair
-consistency, filled in the first time a decision asks for one.  Each decision
-builds the contexts it needs and drops them when it returns, so no cache
-outlives a call: `CanonicalStructure` builds (or is handed) the context of its
-KB's TBox, `exchange` reuses the structure's, and `representability` builds
-one per TBox it reasons over.  A certificate recheck builds its own contexts
+of witness-class representatives, minimal roles, generated classes, pair
+consistency and the entailed set of each distinct asserted set, filled in the
+first time a decision asks for one.  Each decision builds the contexts it
+needs and drops them when it returns, so no cache outlives a call:
+`CanonicalStructure` builds (or is handed) the context of its KB's TBox,
+`exchange` reuses the structure's, and `representability` builds one per TBox
+it reasons over.  A certificate recheck builds its own contexts
 too: a solution's, to verify its certificate (`exchange.verify_solution`), and
 a synthesized TBox's, to decide its representation again.
 The module-level `kb_consistent` is an uncached one-shot wrapper for the
@@ -87,6 +88,7 @@ class Reasoner:
         self._generated: dict = {}
         self._minimal: dict = {}
         self._pairs: dict = {}
+        self._unions: dict = {}
 
     # -- closures --------------------------------------------------------------
 
@@ -217,17 +219,23 @@ class Reasoner:
 
     def term_types(self, abox: ABox) -> dict:
         """Every basic concept entailed of each term of the ABox."""
-        return {
-            t: frozenset().union(*(self.sup(b) for b in concepts))
-            for t, concepts in _asserted_concepts(abox).items()
-        }
+        return self._closed(_asserted_concepts(abox))
 
     def pair_roles(self, abox: ABox) -> dict:
         """Every basic role entailed of each asserted term pair, both orientations."""
-        return {
-            pair: frozenset().union(*(self.sup(r) for r in roles))
-            for pair, roles in _asserted_roles(abox).items()
-        }
+        return self._closed(_asserted_roles(abox))
+
+    def _closed(self, asserted: dict) -> dict:
+        """Each key's union of the closures of its asserted set: one union
+        per distinct set, shared by every key that has it."""
+        out = {}
+        for key, xs in asserted.items():
+            xs = frozenset(xs)
+            got = self._unions.get(xs)
+            if got is None:
+                got = self._unions[xs] = frozenset().union(*map(self.sup, xs))
+            out[key] = got
+        return out
 
 
 def _asserted_concepts(abox: ABox) -> dict:

@@ -10,6 +10,7 @@ from oracle import _interpretation_to_abox
 from reductions import qbf_family, qbf_instance
 
 from kbx.canonical import (
+    FiniteInterpretation,
     InconsistentKB,
     build_canonical,
     build_vabox,
@@ -32,6 +33,7 @@ from kbx.model import (
     KnowledgeBase,
     Null,
     RoleAssertion,
+    Signature,
 )
 from kbx.syntax import parse_kb, parse_mapping
 
@@ -233,3 +235,31 @@ def test_drop_and_restore_match_the_smaller_random_aboxes():
             RoleAssertion(BasicRole("P"), lone, lone),
         )))
         _check_drop(ABox.make(facts))
+
+
+def test_drop_and_restore_leave_a_shared_type_alone():
+    """``a`` and ``b`` share one type object and one role set object, and so
+    do ``x`` and ``y``; dropping ``a``'s facts leaves ``b`` and ``y`` as they
+    were, filtered or not, and restoring them brings ``a`` and ``x`` back."""
+    a, b, x, y = Constant("a"), Constant("b"), Null("x"), Null("y")
+    f = FiniteInterpretation(
+        [a, b, x, y], [("A", a), ("A", b)], [("R", a, x), ("R", b, y)], {a: a, b: b}
+    )
+    assert f.ttype(a) is f.ttype(b) and f.ttype(x) is f.ttype(y)
+    assert f.rtype(a, x) is f.rtype(b, y) and f.rtype(x, a) is f.rtype(y, b)
+    sigmas = (None, Signature.make(concepts=["A"]), Signature.make(roles=["R"]))
+
+    def seen(e, e2):
+        return [(f.ttype(e, s), f.ttype(e2, s), f.rtype(e, e2, s), f.rtype(e2, e, s))
+                for s in sigmas]
+
+    before_a, before_b = seen(a, x), seen(b, y)
+    for fact in (("A", a), ("R", a, x)):
+        f.drop(fact)
+        assert seen(b, y) == before_b, fact
+    assert not f.ttype(a) and not f.ttype(x) and not f.rtype(a, x)
+    for fact in (("R", a, x), ("A", a)):
+        f.restore(fact)
+        assert seen(b, y) == before_b, fact
+    assert seen(a, x) == before_a
+    assert f.concept_ext == {"A": {a, b}} and f.role_ext == {"R": {(a, x), (b, y)}}
