@@ -58,7 +58,7 @@ def _load(path: str, parser, inputs: dict):
         "sha256": hashlib.sha256(data).hexdigest(),
     }
     try:
-        return parser(data.decode("utf-8"))
+        return parser(data.decode("utf-8-sig"))  # a leading byte-order mark is not text
     except ParseError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:

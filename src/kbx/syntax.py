@@ -3,8 +3,14 @@
 The format is whitespace-insensitive with ``#`` line comments.  ``[=`` is the
 inclusion token, a ``-`` suffix inverts a role, and a ``_`` prefix marks a
 labeled null.  A name starts with a letter (``str.isalpha``), and goes on with
-letters or digits (``str.isalnum``) and ``'``.  The lexer is one ``findall``
-of ``_TOKEN``, which skips the whitespace and comments before each token and
+letters or digits (``str.isalnum``) and ``'``.  `parse_kb` scans the body of
+its ``abox { ... }`` block with one anchored match of ``_FACT`` per assertion
+or comment, from the ``{`` after the first ``abox`` keyword outside a comment
+up to the first text that is not a plain assertion.  The token parser reads
+the rest: header, TBox, the assertions from that text on and the closing
+braces.  On any error the token parser alone parses the whole text again, so
+every message, line and column is its own.  Its lexer is one ``findall`` of
+``_TOKEN``, which skips the whitespace and comments before each token and
 takes a name with or without its ``_``, ``[=``, or one character, of which
 ``{`` ``}`` ``(`` ``)`` ``,`` ``;`` ``-`` are tokens and any other is an
 error.  Tokens are plain strings and the parser's cursor is an index into
@@ -26,6 +32,7 @@ from itertools import islice
 
 from .model import (
     ABox,
+    Assertion,
     Atomic,
     BasicConcept,
     BasicRole,
@@ -90,6 +97,27 @@ def _lex(text: str) -> list[str]:
     return tokens
 
 
+# "abox" after no name character, then "{".
+_ABOX = re.compile(r"abox(?<![\w']abox)\s*\{")
+# After whitespace: a comment, or one assertion whose tokens only whitespace
+# separates: existential (role, "-" or "", term), or atomic or a role fact
+# (predicate other than "exists", term, second term).  A name is here any
+# run of [\w'], and the scanner checks that it lexes as one name.
+_FACT = re.compile(
+    r"\s*(?:#[^\n]*|exists\s+([\w']+)\s*(-?)\s*\(\s*([\w']+)\s*\)\s*;"
+    r"|(?!exists\s*\()([\w']+)\s*\(\s*([\w']+)\s*(?:,\s*([\w']+)\s*)?\)\s*;)"
+)
+
+
+def _abox_body(text: str) -> int:
+    """Where the ABox's first assertion may start: after the "{" of the first
+    "abox {" outside a comment, or 0 if there is none."""
+    for m in _ABOX.finditer(text):
+        if text.rfind("#", text.rfind("\n", 0, m.start()) + 1, m.start()) < 0:
+            return m.end()
+    return 0
+
+
 # An axiom side before the concept-vs-role decision: its shape ("exists",
 # "inv" or "name"), the role it reads as, and its token's index.  A bare name
 # reads as the role of that name, an existential as its role.
@@ -101,12 +129,17 @@ class _Parser:
     """A cursor over the tokens, the concept-or-role kind of each name, and
     the one term of each constant or null name."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, scan: bool = False):
         self.text = text
-        self.tokens = _lex(text)
         self.pos = 0
         self.kinds: dict[str, str] = {}
         self.terms: dict[str, Term] = {}
+        # The ABox by each assertion's text, and its first existential's token.
+        self.facts: dict[str, Assertion] = {}
+        self.first_exists: int | None = None
+        start = _abox_body(text) if scan else 0
+        end = self.scan(start) if start else 0
+        self.tokens = _lex(text[:start] + text[end:])
 
     def error(self, message: str, at: int | None = None) -> ParseError:
         return _error(self.text, self.pos if at is None else at, message)
@@ -187,20 +220,51 @@ class _Parser:
             self.expect(";")
         return raw
 
-    def arg(self) -> Term:
-        """The constant or null at the cursor, as this parse's one term of its name."""
-        word = self.tokens[self.pos]
+    def term(self, word: str) -> Term:
+        """This parse's one term of the constant or null name ``word``."""
         term = self.terms.get(word)
         if term is None:
-            if word[:1].isalpha():
-                term = Constant(word)
-            elif word[:1] == "_":
-                term = Null(word[1:])
-            else:
+            null = word[:1] == "_"
+            name = word[null:]
+            if not name[:1].isalpha() or "_" in name:
                 raise self.error("constant or null expected")
-            self.terms[word] = term
+            term = self.terms[word] = Null(name) if null else Constant(name)
+        return term
+
+    def arg(self) -> Term:
+        """The constant or null at the cursor."""
+        term = self.term(self.tokens[self.pos])
         self.pos += 1
         return term
+
+    def scan(self, pos: int) -> int:
+        """Read assertions from ``pos`` into ``facts`` up to the first text
+        that is not one, and return where that text starts.  Kinds and terms
+        are made as the token loop of `parse_kb` makes them.  It runs before
+        the header is parsed, so every kind is of a name it read.  On its
+        errors `parse_kb` parses again without it, for their location."""
+        text, facts, kinds, term = self.text, self.facts, self.kinds, self.term
+        while m := _FACT.match(text, pos):
+            pos = m.end()
+            role, inv, arg, pred, first, second = m.groups()
+            if second is not None:
+                kind, key = "role", f"{pred}({first}, {second})"
+                fact = RoleAssertion(BasicRole(pred), term(first), term(second))
+            elif pred is not None:
+                kind, key = "concept", f"{pred}({first})"
+                fact = ConceptAssertion(Atomic(pred), term(first))
+            elif role is not None:
+                pred, kind, key = role, "role", f"exists {role}{inv} ({arg})"
+                fact = ConceptAssertion(Exists(BasicRole(role, bool(inv))), term(arg))
+                self.first_exists = 0
+            else:
+                continue  # a comment
+            if kinds.setdefault(pred, kind) != kind:
+                raise self.error(f"name {pred!r} used as both concept and role", 0)
+            facts[key] = fact
+        if not all(name[:1].isalpha() and "_" not in name for name in kinds):
+            raise self.error("assertion expected", 0)
+        return pos
 
     def axioms(self, raw: list[_RawAxiom]) -> tuple[TBoxAxiom, ...]:
         """Fix name kinds from each axiom's shape, propagate them across bare
@@ -254,7 +318,13 @@ def parse_kb(text: str) -> KnowledgeBase:
 
     Raises ParseError with a source location on the first failure.
     """
-    p = _Parser(text)
+    try:
+        return _parse_kb(_Parser(text, scan=True))
+    except ParseError:
+        return _parse_kb(_Parser(text))
+
+
+def _parse_kb(p: _Parser) -> KnowledgeBase:
     p.expect("kb")
     p.expect("{")
     if p.accept("roles"):
@@ -262,8 +332,7 @@ def parse_kb(text: str) -> KnowledgeBase:
     raw = p.tbox()
     p.expect("abox")
     p.expect("{")
-    assertions: list = []
-    first_exists: int | None = None
+    facts, first_exists = p.facts, p.first_exists
     while not p.accept("}"):
         at = p.ident("assertion expected")
         name = p.tokens[at]
@@ -278,16 +347,17 @@ def parse_kb(text: str) -> KnowledgeBase:
         p.expect(")")
         p.expect(";")
         if role is not None:
-            assertions.append(ConceptAssertion(Exists(role), first))
+            fact: Assertion = ConceptAssertion(Exists(role), first)
         elif second is not None:
             p.constrain(name, "role", at)
-            assertions.append(RoleAssertion(BasicRole(name), first, second))
+            fact = RoleAssertion(BasicRole(name), first, second)
         else:
             p.constrain(name, "concept", at)
-            assertions.append(ConceptAssertion(Atomic(name), first))
+            fact = ConceptAssertion(Atomic(name), first)
+        facts.setdefault(str(fact), fact)
     p.close()
     tbox = p.axioms(raw)
-    abox = ABox.make(assertions)
+    abox = ABox(tuple(facts[key] for key in sorted(facts)))
     if first_exists is not None and abox.extended:
         raise p.error(
             "existential assertions are only allowed in ABoxes without nulls", first_exists

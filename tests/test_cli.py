@@ -211,6 +211,24 @@ def test_missing_and_malformed_inputs_exit_3(capsys, tmp_path):
     assert "line 1" in out
 
 
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path):
+    """A file may begin with a UTF-8 byte-order mark, and its digest is still
+    over the file's bytes; a mark anywhere else is an unexpected character."""
+    data = b"kb { tbox { } abox { F(a); } }"
+    marked = tmp_path / "marked.kbx"
+    marked.write_bytes(b"\xef\xbb\xbf" + data)
+    code, report = run_json(capsys, "consistency", "--kb", str(marked))
+    assert (code, report["answer"]) == (0, "yes")
+    digest = hashlib.sha256(marked.read_bytes()).hexdigest()
+    assert report["inputs"]["marked.kbx"]["sha256"] == digest
+    for at, line, column in ((4, 1, 5), (len(data), 1, len(data) + 1)):
+        marked.write_bytes(data[:at] + b"\xef\xbb\xbf" + data[at:])
+        code, report = run_json(capsys, "consistency", "--kb", str(marked))
+        assert code == 3
+        assert report["reason"].endswith(
+            f"unexpected character '\\ufeff' (line {line}, column {column})")
+
+
 def test_usage_errors_exit_3(capsys):
     assert cli.run(["no-such-command"]) == 3
     capsys.readouterr()
