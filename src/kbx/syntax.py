@@ -99,13 +99,13 @@ def _lex(text: str) -> list[str]:
 
 # "abox" after no name character, then "{".
 _ABOX = re.compile(r"abox(?<![\w']abox)\s*\{")
-# After whitespace: a comment, or one assertion whose tokens only whitespace
-# separates: existential (role, "-" or "", term), or atomic or a role fact
-# (predicate other than "exists", term, second term).  A name is here any
-# run of [\w'], and the scanner checks that it lexes as one name.
+# After whitespace: one assertion whose tokens only whitespace separates,
+# atomic or a role fact (predicate other than "exists", term, second term) or
+# existential (role, "-" or "", term), or a comment.  A name is here any run
+# of [\w'], and the scanner checks that it lexes as one name.
 _FACT = re.compile(
-    r"\s*(?:#[^\n]*|exists\s+([\w']+)\s*(-?)\s*\(\s*([\w']+)\s*\)\s*;"
-    r"|(?!exists\s*\()([\w']+)\s*\(\s*([\w']+)\s*(?:,\s*([\w']+)\s*)?\)\s*;)"
+    r"\s*(?:(?!exists\s*\()([\w']+)\s*\(\s*([\w']+)\s*(?:,\s*([\w']+)\s*)?\)\s*;"
+    r"|exists\s+([\w']+)\s*(-?)\s*\(\s*([\w']+)\s*\)\s*;|#[^\n]*)"
 )
 
 
@@ -246,7 +246,7 @@ class _Parser:
         text, facts, kinds, term = self.text, self.facts, self.kinds, self.term
         while m := _FACT.match(text, pos):
             pos = m.end()
-            role, inv, arg, pred, first, second = m.groups()
+            pred, first, second, role, inv, arg = m.groups()
             if second is not None:
                 kind, key = "role", f"{pred}({first}, {second})"
                 fact = RoleAssertion(BasicRole(pred), term(first), term(second))

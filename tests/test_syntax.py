@@ -25,6 +25,7 @@ from kbx.model import (
     RoleAssertion,
     RoleInclusion,
 )
+from kbx import syntax
 from kbx.syntax import ParseError, parse_kb, parse_mapping, serialize
 
 
@@ -407,3 +408,138 @@ def test_parsing_is_linear_in_the_facts():
     passes over the objects that earlier tests left would cost the long chain
     more than the short one."""
     assert _chain_parse_cpu_per_fact(40_000) <= 1.5 * _chain_parse_cpu_per_fact(4_000)
+
+
+def _token_parse(text):
+    """The KB that the token parser alone makes of ``text``."""
+    return syntax._parse_kb(syntax._Parser(text))
+
+
+def _outcome(parse, text):
+    """``repr`` of the parse, or the error's message, line and column."""
+    try:
+        return repr(parse(text))
+    except ParseError as err:
+        return (err.message, err.line, err.column)
+
+
+# Names with "'" and non-ASCII letters.  "exists'" is a concept name, and
+# "exists" a role name after "exists" and an error elsewhere.
+DIFF_CONCEPTS = ["A", "B'", "É", "exists'"]
+DIFF_ROLES = ["R", "S'", "Ωr"]
+DIFF_CONSTANTS = ["a", "b'", "ç", "a2"]
+DIFF_NULLS = ["_n", "_m'"]
+DIFF_SPACES = ["", " ", "  ", "\t", "\n", "\r\n", "\n\t "]
+DIFF_COMMENTS = [" # c\n", "# abox { A(c);\r\n", "\n#\n\t", "#(a, b);\n"]
+# Words that the scanner reads as names, and the lexer does not.
+DIFF_NON_NAMES = ["1a", "²F", "F_x", "'a"]
+DIFF_JUNK = ["(", ")", ",", ";", "-", "!", "²", "1a", "_", "exists", "}", "{", "abox {", "F(a)"]
+
+
+def _draw_kb_tokens(rng):
+    """The tokens of a KB: maybe a roles block, a TBox of up to three axioms
+    and an ABox of up to twelve facts, some repeated, over nulls or with
+    existential facts.  A name is now and then used as the other kind, and a
+    junk token may go anywhere, trailing input included."""
+
+    def pick(own, other):
+        return rng.choice(other + ["exists", rng.choice(DIFF_NON_NAMES)]
+                          if rng.random() < 0.04 else own)
+
+    tokens = ["kb", "{"]
+    if rng.random() < 0.4:
+        declared = rng.sample(DIFF_ROLES + DIFF_CONCEPTS[:1], rng.randint(1, 2))
+        tokens += ["roles", "{", *" , ".join(declared).split(), "}"]
+    tokens += ["tbox", "{"]
+    for _ in range(rng.randint(0, 3)):
+        tokens += rng.choice([
+            [pick(DIFF_CONCEPTS, DIFF_ROLES), "[=", "exists",
+             pick(DIFF_ROLES + ["exists"], DIFF_CONCEPTS)],
+            [pick(DIFF_ROLES, DIFF_CONCEPTS), "[=", "R"],
+            [pick(DIFF_ROLES, DIFF_CONCEPTS), "-", "[=", "not", "S'", "-"],
+            [pick(DIFF_CONCEPTS, DIFF_ROLES), "[=", "not", "B'"],
+        ]) + [";"]
+    tokens += ["}", "abox", "{"]
+    nulls = rng.random() < 0.4
+    terms = DIFF_CONSTANTS + (DIFF_NULLS if nulls else [])
+    terms += [rng.choice(["_1", "_'", "a_b", "²"])] if rng.random() < 0.05 else []
+    existential = rng.random() < (0.1 if nulls else 0.6)
+    facts: list = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if facts and kind < 0.15:
+            fact = rng.choice(facts)
+        elif kind < 0.45:
+            fact = [pick(DIFF_CONCEPTS, DIFF_ROLES), "(", rng.choice(terms), ")"]
+        elif kind < 0.85 or not existential:
+            fact = [pick(DIFF_ROLES, DIFF_CONCEPTS), "(", rng.choice(terms), ",",
+                    rng.choice(terms), ")"]
+        else:
+            inverse = ["-"] if rng.random() < 0.5 else []
+            fact = ["exists", pick(DIFF_ROLES + ["exists"], DIFF_CONCEPTS), *inverse, "(",
+                    rng.choice(DIFF_CONSTANTS), ")"]
+        facts.append(fact)
+        tokens += fact + [";"]
+    tokens += ["}", "}"]
+    if rng.random() < 0.25:
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(DIFF_JUNK))
+    return tokens
+
+
+def _joined(rng, tokens):
+    """The tokens with a drawn gap before each, and one at the end: mostly
+    spaces, tabs and line breaks, now and then a comment; two names are never
+    joined by an empty gap."""
+
+    def draw():
+        return rng.choice(DIFF_COMMENTS if rng.random() < 0.04 else DIFF_SPACES)
+
+    out = []
+    for before, token in zip([""] + tokens, tokens):
+        gap = draw()
+        if not gap and before[-1:].isalnum() | (before[-1:] in "'_") and token[:1].isalnum():
+            gap = " "
+        out += [gap, token]
+    return "".join(out + [draw()])
+
+
+def test_scanned_abox_parses_as_the_token_parser_does():
+    """On 2,500 drawn KB texts, parse_kb gives the token parser's KB, or its
+    error message, line and column.  Many draws parse; in many the scanner
+    reads every fact, and in many it hands facts over to the token parser."""
+    rng = random.Random(27)
+    parsed = scanned_all = handed_over = 0
+    for _ in range(2500):
+        text = _joined(rng, _draw_kb_tokens(rng))
+        expected = _outcome(_token_parse, text)
+        assert _outcome(parse_kb, text) == expected, text
+        if isinstance(expected, str):
+            parsed += 1
+            scan = syntax._Parser(text, scan=True)
+            size = len(parse_kb(text).abox.assertions)
+            scanned_all += 0 < len(scan.facts) == size
+            handed_over += 0 < len(scan.facts) < size
+    assert parsed >= 1000 and scanned_all >= 200 and handed_over >= 200, (
+        parsed, scanned_all, handed_over)
+
+
+# Inputs on which a backtracking regex would take time beyond any bound.
+GUARD_INPUTS = {
+    "long comment line": "kb { tbox { } abox { A(a);\n" + "#" * 20_000 + "\nR(a, b); } }",
+    "long comment at the end": "kb { tbox { } abox { A(a); " + "#" * 20_000,
+    "long predicate": "kb { tbox { } abox { " + "A" * 100_000 + "(a); } }",
+    "long term": "kb { tbox { } abox { R(a, " + "b'" * 50_000 + "); } }",
+    "long name at the end": "kb { tbox { } abox { " + "A" * 100_000,
+    "unclosed facts": "kb { tbox { } abox { " + "R(a," * 10_000,
+    "commented keyword": "kb { # abox { F(a);\n tbox { } abox { G(b); } }",
+}
+
+
+@pytest.mark.parametrize("text", GUARD_INPUTS.values(), ids=GUARD_INPUTS.keys())
+def test_long_runs_parse_or_fail_within_a_second(text):
+    """Each input parses, as the token parser does, or fails as it does,
+    within 1 s of CPU."""
+    start = time.process_time()
+    outcome = _outcome(parse_kb, text)
+    assert time.process_time() - start < 1.0
+    assert outcome == _outcome(_token_parse, text)
