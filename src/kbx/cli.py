@@ -14,6 +14,7 @@ and seed).
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import os
@@ -58,7 +59,8 @@ def _load(path: str, parser, inputs: dict):
         "sha256": hashlib.sha256(data).hexdigest(),
     }
     try:
-        return parser(data.decode("utf-8-sig"))  # a leading byte-order mark is not text
+        # Skip a leading byte-order mark; the "utf-8-sig" codec would import a module.
+        return parser(data.removeprefix(codecs.BOM_UTF8).decode("utf-8"))
     except ParseError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:

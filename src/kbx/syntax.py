@@ -99,10 +99,9 @@ def _lex(text: str) -> list[str]:
 
 # "abox" after no name character, then "{".
 _ABOX = re.compile(r"abox(?<![\w']abox)\s*\{")
-# After whitespace: one assertion whose tokens only whitespace separates,
-# atomic or a role fact (predicate other than "exists", term, second term) or
-# existential (role, "-" or "", term), or a comment.  A name is here any run
-# of [\w'], and the scanner checks that it lexes as one name.
+# After whitespace, an assertion whose tokens only whitespace separates: (a
+# predicate other than "exists", term, second term) or existential (role, "-"
+# or "", term); or a comment.  Names are runs of [\w'] that the scanner checks.
 _FACT = re.compile(
     r"\s*(?:(?!exists\s*\()([\w']+)\s*\(\s*([\w']+)\s*(?:,\s*([\w']+)\s*)?\)\s*;"
     r"|exists\s+([\w']+)\s*(-?)\s*\(\s*([\w']+)\s*\)\s*;|#[^\n]*)"
@@ -110,8 +109,7 @@ _FACT = re.compile(
 
 
 def _abox_body(text: str) -> int:
-    """Where the ABox's first assertion may start: after the "{" of the first
-    "abox {" outside a comment, or 0 if there is none."""
+    """After the "{" of the first "abox {" outside a comment, or 0 if none."""
     for m in _ABOX.finditer(text):
         if text.rfind("#", text.rfind("\n", 0, m.start()) + 1, m.start()) < 0:
             return m.end()
@@ -238,11 +236,11 @@ class _Parser:
         return term
 
     def scan(self, pos: int) -> int:
-        """Read assertions from ``pos`` into ``facts`` up to the first text
-        that is not one, and return where that text starts.  Kinds and terms
-        are made as the token loop of `parse_kb` makes them.  It runs before
-        the header is parsed, so every kind is of a name it read.  On its
-        errors `parse_kb` parses again without it, for their location."""
+        """Read assertions from ``pos`` into ``facts``, with kinds and terms as
+        `parse_kb`'s token loop makes them, up to the first text that is not
+        one, and return where it starts.  It runs before the header is parsed,
+        so every kind is of a name it read; on its errors `parse_kb` parses
+        again without it."""
         text, facts, kinds, term = self.text, self.facts, self.kinds, self.term
         while m := _FACT.match(text, pos):
             pos = m.end()
@@ -354,7 +352,7 @@ def _parse_kb(p: _Parser) -> KnowledgeBase:
         else:
             p.constrain(name, "concept", at)
             fact = ConceptAssertion(Atomic(name), first)
-        facts.setdefault(str(fact), fact)
+        facts[str(fact)] = fact
     p.close()
     tbox = p.axioms(raw)
     abox = ABox(tuple(facts[key] for key in sorted(facts)))

@@ -497,7 +497,8 @@ def _joined(rng, tokens):
     out = []
     for before, token in zip([""] + tokens, tokens):
         gap = draw()
-        if not gap and before[-1:].isalnum() | (before[-1:] in "'_") and token[:1].isalnum():
+        joins = before[-1:].isalnum() or before[-1:] in ("'", "_")
+        if not gap and joins and token[:1].isalnum():
             gap = " "
         out += [gap, token]
     return "".join(out + [draw()])
