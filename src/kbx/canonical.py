@@ -167,7 +167,8 @@ class CanonicalStructure:
     """Finite presentation of a canonical model.
 
     States are the ABox individuals plus the reachable witness-class
-    representatives; `gen` maps each state to the classes it generates.
+    representatives; `gen` maps each state to the classes it generates, as
+    the context's `children` and `generated` give them.
     """
 
     def __init__(self, kb: KnowledgeBase, ctx: Reasoner):
@@ -181,16 +182,10 @@ class CanonicalStructure:
         for (t1, _t2), roles in self.individual_roles.items():
             satisfied[t1] |= roles
 
-        self.gen: dict = {}
-        made: dict = {}  # (entailed type, satisfied roles) -> the classes generated
-        for t in self.individuals:
-            tp, done = self.individual_types[t], frozenset(satisfied[t])
-            got = made.get((tp, done))
-            if got is None:
-                cands = {c.role for c in tp if isinstance(c, Exists)}
-                reps = {ctx.rep_of(r) for r in ctx.minimal_roles(cands) if r not in done}
-                got = made[tp, done] = tuple(sorted(reps, key=str))
-            self.gen[t] = got
+        self.gen: dict = {
+            t: ctx.children(self.individual_types[t], frozenset(satisfied[t]))
+            for t in self.individuals
+        }
 
         self.class_types: dict[BasicRole, frozenset] = {}
         self.class_edges: dict[BasicRole, frozenset] = {}
@@ -248,19 +243,14 @@ class CanonicalStructure:
         return frozenset(r for r in roles if role_over(r, sigma))
 
 
-def build_canonical(
-    kb: KnowledgeBase, check_consistency: bool = True, reasoner: Reasoner | None = None
-) -> CanonicalStructure:
-    """Construct the regular presentation; raises InconsistentKB on clash.
-
-    ``reasoner``, when given, must be the context of ``kb.tbox``; otherwise
-    the structure builds its own.
-    """
-    if reasoner is None:
-        reasoner = Reasoner(kb.tbox)
-    if check_consistency and not reasoner.consistent(kb.abox):
+def build_canonical(kb: KnowledgeBase, check_consistency: bool = True) -> CanonicalStructure:
+    """Construct the regular presentation in a context of its own; raises
+    InconsistentKB on clash.  A caller that holds the context of ``kb.tbox``
+    builds ``CanonicalStructure(kb, ctx)`` instead."""
+    ctx = Reasoner(kb.tbox)
+    if check_consistency and not ctx.consistent(kb.abox):
         raise InconsistentKB("knowledge base is inconsistent")
-    return CanonicalStructure(kb, reasoner)
+    return CanonicalStructure(kb, ctx)
 
 
 def rtype_edge(c: CanonicalStructure, p1: tuple, p2: tuple) -> frozenset:

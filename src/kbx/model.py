@@ -353,16 +353,11 @@ def validate_mapping(m: Mapping) -> list[str]:
     if overlap:
         violations.append(f"signature overlap between source and target: {sorted(overlap)}")
     for ax in m.t12:
-        if isinstance(ax, ConceptInclusion):
-            if not concept_over(ax.lhs, m.sigma1):
-                violations.append(f"axiom '{ax}': left side not over the source signature")
-            if not concept_over(ax.rhs, m.sigma2):
-                violations.append(f"axiom '{ax}': right side not over the target signature")
-        else:
-            if not role_over(ax.lhs, m.sigma1):
-                violations.append(f"axiom '{ax}': left side not over the source signature")
-            if not role_over(ax.rhs, m.sigma2):
-                violations.append(f"axiom '{ax}': right side not over the target signature")
+        over = concept_over if isinstance(ax, ConceptInclusion) else role_over
+        if not over(ax.lhs, m.sigma1):
+            violations.append(f"axiom '{ax}': left side not over the source signature")
+        if not over(ax.rhs, m.sigma2):
+            violations.append(f"axiom '{ax}': right side not over the target signature")
     return violations
 
 

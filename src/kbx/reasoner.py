@@ -12,10 +12,14 @@ by a clash scan over the (finitely many) witness classes reachable from it.
 A `Reasoner` is that compiled form of one TBox: its edges indexed once, both
 clash pair sets, and memos of each node's closure and reverse closure (the
 nodes deriving it, read off reverse edges indexed on the first such question),
-of witness-class representatives, minimal roles, generated classes, pair
-consistency and the entailed set of each distinct asserted set, filled in the
-first time a decision asks for one.  Each decision builds the contexts it
-needs and drops them when it returns, so no cache outlives a call:
+of witness-class representatives, generated classes, pair consistency and the
+entailed set of each distinct asserted set, filled in the first time a
+decision asks for one.  `Reasoner.children` is the one place the canonical
+model's generating rule is written: `CanonicalStructure` asks it for each
+individual and, through `generated`, for each witness class, and
+`representability` asks it which classes the single fact ``b(o)`` generates,
+building no structure.  Each decision builds the contexts it needs and drops
+them when it returns, so no cache outlives a call:
 `CanonicalStructure` builds (or is handed) the context of its KB's TBox,
 `exchange` reuses the structure's, and `representability` builds one per TBox
 it reasons over.  A certificate recheck builds its own contexts
@@ -85,8 +89,8 @@ class Reasoner:
         self._sub: dict = {}
         self._rev: dict | None = None
         self._reps: dict = {}
+        self._children: dict = {}
         self._generated: dict = {}
-        self._minimal: dict = {}
         self._pairs: dict = {}
         self._unions: dict = {}
 
@@ -124,32 +128,36 @@ class Reasoner:
         ``role`` derives and that derive it."""
         got = self._reps.get(role)
         if got is None:
-            got = self._reps[role] = min(
-                (s for s in self.sup(role) if self.derives(s, role)), key=str
-            )
+            got = self._reps[role] = min(self.sup(role) & self.sub(role), key=str)
         return got
 
     def minimal_roles(self, cands) -> frozenset[BasicRole]:
         """The roles of ``cands`` with no strictly smaller role among ``cands``."""
         key = frozenset(cands)
-        got = self._minimal.get(key)
+        return frozenset(r for r in key if self.sub(r) & key <= self.sup(r))
+
+    def children(self, tp: frozenset, done: frozenset = frozenset()) -> tuple[BasicRole, ...]:
+        """The witness classes that an element of type ``tp`` generates when
+        the roles of ``done`` already hold from it: the representatives of
+        the minimal roles of its existentials outside ``done``, sorted by
+        ``str``.  The one generating rule, for individuals and classes alike."""
+        got = self._children.get((tp, done))
         if got is None:
-            got = self._minimal[key] = frozenset(
-                r for r in key
-                if all(self.rep_of(s) == self.rep_of(r) for s in key if self.derives(s, r))
-            )
+            cands = {c.role for c in tp if isinstance(c, Exists)}
+            reps = {self.rep_of(r) for r in self.minimal_roles(cands) if r not in done}
+            got = self._children[tp, done] = tuple(sorted(reps, key=str))
         return got
 
     def generated(self, rep: BasicRole) -> tuple[BasicRole, ...]:
         """Witness classes generated by the class element of ``rep``, for any
-        basic role, whether or not its class is reachable from some ABox."""
+        basic role, whether or not its class is reachable from some ABox.
+        The roles of its edge back to its parent already hold from it; the
+        minimal ones among them are those of that edge's class, the one
+        class left out."""
         got = self._generated.get(rep)
         if got is None:
-            tail = self.sup(Exists(rep.inverse()))
-            back_rep = self.rep_of(rep.inverse())
-            cands = {c.role for c in tail if isinstance(c, Exists)}
-            reps = {self.rep_of(r) for r in self.minimal_roles(cands)} - {back_rep}
-            got = self._generated[rep] = tuple(sorted(reps, key=str))
+            back = rep.inverse()
+            got = self._generated[rep] = self.children(self.sup(Exists(back)), self.sup(back))
         return got
 
     # -- consistency -----------------------------------------------------------

@@ -15,7 +15,7 @@ from collections import deque
 from itertools import combinations_with_replacement, product
 from typing import Optional
 
-from .canonical import CanonicalStructure, build_canonical, combined_tbox, positive_part
+from .canonical import combined_tbox, positive_part
 from .model import (
     ABox,
     Atomic,
@@ -25,7 +25,6 @@ from .model import (
     ConceptInclusion,
     Constant,
     Exists,
-    KnowledgeBase,
     Mapping,
     Record,
     RoleAssertion,
@@ -35,10 +34,12 @@ from .model import (
     Variable,
     all_basic_concepts,
     all_basic_roles,
+    concept_over,
+    role_over,
     signature_of,
     validate_mapping,
 )
-from .reasoner import Reasoner
+from .reasoner import Reasoner, _reachable
 
 
 class PreconditionViolated(Exception):
@@ -99,8 +100,6 @@ class RepresentationVerdict(Record, fields=("answer", "counterexample", "tbox", 
         return tuple.__new__(cls, (answer, counterexample, tbox, reason))
 
 
-_PROBE = Constant("o")
-
 # Deterministic constant pool for counterexample data and query probes; the
 # query constants never occur in the data, which is what makes a certain
 # answer on them impossible for a satisfiable theory.
@@ -143,13 +142,19 @@ class _Kind(Record, fields=("names", "sources", "sat", "live", "axiom")):
 
 class _Decision:
     """Everything one representability decision reasons with: a context for
-    each TBox involved, compiled once, the canonical probes built from them,
-    and the safety verdicts found so far.  It lives for one decision only.
+    each TBox involved, compiled once, and the safety verdicts found so far.
+    It lives for one decision only.
 
     The source side has three contexts: the source TBox ``t1``, the mapping
     ``t12`` and their union ``comb``.  A candidate ``t2`` adds one target
     context ``tgt``, of ``t2`` plus the positive mapping axioms, which gives
-    the target side's derivations, probes and satisfiability.
+    the target side's derivations, generated neighbors and satisfiability.
+
+    The canonical model of the single fact ``b(o)`` under a context ``ctx``
+    gives ``o`` the type ``ctx.sup(b)`` and no roles, so ``o``'s neighbors
+    are the classes ``ctx.children(ctx.sup(b))``; a class ``rep`` has the
+    type ``ctx.sup(Exists(rep.inverse()))``, its edge from the parent the
+    roles ``ctx.sup(rep)``, and generates ``ctx.generated(rep)``.
     """
 
     def __init__(self, mapping: Mapping, t1: TBox, t2: Optional[TBox] = None):
@@ -165,9 +170,8 @@ class _Decision:
             # can never fire on translated data; satisfiability on the target
             # side is therefore measured against t2 plus the positive mapping
             # axioms.  Closures read only positive axioms, so derivations and
-            # probes are the same as under t2 plus the whole mapping.
+            # neighbors are the same as under t2 plus the whole mapping.
             self.tgt = Reasoner(combined_tbox(t2, positive_part(t12)))
-        self._probes: dict = {}
         self._safe: dict = {}
 
         def kind(names, sources, axiom) -> _Kind:
@@ -180,14 +184,14 @@ class _Decision:
         )
         self.roles = kind(all_basic_roles(self.tgt_sig), all_basic_roles(src_sig), RoleInclusion)
 
-    def probe(self, ctx: Reasoner, concept: BasicConcept) -> CanonicalStructure:
-        """Canonical structure of ``ctx``'s TBox over the single fact ``concept(o)``."""
-        key = (ctx, concept)
-        got = self._probes.get(key)
-        if got is None:
-            kb = KnowledgeBase(ctx.tbox, ABox.make([ConceptAssertion(concept, _PROBE)]))
-            got = self._probes[key] = build_canonical(kb, check_consistency=False, reasoner=ctx)
-        return got
+    def need(self, ctx: Reasoner, rep: BasicRole) -> tuple[frozenset, frozenset]:
+        """The target concepts of the class ``rep`` under ``ctx`` and the
+        target roles of its edge from the parent."""
+        tp, roles = ctx.sup(Exists(rep.inverse())), ctx.sup(rep)
+        return (
+            frozenset(c for c in tp if concept_over(c, self.tgt_sig)),
+            frozenset(r for r in roles if role_over(r, self.tgt_sig)),
+        )
 
     def safe(self, check, kind: _Kind, lhs, rhs) -> bool:
         """``check(self, kind, lhs, rhs)``, one of the safety checks below, memoized."""
@@ -229,10 +233,9 @@ def _inclusion_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
         for b in kind.live:
             if b not in comb.sub(Exists(back)):
                 continue
-            probe = d.probe(comb, b)
             if not any(
-                back in probe.edge_roles(rep) and rhs in probe.state_type(rep)
-                for rep in probe.gen[_PROBE]
+                back in comb.sup(rep) and rhs in comb.sup(Exists(rep.inverse()))
+                for rep in comb.children(comb.sup(b))
             ):
                 return False
     return True
@@ -246,12 +249,11 @@ def _disjointness_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
             return False
     # Nor may the two meet at, or on the edge to, a generated neighbor.
     for b in d.concepts.live:
-        probe = d.probe(comb, b)
-        for rep in probe.gen[_PROBE]:
+        for rep in comb.children(comb.sup(b)):
             if kind is d.concepts:
-                meet = {lhs, rhs} <= probe.state_type(rep)
+                meet = {lhs, rhs} <= comb.sup(Exists(rep.inverse()))
             else:
-                rt = probe.edge_roles(rep)
+                rt = comb.sup(rep)
                 meet = {lhs, rhs} <= rt or {lhs.inverse(), rhs.inverse()} <= rt
             if meet:
                 return False
@@ -360,18 +362,15 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
 
     # Every generated neighbor on one side must be matched on the other.
     for bc in d.concepts.live:
-        probe_src = d.probe(comb, bc)
-        probe_tgt = d.probe(tgt, bc)
         for have, other, template in (
-            (probe_src, probe_tgt, "data satisfying {bc} is guaranteed a neighbor with "
+            (comb, tgt, "data satisfying {bc} is guaranteed a neighbor with "
              "{need} that the candidate cannot reproduce"),
-            (probe_tgt, probe_src, "the candidate forces a neighbor with {need} "
+            (tgt, comb, "the candidate forces a neighbor with {need} "
              "onto data satisfying {bc} beyond what the source TBox guarantees"),
         ):
-            for rep in have.gen[_PROBE]:
-                need_t = have.state_type(rep, tgt_sig)
-                need_r = have.edge_roles(rep, tgt_sig)
-                if _has_matching_state(other, need_t, need_r):
+            for rep in have.children(have.sup(bc)):
+                need_t, need_r = d.need(have, rep)
+                if _has_matching_state(other, bc, need_t, need_r):
                     continue
                 reason = template.format(bc=bc, need=sorted(map(str, need_t)))
                 return no(_realize(bc, _W0), _neighbor_query(need_t, need_r), reason)
@@ -380,18 +379,20 @@ def is_ucq_representation(mapping: Mapping, t1: TBox, t2: TBox) -> Representatio
 
 
 def _has_matching_state(
-    probe: CanonicalStructure, need_t: frozenset, need_r: frozenset
+    ctx: Reasoner, bc: BasicConcept, need_t: frozenset, need_r: frozenset
 ) -> bool:
+    """Whether the canonical model of ``bc(o)`` under ``ctx`` has an element
+    with the concepts ``need_t``, joined to ``o`` by the roles ``need_r``
+    when there are any."""
+    top = ctx.children(ctx.sup(bc))
     if need_r:
         # Only a direct generated neighbor can carry required connecting roles.
-        for rep in probe.gen[_PROBE]:
-            if need_r <= probe.edge_roles(rep) and need_t <= probe.state_type(rep):
-                return True
-        return False
-    for state in probe.states():
-        if need_t <= probe.state_type(state):
-            return True
-    return False
+        return any(
+            need_r <= ctx.sup(rep) and need_t <= ctx.sup(Exists(rep.inverse())) for rep in top
+        )
+    return need_t <= ctx.sup(bc) or any(
+        need_t <= ctx.sup(Exists(rep.inverse())) for rep in _reachable(top, ctx.generated)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +429,7 @@ def representation_exists(mapping: Mapping, t1: TBox) -> RepresentationVerdict:
 
     # Generated neighbors need a chain of target axioms reproducing them.
     for bc in d.concepts.live:
-        for rep in d.probe(comb, bc).gen[_PROBE]:
+        for rep in comb.children(comb.sup(bc)):
             got = _conform_pass(d, bc, rep)
             if got is None:
                 return no(
@@ -466,9 +467,7 @@ def _conform_pass(d: _Decision, bc: BasicConcept, rep: BasicRole) -> Optional[li
     witness they force into existence, and the last node carries every
     required target concept.
     """
-    probe = d.probe(d.comb, bc)
-    need_t = probe.state_type(rep, d.tgt_sig)
-    need_r = probe.edge_roles(rep, d.tgt_sig)
+    need_t, need_r = d.need(d.comb, rep)
 
     # Zero hops: the starting object itself absorbs all required facts.
     if not need_r:

@@ -11,10 +11,13 @@ import pytest
 
 from conftest import derives_assertion
 
+import kbx.canonical
+import kbx.exchange
+import kbx.homomorphism
 import kbx.reasoner
 import kbx.representability
 from kbx.canonical import (
-    build_canonical,
+    CanonicalStructure,
     build_vabox,
     closure_abox,
     combined_tbox,
@@ -45,7 +48,10 @@ R, S, RP, SP = BasicRole("R"), BasicRole("S"), BasicRole("Rp"), BasicRole("Sp")
 F, FP = Atomic("F"), Atomic("Fp")
 
 
-@pytest.mark.parametrize("module", [kbx.reasoner, kbx.representability])
+@pytest.mark.parametrize(
+    "module",
+    [kbx.reasoner, kbx.representability, kbx.canonical, kbx.exchange, kbx.homomorphism],
+)
 def test_no_function_keeps_a_cache(module):
     cached = [
         name
@@ -184,7 +190,7 @@ def test_shared_tables_match_their_per_individual_definitions():
             for t1 in terms for t2 in terms if (asserted := _asserted_roles(abox, t1, t2))
         }
 
-        c = build_canonical(KnowledgeBase(tbox, abox), check_consistency=False, reasoner=ctx)
+        c = CanonicalStructure(KnowledgeBase(tbox, abox), ctx)
         for t in terms:
             satisfied = set().union(*(rs for (t1, _), rs in roles.items() if t1 == t))
             cands = {b.role for b in types[t] if isinstance(b, Exists)}

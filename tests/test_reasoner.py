@@ -27,7 +27,8 @@ from kbx.model import (
     all_basic_concepts,
     all_basic_roles,
 )
-from kbx.reasoner import Reasoner, kb_consistent, tbox_trivial
+from kbx.canonical import CanonicalStructure
+from kbx.reasoner import Reasoner, _reachable, kb_consistent, tbox_trivial
 
 F, G, H = Atomic("F"), Atomic("G"), Atomic("H")
 S, T = BasicRole("S"), BasicRole("T")
@@ -164,6 +165,73 @@ def test_a_tbox_without_clash_pairs_is_consistent_without_grouping_facts(monkeyp
          RoleAssertion(T, b, a)]
     )
     assert ctx.consistent(abox)
+
+
+def _rep_of(ctx, role):
+    """The least role that ``role`` derives and that derives it, by ``derives``."""
+    return min((s for s in ctx.sup(role) if ctx.derives(s, role)), key=str)
+
+
+def _minimal_roles(ctx, cands):
+    """The roles of ``cands`` sharing a class with every role of ``cands`` that derives them."""
+    key = frozenset(cands)
+    return frozenset(
+        r for r in key
+        if all(_rep_of(ctx, s) == _rep_of(ctx, r) for s in key if ctx.derives(s, r))
+    )
+
+
+def _children(ctx, tp, done):
+    """The classes of the minimal roles of ``tp``'s existentials outside ``done``."""
+    cands = {c.role for c in tp if isinstance(c, Exists)}
+    reps = {_rep_of(ctx, r) for r in _minimal_roles(ctx, cands) if r not in done}
+    return tuple(sorted(reps, key=str))
+
+
+def _generated(ctx, rep):
+    """The classes a class element generates: its type's, but for its own edge back's."""
+    back = _rep_of(ctx, rep.inverse())
+    return tuple(c for c in _children(ctx, ctx.sup(Exists(rep.inverse())), ()) if c != back)
+
+
+def test_the_generating_rule_reads_as_the_canonical_structure_of_one_fact():
+    """The reasoner's witness classes, its children and generated classes
+    agree with their definitions written out through ``derives``, and with
+    the canonical structure of each one-fact ABox ``b(o)``: ``o``'s classes,
+    the reachable classes and each class's type and edge roles."""
+    sig = Signature.make("ABC", "RST")
+    concepts, roles = all_basic_concepts(sig), all_basic_roles(sig)
+    o = Constant("o")
+    rng = random.Random(29)
+    done_mattered = back_mattered = 0
+    for i in range(300):
+        tbox = random_tbox(rng)
+        ctx = Reasoner(tbox)
+        for r in roles:
+            assert ctx.rep_of(r) == _rep_of(ctx, r), (i, r)
+        for _ in range(8):
+            cands = rng.sample(roles, rng.randint(0, len(roles)))
+            assert ctx.minimal_roles(cands) == _minimal_roles(ctx, cands), (i, cands)
+            tp = frozenset(map(Exists, cands)) | ctx.sup(rng.choice(concepts))
+            done = frozenset(rng.sample(roles, rng.randint(0, 3)))
+            assert ctx.children(tp, done) == _children(ctx, tp, done), (i, tp, done)
+            done_mattered += _children(ctx, tp, done) != _children(ctx, tp, ())
+        for rep in roles:
+            assert ctx.generated(rep) == _generated(ctx, rep), (i, rep)
+            tail = ctx.sup(Exists(rep.inverse()))
+            back_mattered += _generated(ctx, rep) != _children(ctx, tail, ())
+        for b in concepts:
+            c = CanonicalStructure(KnowledgeBase(tbox, ABox.make([ConceptAssertion(b, o)])), ctx)
+            top = ctx.children(ctx.sup(b))
+            assert c.gen[o] == top == _children(ctx, ctx.sup(b), ()), (i, b)
+            classes = _reachable(top, ctx.generated)
+            assert classes == _reachable(top, lambda r: _generated(ctx, r)), (i, b)
+            assert set(c.classes) == classes, (i, b)
+            for rep in classes:
+                assert c.state_type(rep) == ctx.sup(Exists(rep.inverse())), (i, b, rep)
+                assert c.edge_roles(rep) == ctx.sup(rep), (i, b, rep)
+                assert c.gen[rep] == _generated(ctx, rep), (i, b, rep)
+    assert done_mattered >= 100 and back_mattered >= 100, (done_mattered, back_mattered)
 
 
 @pytest.mark.parametrize(
