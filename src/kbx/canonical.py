@@ -194,7 +194,7 @@ class CanonicalStructure:
             rep = todo.pop()
             if rep in self.class_types:
                 continue
-            self.class_types[rep] = ctx.sup(Exists(rep.inverse()))
+            self.class_types[rep] = ctx.class_type(rep)
             self.class_edges[rep] = ctx.sup(rep)
             self.gen[rep] = ctx.generated(rep)
             todo.extend(self.gen[rep])

@@ -16,13 +16,13 @@ of witness-class representatives, generated classes, pair consistency and the
 entailed set of each distinct asserted set, filled in the first time a
 decision asks for one.  `Reasoner.children` is the one place the canonical
 model's generating rule is written: `CanonicalStructure` asks it for each
-individual and, through `generated`, for each witness class, and
-`representability` asks it which classes the single fact ``b(o)`` generates,
-building no structure.  Each decision builds the contexts it needs and drops
-them when it returns, so no cache outlives a call:
-`CanonicalStructure` builds (or is handed) the context of its KB's TBox,
-`exchange` reuses the structure's, and `representability` builds one per TBox
-it reasons over.  A certificate recheck builds its own contexts
+individual and, through `generated`, for each witness class; `class_type`
+gives a class's type.  `representability` asks them, and `reachable_classes`,
+what the single fact ``b(o)`` generates, building no structure.  Each decision
+builds the contexts it needs and drops them when it returns, so no cache
+outlives a call: `CanonicalStructure` builds (or is handed) the context of its
+KB's TBox, `exchange` reuses the structure's, and `representability` builds
+one per TBox it reasons over.  A certificate recheck builds its own contexts
 too: a solution's, to verify its certificate (`exchange.verify_solution`), and
 a synthesized TBox's, to decide its representation again.
 The module-level `kb_consistent` is an uncached one-shot wrapper for the
@@ -136,6 +136,11 @@ class Reasoner:
         key = frozenset(cands)
         return frozenset(r for r in key if self.sub(r) & key <= self.sup(r))
 
+    def class_type(self, rep: BasicRole) -> frozenset:
+        """The type of the witness ``rep``'s edge leads to: every concept
+        that ``exists rep^-`` derives."""
+        return self.sup(Exists(rep.inverse()))
+
     def children(self, tp: frozenset, done: frozenset = frozenset()) -> tuple[BasicRole, ...]:
         """The witness classes that an element of type ``tp`` generates when
         the roles of ``done`` already hold from it: the representatives of
@@ -156,9 +161,14 @@ class Reasoner:
         class left out."""
         got = self._generated.get(rep)
         if got is None:
-            back = rep.inverse()
-            got = self._generated[rep] = self.children(self.sup(Exists(back)), self.sup(back))
+            back = self.sup(rep.inverse())
+            got = self._generated[rep] = self.children(self.class_type(rep), back)
         return got
+
+    def reachable_classes(self, tp: frozenset) -> frozenset[BasicRole]:
+        """The witness classes in the canonical model of one element of type
+        ``tp`` with no roles: its children and every class they generate."""
+        return _reachable(self.children(tp), self.generated)
 
     # -- consistency -----------------------------------------------------------
 
@@ -178,8 +188,7 @@ class Reasoner:
         return _reachable(
             {self.rep_of(c.role) for c in root_type if isinstance(c, Exists)},
             lambda rep: [
-                self.rep_of(c.role)
-                for c in self.sup(Exists(rep.inverse())) if isinstance(c, Exists)
+                self.rep_of(c.role) for c in self.class_type(rep) if isinstance(c, Exists)
             ],
         )
 
@@ -189,7 +198,7 @@ class Reasoner:
         if any(self._edge_clash(e) for e in root_edges):
             return False
         for rep in self._reachable_tail_reps(frozenset().union(*root_types)):
-            if self._type_clash(self.sup(Exists(rep.inverse()))):
+            if self._type_clash(self.class_type(rep)):
                 return False
             if self._edge_clash(self.sup(rep)):
                 return False
@@ -204,7 +213,7 @@ class Reasoner:
         if got is None:
             if isinstance(x, BasicRole):
                 t1 = self.sup(Exists(x)) | self.sup(Exists(y))
-                t2 = self.sup(Exists(x.inverse())) | self.sup(Exists(y.inverse()))
+                t2 = self.class_type(x) | self.class_type(y)
                 types, edges = [t1, t2], [self.sup(x) | self.sup(y)]
             else:
                 types, edges = [self.sup(x) | self.sup(y)], []

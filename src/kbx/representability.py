@@ -39,7 +39,7 @@ from .model import (
     signature_of,
     validate_mapping,
 )
-from .reasoner import Reasoner, _reachable
+from .reasoner import Reasoner
 
 
 class PreconditionViolated(Exception):
@@ -153,8 +153,9 @@ class _Decision:
     The canonical model of the single fact ``b(o)`` under a context ``ctx``
     gives ``o`` the type ``ctx.sup(b)`` and no roles, so ``o``'s neighbors
     are the classes ``ctx.children(ctx.sup(b))``; a class ``rep`` has the
-    type ``ctx.sup(Exists(rep.inverse()))``, its edge from the parent the
-    roles ``ctx.sup(rep)``, and generates ``ctx.generated(rep)``.
+    type ``ctx.class_type(rep)``, its edge from the parent the roles
+    ``ctx.sup(rep)``, and generates ``ctx.generated(rep)``; all the classes
+    are ``ctx.reachable_classes(ctx.sup(b))``.
     """
 
     def __init__(self, mapping: Mapping, t1: TBox, t2: Optional[TBox] = None):
@@ -187,10 +188,9 @@ class _Decision:
     def need(self, ctx: Reasoner, rep: BasicRole) -> tuple[frozenset, frozenset]:
         """The target concepts of the class ``rep`` under ``ctx`` and the
         target roles of its edge from the parent."""
-        tp, roles = ctx.sup(Exists(rep.inverse())), ctx.sup(rep)
         return (
-            frozenset(c for c in tp if concept_over(c, self.tgt_sig)),
-            frozenset(r for r in roles if role_over(r, self.tgt_sig)),
+            frozenset(c for c in ctx.class_type(rep) if concept_over(c, self.tgt_sig)),
+            frozenset(r for r in ctx.sup(rep) if role_over(r, self.tgt_sig)),
         )
 
     def safe(self, check, kind: _Kind, lhs, rhs) -> bool:
@@ -234,7 +234,7 @@ def _inclusion_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
             if b not in comb.sub(Exists(back)):
                 continue
             if not any(
-                back in comb.sup(rep) and rhs in comb.sup(Exists(rep.inverse()))
+                back in comb.sup(rep) and rhs in comb.class_type(rep)
                 for rep in comb.children(comb.sup(b))
             ):
                 return False
@@ -251,7 +251,7 @@ def _disjointness_safe(d: _Decision, kind: _Kind, lhs, rhs) -> bool:
     for b in d.concepts.live:
         for rep in comb.children(comb.sup(b)):
             if kind is d.concepts:
-                meet = {lhs, rhs} <= comb.sup(Exists(rep.inverse()))
+                meet = {lhs, rhs} <= comb.class_type(rep)
             else:
                 rt = comb.sup(rep)
                 meet = {lhs, rhs} <= rt or {lhs.inverse(), rhs.inverse()} <= rt
@@ -384,15 +384,13 @@ def _has_matching_state(
     """Whether the canonical model of ``bc(o)`` under ``ctx`` has an element
     with the concepts ``need_t``, joined to ``o`` by the roles ``need_r``
     when there are any."""
-    top = ctx.children(ctx.sup(bc))
+    tp = ctx.sup(bc)
     if need_r:
         # Only a direct generated neighbor can carry required connecting roles.
         return any(
-            need_r <= ctx.sup(rep) and need_t <= ctx.sup(Exists(rep.inverse())) for rep in top
+            need_r <= ctx.sup(rep) and need_t <= ctx.class_type(rep) for rep in ctx.children(tp)
         )
-    return need_t <= ctx.sup(bc) or any(
-        need_t <= ctx.sup(Exists(rep.inverse())) for rep in _reachable(top, ctx.generated)
-    )
+    return need_t <= tp or any(need_t <= ctx.class_type(rep) for rep in ctx.reachable_classes(tp))
 
 
 # ---------------------------------------------------------------------------

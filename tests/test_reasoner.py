@@ -224,11 +224,12 @@ def test_the_generating_rule_reads_as_the_canonical_structure_of_one_fact():
             c = CanonicalStructure(KnowledgeBase(tbox, ABox.make([ConceptAssertion(b, o)])), ctx)
             top = ctx.children(ctx.sup(b))
             assert c.gen[o] == top == _children(ctx, ctx.sup(b), ()), (i, b)
-            classes = _reachable(top, ctx.generated)
+            classes = ctx.reachable_classes(ctx.sup(b))
             assert classes == _reachable(top, lambda r: _generated(ctx, r)), (i, b)
             assert set(c.classes) == classes, (i, b)
             for rep in classes:
-                assert c.state_type(rep) == ctx.sup(Exists(rep.inverse())), (i, b, rep)
+                assert c.state_type(rep) == ctx.class_type(rep), (i, b, rep)
+                assert ctx.class_type(rep) == ctx.sup(Exists(rep.inverse())), (i, b, rep)
                 assert c.edge_roles(rep) == ctx.sup(rep), (i, b, rep)
                 assert c.gen[rep] == _generated(ctx, rep), (i, b, rep)
     assert done_mattered >= 100 and back_mattered >= 100, (done_mattered, back_mattered)
