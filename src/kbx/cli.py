@@ -6,21 +6,31 @@ an internal fault; none of these is ever reported as a verdict).
 A ``yes`` of ``usol-exists`` or ``usol-exists-ext`` is rechecked by
 ``verify_solution``, which verifies its certificate instead of deciding again,
 and one of ``rep-exists`` or ``rep-synth`` by the representation decider.
-Reports carry the answer, input digests, any witness or counterexample, and a
-certificate summary; ``--json`` switches to a byte-deterministic JSON report
-(timing is reported as text only, so JSON output depends only on the inputs
-and seed).
+Reports carry the answer, input digests (SHA-256 over each file's raw bytes,
+by the interpreter's built-in implementation, so a call never loads OpenSSL),
+any witness or counterexample, and a certificate summary; ``--json`` switches
+to a byte-deterministic JSON report (timing is reported as text only, so JSON
+output depends only on the inputs and seed).
 """
 
 from __future__ import annotations
 
 import codecs
-import hashlib
 import json
 import os
 import sys
 import time
 from types import SimpleNamespace
+
+# hashlib maps in OpenSSL's libcrypto (about 4 MB of a call's peak memory) for
+# one digest per input file, so take the interpreter's built-in SHA-256 first.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .canonical import InconsistentKB, build_canonical, element_label, materialize
 from .exchange import (
@@ -56,7 +66,7 @@ def _load(path: str, parser, inputs: dict):
         key, alias = alias, os.path.join(os.curdir, alias)
     inputs[key] = {
         "path": path,
-        "sha256": hashlib.sha256(data).hexdigest(),
+        "sha256": sha256(data).hexdigest(),
     }
     try:
         # Skip a leading byte-order mark; the "utf-8-sig" codec would import a module.

@@ -1,9 +1,11 @@
 """End-to-end command-line tests, run in process through ``cli.run``."""
 
+import codecs
 import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -380,6 +382,80 @@ def test_cli_run_leaves_argparse_gettext_and_locale_unloaded():
     code, loaded = json.loads(fresh_python(script))
     assert code == 0
     assert not {"argparse", "gettext", "locale"} & set(loaded)
+
+
+BUILTIN_SHA256 = any(map(importlib.util.find_spec, ("_sha2", "_sha256")))
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="this interpreter has no built-in SHA-256")
+def test_cli_run_loads_neither_hashlib_nor_openssl():
+    """The input digests come from the interpreter's built-in SHA-256, so a
+    call never maps in OpenSSL's libcrypto through ``_hashlib``."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import kbx.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [kbx.cli.run(argv + ['--json']) for argv in (\n"
+        f"        ['usol-exists', '--kb', {path('ex1_kb')!r}, '--mapping', {path('ex1_map')!r}],\n"
+        f"        ['rep-synth', '--kb', {path('ex5_kb')!r}, '--mapping', {path('ex10_map')!r}])]\n"
+        "print(json.dumps([codes, sorted({'hashlib', '_hashlib'} & set(sys.modules))]))\n"
+    )
+    codes, loaded = json.loads(fresh_python(script))
+    assert codes == [0, 0]
+    assert loaded == []
+
+
+def digest_inputs(tmp_path):
+    """Edge-case files, among them one that is not UTF-8, and every file of
+    the corpus; each is read as the ``--kb`` of a ``consistency`` call."""
+    edge = {
+        "empty.kbx": b"",
+        "bom_only.kbx": codecs.BOM_UTF8,
+        "latin1.kbx": "kb { tbox { } abox { Caf\xe9(a); } }".encode("latin-1"),
+        "random.bin": random.Random(0).randbytes(1 << 20),
+    }
+    for name, data in edge.items():
+        (tmp_path / name).write_bytes(data)
+    corpus = sorted(str(p) for p in CORPUS.rglob("*") if p.is_file())
+    return [str(tmp_path / name) for name in edge] + corpus
+
+
+def expected_digests(paths):
+    return [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths]
+
+
+def test_report_digests_are_sha256_over_the_raw_bytes(capsys, tmp_path):
+    paths = digest_inputs(tmp_path)
+    digests = []
+    for p in paths:
+        code, report = run_json(capsys, "consistency", "--kb", p)
+        digests.append(report["inputs"][os.path.basename(p)]["sha256"])
+        if p.endswith("latin1.kbx"):
+            assert (code, report["answer"]) == (3, "error")
+            assert "not valid UTF-8" in report["reason"]
+    assert digests == expected_digests(paths)
+
+
+def test_report_digests_fall_back_to_hashlib(tmp_path):
+    """Without the built-in modules the CLI takes ``hashlib``'s SHA-256, and
+    the digests stay the same."""
+    paths = digest_inputs(tmp_path)
+    listing = tmp_path / "paths.json"
+    listing.write_text(json.dumps(paths))
+    script = (
+        "import contextlib, io, json, os, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib, kbx.cli\n"
+        "assert kbx.cli.sha256 is hashlib.sha256\n"
+        "digests = []\n"
+        f"for p in json.loads(open({str(listing)!r}).read()):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        kbx.cli.run(['consistency', '--kb', p, '--json'])\n"
+        "    digests.append(json.loads(out.getvalue())['inputs'][os.path.basename(p)]['sha256'])\n"
+        "print(json.dumps(digests))\n"
+    )
+    assert json.loads(fresh_python(script)) == expected_digests(paths)
 
 
 def test_package_namespace_resolves_each_public_name():
